@@ -9,8 +9,8 @@ from typing import Sequence
 import numpy as np
 
 from . import container
-from .data import Utterance, Vocab, tokenize
-from .errors import CorpusError
+from .data import Utterance, Vocab, label_list, tokenize
+from .errors import ContainerError, CorpusError
 
 ALPHA = 1.0  # add-one smoothing
 
@@ -46,12 +46,20 @@ class NBModel:
         if header.get("kind") != "naive_bayes":
             raise CorpusError(
                 f"{path}: expected a naive_bayes model, found {header.get('kind')!r}")
-        return cls(
-            labels=header["labels"],
-            vocab=Vocab(header["vocab"]),
-            log_prior=blocks["log_prior"].astype(np.float64),
-            log_likelihood=blocks["log_likelihood"].astype(np.float64),
-        )
+        try:
+            model = cls(
+                labels=label_list(header["labels"]),
+                vocab=Vocab(header["vocab"]),
+                log_prior=blocks["log_prior"].astype(np.float64),
+                log_likelihood=blocks["log_likelihood"].astype(np.float64),
+            )
+            shape = (len(model.labels), len(model.vocab))
+            if model.log_likelihood.shape != shape or model.log_prior.shape != shape[:1]:
+                raise ValueError(f"blocks do not have the shapes {shape} the header gives")
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ContainerError(
+                f"{path}: cannot build a model: {type(exc).__name__}: {exc}") from exc
+        return model
 
 
 def train_nb(records: Sequence[Utterance], vocab: Vocab) -> NBModel:

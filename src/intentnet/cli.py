@@ -17,8 +17,6 @@ from . import data, optim
 from .errors import ContainerError, CorpusError, NumericError
 from .model import HybridModel, TrainConfig, down_scaled_model, evaluate, random_check_sample, train
 
-GRADCHECK_TOL = 1e-4
-
 
 class UsageError(Exception):
     pass
@@ -167,9 +165,9 @@ def cmd_gradcheck(args) -> int:
     for name in sorted(worst_per_block):
         print(f"{name:<{width}}  {worst_per_block[name]:.3e}")
     worst = max(worst_per_block.values())
-    ok = worst <= GRADCHECK_TOL
-    print(f"worst relative error: {worst:.3e} "
-          f"({'PASS' if ok else 'FAIL'} at {GRADCHECK_TOL:g}, {args.seeds} seeds, eps {args.eps:g})")
+    ok = worst <= optim.GRADCHECK_TOL
+    print(f"worst relative error: {worst:.3e} ({'PASS' if ok else 'FAIL'} at "
+          f"{optim.GRADCHECK_TOL:g}, {args.seeds} seeds, eps {args.eps:g})")
     return 0 if ok else 3
 
 

@@ -11,6 +11,7 @@ Layout, all little-endian:
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -72,19 +73,31 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         offset += n
         return chunk
 
+    def text(n, what):
+        try:
+            return take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContainerError(f"{path}: {what} is not valid UTF-8") from exc
+
     header_len = struct.unpack("<I", take(4))[0]
-    header = json.loads(take(header_len).decode("utf-8"))
+    try:
+        header = json.loads(text(header_len, "header"))
+    except json.JSONDecodeError as exc:
+        raise ContainerError(f"{path}: header is not valid JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ContainerError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise ContainerError(f"{path}: unsupported format version")
     n_blocks = struct.unpack("<I", take(4))[0]
     blocks: dict[str, np.ndarray] = {}
     for _ in range(n_blocks):
         name_len = struct.unpack("<H", take(2))[0]
-        name = take(name_len).decode("utf-8")
+        name = text(name_len, "a block name")
         ndim = struct.unpack("<B", take(1))[0]
+        if ndim > 3:  # the most any block has (the convolution filters)
+            raise ContainerError(f"{path}: block {name!r} has {ndim} axes")
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape).copy()
+        arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape).copy()
         blocks[name] = arr
     if offset != len(payload):
         raise ContainerError(f"{path}: trailing bytes in container")

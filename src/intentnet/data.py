@@ -88,6 +88,13 @@ class Vocab:
         return isinstance(other, Vocab) and self.tokens == other.tokens
 
 
+def label_list(labels: Sequence[str]) -> list[str]:
+    """``labels`` as a list, checked to hold distinct strings."""
+    if len(set(labels)) != len(labels) or not all(isinstance(lab, str) for lab in labels):
+        raise ValueError("labels must be distinct strings")
+    return list(labels)
+
+
 def tokenize(text: str) -> list[str]:
     """Character-level tokens: every unicode character, whitespace included."""
     return list(text)
@@ -176,11 +183,6 @@ def encode(text: str, vocab: Vocab, max_len: int) -> tuple[list[int], int]:
     indices = [vocab.lookup(tok) for tok in tokens]
     indices.extend([PAD_INDEX] * (max_len - len(indices)))
     return indices, true_len
-
-
-def decode(indices: Sequence[int], vocab: Vocab) -> str:
-    """Inverse of `encode` for in-vocabulary text (padding dropped)."""
-    return "".join(vocab.tokens[i] for i in indices if i != PAD_INDEX)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import Rng, relu, sigmoid, uniform_init
+from .tensor import Rng, sigmoid, uniform_init
 
 CONV_WIDTH = 3
 
@@ -88,7 +88,7 @@ class DenseParams:
         return {"weight": self.weight, "bias": self.bias}
 
 
-def init_lstm_params(rng: Rng, input_size: int, hidden: int, dtype=np.float32) -> LSTMParams:
+def init_lstm_params(rng: Rng | None, input_size: int, hidden: int, dtype=np.float32) -> LSTMParams:
     """Glorot-uniform weights; zero biases except the forget gate at 1."""
     def w(fan_in, fan_out):
         return uniform_init(rng, (fan_in, fan_out), glorot_limit(fan_in, fan_out), dtype)
@@ -106,7 +106,8 @@ def init_lstm_params(rng: Rng, input_size: int, hidden: int, dtype=np.float32) -
     )
 
 
-def init_conv_params(rng: Rng, embed_dim: int, num_filters: int, dtype=np.float32) -> ConvParams:
+def init_conv_params(rng: Rng | None, embed_dim: int, num_filters: int,
+                     dtype=np.float32) -> ConvParams:
     fan_in = CONV_WIDTH * embed_dim
     limit = glorot_limit(fan_in, num_filters)
     return ConvParams(
@@ -115,16 +116,13 @@ def init_conv_params(rng: Rng, embed_dim: int, num_filters: int, dtype=np.float3
     )
 
 
-def init_dense_params(rng: Rng, input_dim: int, num_classes: int, dtype=np.float32) -> DenseParams:
+def init_dense_params(rng: Rng | None, input_dim: int, num_classes: int,
+                      dtype=np.float32) -> DenseParams:
     limit = glorot_limit(input_dim, num_classes)
     return DenseParams(
         weight=uniform_init(rng, (input_dim, num_classes), limit, dtype),
         bias=np.zeros(num_classes, dtype=dtype),
     )
-
-
-def zero_grads(blocks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in blocks.items()}
 
 
 # ---------------------------------------------------------------------------

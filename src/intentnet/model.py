@@ -8,14 +8,15 @@ softmax head. Both subnetworks read the same embedding table.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import container, layers, optim
-from .data import LABELS, Utterance, Vocab, build_vocab, encode
-from .errors import CorpusError, NumericError
+from .data import LABELS, MIN_ENCODED_LEN, Utterance, Vocab, build_vocab, encode, label_list
+from .errors import ContainerError, CorpusError, NumericError
 from .tensor import Rng, softmax, uniform_init
 
 # Named sub-streams of the training seed.
@@ -55,12 +56,13 @@ class TrainConfig:
             raise ValueError("dropout must be in [0, 1)")
 
 
-def cross_entropy(probs: np.ndarray, gold: int) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood and the fused softmax gradient (probs - onehot)."""
-    if not 0 <= gold < probs.shape[0]:
+def cross_entropy(logits: np.ndarray, gold: int) -> tuple[float, np.ndarray]:
+    """Negative log-likelihood of ``gold`` and its gradient (probs - onehot), from
+    the logits: log-sum-exp keeps the loss finite where a probability underflows."""
+    if not 0 <= gold < logits.shape[0]:
         raise ValueError(f"gold class {gold} out of range")
-    loss = -math.log(float(probs[gold]))
-    d_logits = probs.copy()
+    loss = float(np.logaddexp.reduce(logits) - logits[gold])
+    d_logits = softmax(logits)
     d_logits[gold] -= 1.0
     return loss, d_logits
 
@@ -69,10 +71,13 @@ class HybridModel:
     """Embedding + bidirectional recurrence + convolution + dense head."""
 
     def __init__(self, vocab: Vocab, labels: Sequence[str], embed_dim: int,
-                 hidden: int, filters: int, max_len: int, rng: Rng,
+                 hidden: int, filters: int, max_len: int, rng: Rng | None,
                  dropout_rate: float = 0.5, dtype=np.float32):
+        """``rng`` draws the initial weights; ``None`` leaves them at zero."""
+        if min(embed_dim, hidden, filters) < 1 or max_len < MIN_ENCODED_LEN:
+            raise ValueError(f"sizes must be positive and max_len at least {MIN_ENCODED_LEN}")
         self.vocab = vocab
-        self.labels = list(labels)
+        self.labels = label_list(labels)
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         self.embed_dim = embed_dim
         self.hidden = hidden
@@ -105,13 +110,17 @@ class HybridModel:
     def set_parameters(self, values: Mapping[str, np.ndarray]) -> None:
         own = self.parameters()
         if set(values) != set(own):
-            raise ValueError("parameter names do not match this model")
+            raise ValueError(f"missing blocks {sorted(set(own) - set(values))}, "
+                             f"unexpected blocks {sorted(set(values) - set(own))}")
+        for name, arr in own.items():
+            if np.shape(values[name]) != arr.shape:
+                raise ValueError(f"block {name} is {np.shape(values[name])}, not {arr.shape}")
         for name, arr in own.items():
             arr[...] = values[name]
 
     def forward(self, indices: Sequence[int], true_len: int, training: bool = False,
                 rng: Rng | None = None):
-        """Class probabilities plus the caches the backward pass consumes."""
+        """Class logits plus the caches the backward pass consumes."""
         X = layers.embedding_forward(list(indices)[:true_len], self.embedding)
         h_fwd, h_bwd, bi_cache = layers.bilstm_forward(X, true_len, self.fwd, self.bwd)
         fmap, conv_cache = layers.conv_forward(X, self.conv, true_len)
@@ -119,10 +128,9 @@ class HybridModel:
         fused = np.concatenate([h_fwd, h_bwd, pooled])
         dropped, mask = layers.dropout(fused, self.dropout_rate, training, rng)
         logits = layers.dense_forward(dropped, self.dense)
-        probs = softmax(logits)
         caches = (bi_cache, conv_cache, argmax, dropped, mask, true_len,
                   list(indices)[:true_len])
-        return probs, caches
+        return logits, caches
 
     def _backward(self, caches, d_logits, grads: dict[str, np.ndarray]) -> None:
         bi_cache, conv_cache, argmax, dropped, mask, true_len, used = caches
@@ -142,23 +150,26 @@ class HybridModel:
 
     def loss(self, sample) -> float:
         indices, true_len, gold = sample
-        probs, _ = self.forward(indices, true_len, training=False)
-        return cross_entropy(probs, gold)[0]
+        logits, _ = self.forward(indices, true_len, training=False)
+        return cross_entropy(logits, gold)[0]
 
-    def loss_and_gradients(self, sample, training: bool = False, rng: Rng | None = None):
-        """Loss and full parameter gradients for one encoded sample."""
+    def loss_and_gradients(self, sample, training: bool = False, rng: Rng | None = None,
+                           grads: dict[str, np.ndarray] | None = None):
+        """Loss and full parameter gradients for one encoded sample, added into
+        ``grads`` when given (one buffer per batch), else into fresh zeros."""
         indices, true_len, gold = sample
-        probs, caches = self.forward(indices, true_len, training=training, rng=rng)
-        loss, d_logits = cross_entropy(probs, gold)
-        grads = {name: np.zeros_like(arr) for name, arr in self.parameters().items()}
+        logits, caches = self.forward(indices, true_len, training=training, rng=rng)
+        loss, d_logits = cross_entropy(logits, gold)
+        if grads is None:
+            grads = {name: np.zeros_like(arr) for name, arr in self.parameters().items()}
         self._backward(caches, d_logits, grads)
         return loss, grads
 
     def predict(self, text: str):
         """Top label (lowest index on ties) and the full probability vector."""
         indices, true_len = encode(text, self.vocab, self.max_len)
-        probs, _ = self.forward(indices, true_len, training=False)
-        return self.labels[int(np.argmax(probs))], probs
+        logits, _ = self.forward(indices, true_len, training=False)
+        return self.labels[int(np.argmax(logits))], softmax(logits)
 
     # -- persistence --------------------------------------------------------
 
@@ -183,18 +194,22 @@ class HybridModel:
         header, blocks = container.read_container(path)
         if header.get("kind") != "hybrid":
             raise CorpusError(f"{path}: expected a hybrid model, found {header.get('kind')!r}")
-        model = cls(
-            vocab=Vocab(header["vocab"]),
-            labels=header["labels"],
-            embed_dim=header["embed_dim"],
-            hidden=header["hidden"],
-            filters=header["filters"],
-            max_len=header["max_len"],
-            rng=Rng(0),
-            dropout_rate=header.get("dropout", 0.5),
-            dtype=np.float32,
-        )
-        model.set_parameters(blocks)
+        try:
+            model = cls(
+                vocab=Vocab(header["vocab"]),
+                labels=header["labels"],
+                embed_dim=operator.index(header["embed_dim"]),
+                hidden=operator.index(header["hidden"]),
+                filters=operator.index(header["filters"]),
+                max_len=operator.index(header["max_len"]),
+                rng=None,
+                dropout_rate=header.get("dropout", 0.5),
+                dtype=np.float32,
+            )
+            model.set_parameters(blocks)
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ContainerError(
+                f"{path}: cannot build a model: {type(exc).__name__}: {exc}") from exc
         return model
 
 
@@ -252,15 +267,12 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
             batch = order[start:start + config.batch_size]
             grads = {name: np.zeros_like(arr) for name, arr in params.items()}
             for sample_idx in batch:
-                sample = train_set[sample_idx]
-                loss, sample_grads = model.loss_and_gradients(
-                    sample, training=True, rng=dropout_rng)
+                loss, _ = model.loss_and_gradients(
+                    train_set[sample_idx], training=True, rng=dropout_rng, grads=grads)
                 if not math.isfinite(loss):
                     raise NumericError(
                         f"non-finite loss at epoch {epoch}, sample {int(sample_idx)}")
                 loss_sum += loss
-                for name in grads:
-                    grads[name] += sample_grads[name]
             for name in grads:
                 grads[name] /= len(batch)
             optim.clip_by_global_norm(grads, config.clip_norm)
@@ -289,9 +301,9 @@ def _validate(model: HybridModel, dev_set) -> tuple[float, float]:
     loss_sum = 0.0
     correct = 0
     for indices, true_len, gold in dev_set:
-        probs, _ = model.forward(indices, true_len, training=False)
-        loss_sum += cross_entropy(probs, gold)[0]
-        if int(np.argmax(probs)) == gold:
+        logits, _ = model.forward(indices, true_len, training=False)
+        loss_sum += cross_entropy(logits, gold)[0]
+        if int(np.argmax(logits)) == gold:
             correct += 1
     return loss_sum / len(dev_set), correct / len(dev_set)
 
@@ -369,9 +381,9 @@ def evaluate(model: HybridModel, records: Sequence[Utterance]) -> EvalReport:
     predicted = []
     for utt in records:
         indices, true_len = encode(utt.text, model.vocab, model.max_len)
-        probs, _ = model.forward(indices, true_len, training=False)
+        logits, _ = model.forward(indices, true_len, training=False)
         gold.append(model.label_index[utt.label])
-        predicted.append(int(np.argmax(probs)))
+        predicted.append(int(np.argmax(logits)))
     return report_from_pairs(gold, predicted, model.labels)
 
 

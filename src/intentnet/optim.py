@@ -17,6 +17,9 @@ EPS = 1e-8
 # shared by the plateau schedule and early stopping.
 MIN_DELTA = 1e-4
 
+# Largest relative gradient error a gradient check accepts.
+GRADCHECK_TOL = 1e-4
+
 
 @dataclass
 class EpochRecord:
@@ -27,9 +30,6 @@ class EpochRecord:
     val_loss: float
     val_f1: float
     lr: float
-
-
-History = list  # list[EpochRecord]
 
 
 class AdamState:
@@ -129,7 +129,7 @@ class GradCheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.max_error <= 1e-4
+        return self.max_error <= GRADCHECK_TOL
 
 
 def gradient_check(model, sample, eps: float = 1e-5) -> GradCheckResult:

@@ -1,4 +1,4 @@
-"""Dense-array numerics: matmul, activations, softmax, seeded initialization.
+"""Dense-array numerics: sigmoid, softmax, seeded initialization.
 
 Conventions used everywhere downstream:
   - arrays are contiguous row-major numpy ndarrays with 1 to 3 axes,
@@ -60,10 +60,8 @@ class Rng:
             raise ValueError("n must be positive")
         return self.next_u64() % n
 
-    def uniform(self, low: float, high: float, shape=None, dtype=np.float64):
-        """Uniform samples in [low, high); scalar when shape is None."""
-        if shape is None:
-            return low + (high - low) * self.random()
+    def uniform(self, low: float, high: float, shape, dtype=np.float64):
+        """Uniform samples in [low, high) of the given shape."""
         count = int(np.prod(shape))
         draws = np.array([self.random() for _ in range(count)], dtype=np.float64)
         out = low + (high - low) * draws
@@ -77,20 +75,6 @@ class Rng:
             order[i], order[j] = order[j], order[i]
         return order
 
-    def choice(self, seq):
-        return seq[self.integer(len(seq))]
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D arrays; inner axes must agree."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner axes disagree: {a.shape} x {b.shape}")
-    return a @ b
-
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
@@ -99,33 +83,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; both branches share it
     z = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(np.asarray(x))
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    return np.maximum(x, 0)
-
-
-def elementwise(x: np.ndarray, kind: str, y: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise op dispatch: sigmoid | tanh | relu (unary), add | mul (binary)."""
-    unary = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-    if kind in unary:
-        if y is not None:
-            raise ValueError(f"{kind} is unary")
-        return unary[kind](x)
-    if kind in ("add", "mul"):
-        if y is None:
-            raise ValueError(f"{kind} needs a second operand")
-        x = np.asarray(x)
-        y = np.asarray(y)
-        if x.shape != y.shape:
-            raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-        return x + y if kind == "add" else x * y
-    raise ValueError(f"unknown elementwise kind: {kind!r}")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -138,8 +95,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def uniform_init(rng: Rng, shape, limit: float, dtype=np.float32) -> np.ndarray:
-    """i.i.d. uniform entries in [-limit, +limit]; deterministic given the seed."""
+def uniform_init(rng: Rng | None, shape, limit: float, dtype=np.float32) -> np.ndarray:
+    """i.i.d. uniform entries in [-limit, +limit]; deterministic given the seed.
+    Zeros, with nothing drawn, when ``rng`` is None (for values to be overwritten)."""
     if limit <= 0:
         raise ValueError("limit must be positive")
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
     return rng.uniform(-limit, limit, shape=shape, dtype=dtype)

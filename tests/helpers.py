@@ -2,12 +2,17 @@
 
 Everything here recomputes results through an independent path (pure Python
 scalar loops, central finite differences) so the production code never
-checks itself against itself.
+checks itself against itself. The helpers after ``scalar_lstm_cell`` are
+small utilities the tests share.
 """
 
 import math
+import struct
 
 import numpy as np
+
+from intentnet import container
+from intentnet.data import PAD_INDEX
 
 
 def numeric_gradient(loss_fn, arr, eps=1e-5):
@@ -64,3 +69,27 @@ def scalar_lstm_cell(x, h_prev, c_prev, p):
     o = gate(p.w_xo, p.w_ho, p.w_co, p.b_o, c, sig)
     h = [o[j] * math.tanh(c[j]) for j in range(hidden)]
     return np.array(h), np.array(c)
+
+
+def zero_grads(blocks):
+    """A zeroed gradient dict mirroring a layer's parameter blocks."""
+    return {name: np.zeros_like(arr) for name, arr in blocks.items()}
+
+
+def decode(indices, vocab):
+    """Inverse of ``data.encode`` for in-vocabulary text (padding dropped)."""
+    return "".join(vocab.tokens[i] for i in indices if i != PAD_INDEX)
+
+
+def rewrite_container(path, edit):
+    """Apply ``edit(header, blocks)`` to a saved model; the checksum stays valid."""
+    header, blocks = container.read_container(path)
+    edit(header, blocks)
+    container.write_container(path, header, blocks)
+
+
+def write_raw_header(path, header_bytes):
+    """A container holding ``header_bytes`` as its header, no blocks, a valid checksum."""
+    payload = b"".join([container.MAGIC, struct.pack("<I", len(header_bytes)),
+                        header_bytes, struct.pack("<I", 0)])
+    path.write_bytes(payload + struct.pack("<Q", container.fnv1a64(payload)))

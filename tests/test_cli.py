@@ -8,6 +8,8 @@ from intentnet import data, synthetic
 from intentnet.cli import main
 from intentnet.model import HybridModel
 
+from helpers import rewrite_container
+
 FAST_TRAIN = ["--epochs", "3", "--hidden", "6", "--filters", "4",
               "--embed-dim", "6", "--max-len", "12", "--seed", "9"]
 
@@ -250,6 +252,20 @@ class TestUsageErrors:
     def test_missing_model_file_is_data_error(self, tmp_path, capsys):
         assert main(["predict", "--model", str(tmp_path / "absent.bin"),
                      "--text", "hello"]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h, b: h.pop("embed_dim"), id="missing-key"),
+        pytest.param(lambda h, b: b.pop("out.bias"), id="missing-block"),
+        pytest.param(lambda h, b: b.update({"out.bias": b["out.bias"][:1]}), id="short-bias"),
+    ])
+    def test_hand_edited_model_is_data_error(self, trained_model_path, tmp_path, capsys,
+                                             edit):
+        path = tmp_path / "edited.bin"
+        path.write_bytes(trained_model_path.read_bytes())
+        rewrite_container(path, edit)
+        assert main(["predict", "--model", str(path), "--text", "abc"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "edited.bin" in err
 
     def test_unwritable_output_is_data_error(self, toy_corpus_dir, tmp_path, capsys):
         assert main(["train", "--corpus", str(toy_corpus_dir),

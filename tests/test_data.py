@@ -13,12 +13,13 @@ from intentnet.data import (
     build_vocab,
     compare_to_reference,
     compute_stats,
-    decode,
     encode,
     load_corpus,
     write_corpus,
 )
 from intentnet.errors import CorpusError
+
+from helpers import decode
 
 
 def utt(text, label="chat", id=0):

@@ -25,11 +25,10 @@ from intentnet.layers import (
     lstm_cell_forward,
     maxpool_backward,
     maxpool_over_time,
-    zero_grads,
 )
 from intentnet.tensor import Rng
 
-from helpers import max_rel_error, numeric_gradient, scalar_lstm_cell
+from helpers import max_rel_error, numeric_gradient, scalar_lstm_cell, zero_grads
 
 GRAD_TOL = 1e-4
 N_SEEDS = 20

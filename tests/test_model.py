@@ -13,10 +13,13 @@ from intentnet.model import (
     cross_entropy,
     down_scaled_model,
     evaluate,
+    random_check_sample,
     report_from_pairs,
     train,
 )
-from intentnet.tensor import Rng
+from intentnet.tensor import Rng, softmax
+
+from helpers import rewrite_container, write_raw_header
 
 
 def tiny_model(num_classes=4, vocab_chars="abcdefg", **kw):
@@ -48,20 +51,23 @@ def fast_config(**kw):
 
 class TestCrossEntropy:
     def test_one_hot_gold_gives_zero_loss(self):
-        probs = np.array([0.0, 1.0, 0.0])
-        loss, _ = cross_entropy(probs, 1)
+        # a gold logit far above the others puts all the probability on it
+        loss, _ = cross_entropy(np.array([0.0, 1000.0, 0.0]), 1)
         assert loss == 0.0
 
+    def test_underflowing_gold_probability_gives_finite_loss(self):
+        logits = np.array([0.0, 200.0], dtype=np.float32)
+        assert softmax(logits)[0] == 0.0
+        loss, _ = cross_entropy(logits, 0)
+        assert loss == 200.0
+
     def test_uniform_31_classes_is_log_31(self):
-        probs = np.full(31, 1.0 / 31.0)
-        loss, _ = cross_entropy(probs, 7)
+        loss, _ = cross_entropy(np.zeros(31), 7)
         assert loss == pytest.approx(math.log(31), abs=1e-4)
 
     def test_gradient_sums_to_zero(self):
         rng = Rng(2)
-        probs = np.exp(rng.uniform(-2, 2, (8,)))
-        probs /= probs.sum()
-        _, d_logits = cross_entropy(probs, 3)
+        _, d_logits = cross_entropy(rng.uniform(-2, 2, (8,)), 3)
         assert abs(d_logits.sum()) < 1e-6
 
     def test_gold_out_of_range(self):
@@ -72,15 +78,16 @@ class TestCrossEntropy:
 class TestForward:
     def test_zero_params_give_uniform_probs(self):
         model = zero_all(tiny_model(num_classes=31))
-        probs, _ = model.forward([2, 3, 4], 3)
-        npt.assert_allclose(probs, np.full(31, 1.0 / 31.0), atol=1e-7)
+        logits, _ = model.forward([2, 3, 4], 3)
+        npt.assert_allclose(softmax(logits), np.full(31, 1.0 / 31.0), atol=1e-7)
 
     def test_probs_form_a_distribution(self):
         model = tiny_model()
         for seed in range(5):
             rng = Rng(seed)
             indices = [2 + rng.integer(7) for _ in range(5)]
-            probs, _ = model.forward(indices, 5)
+            logits, _ = model.forward(indices, 5)
+            probs = softmax(logits)
             assert abs(float(probs.sum()) - 1.0) < 1e-6
             assert np.all(probs > 0)
 
@@ -101,6 +108,37 @@ class TestForward:
         a, _ = model.forward(short, 3)
         b, _ = model.forward(padded, 3)
         npt.assert_array_equal(a, b)
+
+
+class TestGradientBuffer:
+    def test_batch_buffer_equals_sum_of_fresh_gradients(self):
+        model = down_scaled_model(seed=4)
+        samples = [random_check_sample(seed, model) for seed in range(5)]
+        fresh = [model.loss_and_gradients(sample) for sample in samples]
+        buffer = {name: np.zeros_like(arr) for name, arr in model.parameters().items()}
+        for sample, (loss, _) in zip(samples, fresh):
+            loss_again, returned = model.loss_and_gradients(sample, grads=buffer)
+            assert loss_again == loss and returned is buffer
+        for name, total in buffer.items():
+            npt.assert_allclose(total, sum(grads[name] for _, grads in fresh),
+                                rtol=1e-6, atol=1e-12)
+
+    def test_train_passes_one_buffer_per_batch(self, monkeypatch):
+        buffers = []
+        original = HybridModel.loss_and_gradients
+
+        def spy(self, sample, training=False, rng=None, grads=None):
+            buffers.append(grads)
+            return original(self, sample, training, rng, grads)
+
+        monkeypatch.setattr(HybridModel, "loss_and_gradients", spy)
+        corpus = tiny_corpus()
+        train(fast_config(max_epochs=1, batch_size=4), corpus)
+        assert len(buffers) == len(corpus["train"])
+        assert all(isinstance(grads, dict) for grads in buffers)
+        for i, a in enumerate(buffers):
+            for j, b in enumerate(buffers):
+                assert (a is b) == (i // 4 == j // 4)
 
 
 class TestPredict:
@@ -289,6 +327,55 @@ class TestSerialization:
         raw[len(raw) // 2] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(ContainerError, match="checksum"):
+            HybridModel.load(path)
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        draws = []
+        next_u64 = Rng.next_u64
+        monkeypatch.setattr(Rng, "next_u64", lambda rng: draws.append(1) or next_u64(rng))
+        model = tiny_model()
+        assert draws  # building a fresh model does draw
+        path = tmp_path / "model.bin"
+        model.save(path)
+        draws.clear()
+        loaded = HybridModel.load(path)
+        assert draws == []
+        for name, arr in model.parameters().items():
+            assert loaded.parameters()[name].tobytes() == arr.tobytes()
+
+    def test_set_parameters_checks_shapes(self):
+        model = tiny_model()
+        values = {name: arr.copy() for name, arr in model.parameters().items()}
+        values["out.bias"] = np.ones(1, dtype=np.float32)
+        with pytest.raises(ValueError, match="out.bias"):
+            model.set_parameters(values)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h, b: b.pop("conv.bias"), id="missing-block"),
+        pytest.param(lambda h, b: b.update(extra=np.zeros(2)), id="extra-block"),
+        pytest.param(lambda h, b: b.update({"out.bias": b["out.bias"][:1]}), id="short-bias"),
+        pytest.param(lambda h, b: h.pop("embed_dim"), id="missing-key"),
+        pytest.param(lambda h, b: h.update(hidden="3"), id="string-size"),
+        pytest.param(lambda h, b: h.update(max_len=6.5), id="float-size"),
+        pytest.param(lambda h, b: h.update(max_len=2), id="max-len-below-floor"),
+        pytest.param(lambda h, b: h.update(vocab=[]), id="empty-vocab"),
+        pytest.param(lambda h, b: h.update(vocab=h["vocab"][::-1]), id="vocab-order"),
+        pytest.param(lambda h, b: h.update(labels=5), id="labels-not-a-list"),
+        pytest.param(lambda h, b: h["labels"].__setitem__(0, None), id="label-not-a-string"),
+    ])
+    def test_unbuildable_file_is_container_error(self, tmp_path, edit):
+        path = tmp_path / "model.bin"
+        tiny_model().save(path)
+        rewrite_container(path, edit)
+        with pytest.raises(ContainerError, match="model.bin"):
+            HybridModel.load(path)
+
+    @pytest.mark.parametrize("header", [b"\xff\xfe", b"{not json", b"[1, 2]"],
+                             ids=["not-utf8", "not-json", "not-an-object"])
+    def test_unreadable_header_is_container_error(self, tmp_path, header):
+        path = tmp_path / "model.bin"
+        write_raw_header(path, header)
+        with pytest.raises(ContainerError, match="header"):
             HybridModel.load(path)
 
     def test_float64_models_load_as_float32(self, tmp_path):

@@ -9,7 +9,11 @@ The LSTM cell lets every gate read the cell state through full square
 matrices (``w_ci``, ``w_cf``, ``w_co``), not the diagonal peephole vectors
 of common variants, and the output gate reads the freshly updated cell
 state. Both choices are deliberate and the backward pass differentiates
-them exactly.
+them exactly. Each direction stores its weights gate-stacked, one matrix per
+operand (the fused-gate layout of Appleyard et al., arXiv 1604.01946), so a
+cell step makes one product per operand and a chain's weight gradients come
+from one product per stack over all its steps. The 15 per-gate blocks that
+the model file and the optimizer name are column views of those stacks.
 """
 
 from __future__ import annotations
@@ -29,41 +33,45 @@ def glorot_limit(fan_in: int, fan_out: int) -> float:
     return math.sqrt(6.0 / (fan_in + fan_out))
 
 
-@dataclass
-class LSTMParams:
-    """Weights and biases of one recurrence direction.
+# The gates each stack holds, in column order (the candidate g does not read
+# the cell). A block is named by its stack and gate: w_xi ... w_co, b_i ... b_o.
+_STACK_GATES = {"w_x": "ifgo", "w_h": "ifgo", "w_c": "ifo", "b": "ifgo"}
 
-    ``w_x*`` act on the token embedding, ``w_h*`` on the previous hidden
-    state, ``w_c*`` on the cell state (full matrices), ``b_*`` are biases;
-    gate suffixes: i=input, f=forget, g=candidate, o=output.
+
+def _gate_views(stacks: dict[str, np.ndarray], hidden: int) -> dict[str, np.ndarray]:
+    """The per-gate column views of gate-stacked arrays, keyed by block name."""
+    return {(stack if stack != "b" else "b_") + gate:
+            stacks[stack][..., k * hidden:(k + 1) * hidden]
+            for stack, gates in _STACK_GATES.items() for k, gate in enumerate(gates)}
+
+
+class LSTMParams:
+    """Weights and biases of one recurrence direction, stored gate-stacked.
+
+    ``w_x`` (input_size, 4H) acts on the token embedding, ``w_h`` (H, 4H) on
+    the previous hidden state, and ``b`` (4H) is the bias, each with gate
+    columns i, f, g, o (input, forget, candidate, output) of width H; ``w_c``
+    (H, 3H) acts on the cell state, gate columns i, f, o. ``blocks()`` gives
+    the 15 per-gate column views ``w_xi`` ... ``b_o``, in a fixed order;
+    writing into a view writes into its stack. A new instance holds zeros.
     """
 
-    w_xi: np.ndarray
-    w_xf: np.ndarray
-    w_xg: np.ndarray
-    w_xo: np.ndarray
-    w_hi: np.ndarray
-    w_hf: np.ndarray
-    w_hg: np.ndarray
-    w_ho: np.ndarray
-    w_ci: np.ndarray
-    w_cf: np.ndarray
-    w_co: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_g: np.ndarray
-    b_o: np.ndarray
+    def __init__(self, input_size: int, hidden: int, dtype=np.float32):
+        self.w_x = np.zeros((input_size, 4 * hidden), dtype=dtype)
+        self.w_h = np.zeros((hidden, 4 * hidden), dtype=dtype)
+        self.w_c = np.zeros((hidden, 3 * hidden), dtype=dtype)
+        self.b = np.zeros(4 * hidden, dtype=dtype)
 
     @property
     def hidden_size(self) -> int:
-        return self.w_hi.shape[0]
+        return self.w_h.shape[0]
 
     @property
     def input_size(self) -> int:
-        return self.w_xi.shape[0]
+        return self.w_x.shape[0]
 
     def blocks(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+        return _gate_views(vars(self), self.hidden_size)
 
 
 @dataclass
@@ -89,21 +97,18 @@ class DenseParams:
 
 
 def init_lstm_params(rng: Rng | None, input_size: int, hidden: int, dtype=np.float32) -> LSTMParams:
-    """Glorot-uniform weights; zero biases except the forget gate at 1."""
-    def w(fan_in, fan_out):
-        return uniform_init(rng, (fan_in, fan_out), glorot_limit(fan_in, fan_out), dtype)
+    """Glorot-uniform weights; zero biases except the forget gate at 1.
 
-    return LSTMParams(
-        w_xi=w(input_size, hidden), w_xf=w(input_size, hidden),
-        w_xg=w(input_size, hidden), w_xo=w(input_size, hidden),
-        w_hi=w(hidden, hidden), w_hf=w(hidden, hidden),
-        w_hg=w(hidden, hidden), w_ho=w(hidden, hidden),
-        w_ci=w(hidden, hidden), w_cf=w(hidden, hidden), w_co=w(hidden, hidden),
-        b_i=np.zeros(hidden, dtype=dtype),
-        b_f=np.ones(hidden, dtype=dtype),
-        b_g=np.zeros(hidden, dtype=dtype),
-        b_o=np.zeros(hidden, dtype=dtype),
-    )
+    Weights are drawn block by block in ``blocks()`` order, so a seed gives
+    the same values as drawing ``w_xi``, ``w_xf``, ... ``w_co`` one by one.
+    """
+    p = LSTMParams(input_size, hidden, dtype)
+    blocks = p.blocks()
+    for name, view in blocks.items():
+        if name.startswith("w_"):
+            view[...] = uniform_init(rng, view.shape, glorot_limit(*view.shape), dtype)
+    blocks["b_f"][...] = 1
+    return p
 
 
 def init_conv_params(rng: Rng | None, embed_dim: int, num_filters: int,
@@ -153,12 +158,9 @@ class CellCache(NamedTuple):
     x: np.ndarray
     h_prev: np.ndarray
     c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
+    gates: np.ndarray   # activated i, f, g, o, stacked like ``LSTMParams.b``
     c: np.ndarray
     tanh_c: np.ndarray
-    o: np.ndarray
 
 
 def lstm_cell_forward(x, h_prev, c_prev, p: LSTMParams):
@@ -172,63 +174,44 @@ def lstm_cell_forward(x, h_prev, c_prev, p: LSTMParams):
             f"cell shapes disagree: x {x.shape}, h {h_prev.shape}, "
             f"params ({p.input_size}, {p.hidden_size})"
         )
-    i = sigmoid(x @ p.w_xi + h_prev @ p.w_hi + c_prev @ p.w_ci + p.b_i)
-    f = sigmoid(x @ p.w_xf + h_prev @ p.w_hf + c_prev @ p.w_cf + p.b_f)
-    g = np.tanh(x @ p.w_xg + h_prev @ p.w_hg + p.b_g)
+    H = p.hidden_size
+    # The bias joins the input projection before the recurrent term: other
+    # summation orders raise the gradient check's round-off past its bound.
+    z = (x @ p.w_x + p.b) + h_prev @ p.w_h
+    z[:2 * H] += c_prev @ p.w_c[:, :2 * H]
+    gates = np.empty_like(z)
+    gates[:2 * H] = sigmoid(z[:2 * H])
+    gates[2 * H:3 * H] = np.tanh(z[2 * H:3 * H])
+    i, f, g = gates[:H], gates[H:2 * H], gates[2 * H:3 * H]
     c = f * c_prev + i * g
-    o = sigmoid(x @ p.w_xo + h_prev @ p.w_ho + c @ p.w_co + p.b_o)
+    gates[3 * H:] = sigmoid(z[3 * H:] + c @ p.w_c[:, 2 * H:])
     tanh_c = np.tanh(c)
-    h = o * tanh_c
-    return h, c, CellCache(p, x, h_prev, c_prev, i, f, g, c, tanh_c, o)
+    h = gates[3 * H:] * tanh_c
+    return h, c, CellCache(p, x, h_prev, c_prev, gates, c, tanh_c)
 
 
-def lstm_cell_backward(cache: CellCache, dh, dc_in, grads: dict[str, np.ndarray]):
+def lstm_cell_backward(cache: CellCache, dh, dc_in):
     """Exact gradients of one cell step.
 
-    Accumulates parameter gradients into ``grads`` (keys as in
-    ``LSTMParams.blocks``) and returns (dx, dh_prev, dc_prev). ``dc_in`` is
-    the gradient arriving at the new cell state from the following step.
-    The output gate's dependence on the new cell state contributes to dc
-    before the cell update is unwound.
+    Returns (dz, dh_prev, dc_prev), where ``dz`` is the gradient of the
+    stacked gate pre-activations (gates as in ``LSTMParams.b``); the caller
+    forms the weight and bias gradients and ``dx = dz @ p.w_x.T`` from it.
+    ``dc_in`` is the gradient arriving at the new cell state from the
+    following step. The output gate's dependence on the new cell state
+    contributes to dc before the cell update is unwound.
     """
-    p, x, h_prev, c_prev, i, f, g, c, tanh_c, o = cache
-
-    do = dh * tanh_c
-    dzo = do * o * (1.0 - o)
-    grads["w_xo"] += np.outer(x, dzo)
-    grads["w_ho"] += np.outer(h_prev, dzo)
-    grads["w_co"] += np.outer(c, dzo)
-    grads["b_o"] += dzo
-
-    dc = dc_in + dh * o * (1.0 - tanh_c * tanh_c) + dzo @ p.w_co.T
-
-    di = dc * g
-    df = dc * c_prev
-    dg = dc * i
-    dc_prev = dc * f
-
-    dzg = dg * (1.0 - g * g)
-    grads["w_xg"] += np.outer(x, dzg)
-    grads["w_hg"] += np.outer(h_prev, dzg)
-    grads["b_g"] += dzg
-
-    dzf = df * f * (1.0 - f)
-    grads["w_xf"] += np.outer(x, dzf)
-    grads["w_hf"] += np.outer(h_prev, dzf)
-    grads["w_cf"] += np.outer(c_prev, dzf)
-    grads["b_f"] += dzf
-    dc_prev = dc_prev + dzf @ p.w_cf.T
-
-    dzi = di * i * (1.0 - i)
-    grads["w_xi"] += np.outer(x, dzi)
-    grads["w_hi"] += np.outer(h_prev, dzi)
-    grads["w_ci"] += np.outer(c_prev, dzi)
-    grads["b_i"] += dzi
-    dc_prev = dc_prev + dzi @ p.w_ci.T
-
-    dx = dzi @ p.w_xi.T + dzf @ p.w_xf.T + dzg @ p.w_xg.T + dzo @ p.w_xo.T
-    dh_prev = dzi @ p.w_hi.T + dzf @ p.w_hf.T + dzg @ p.w_hg.T + dzo @ p.w_ho.T
-    return dx, dh_prev, dc_prev
+    p, x, h_prev, c_prev, gates, c, tanh_c = cache
+    H = p.hidden_size
+    i, f, g, o = gates[:H], gates[H:2 * H], gates[2 * H:3 * H], gates[3 * H:]
+    dz = np.empty_like(gates)
+    dz[3 * H:] = dh * tanh_c * o * (1.0 - o)
+    dc = dc_in + dh * o * (1.0 - tanh_c * tanh_c) + dz[3 * H:] @ p.w_c[:, 2 * H:].T
+    dz[:H] = dc * g * i * (1.0 - i)
+    dz[H:2 * H] = dc * c_prev * f * (1.0 - f)
+    dz[2 * H:3 * H] = dc * i * (1.0 - g * g)
+    dc_prev = dc * f + dz[:2 * H] @ p.w_c[:, :2 * H].T
+    dh_prev = dz @ p.w_h.T
+    return dz, dh_prev, dc_prev
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +249,27 @@ def bilstm_forward(X: np.ndarray, true_len: int, p_fwd: LSTMParams, p_bwd: LSTMP
 
 
 def _chain_backward(caches, positions, d_final, dX, grads):
-    hidden = d_final.shape[0]
+    """Backpropagation through time over one chain; then one product per
+    gate-stack over all steps gives its weight gradients and its rows of dX."""
+    p = caches[0].params
+    H = p.hidden_size
     dh = d_final
-    dc = np.zeros(hidden, dtype=d_final.dtype)
+    dc = np.zeros_like(d_final)
+    dz = [None] * len(caches)
     for step in range(len(caches) - 1, -1, -1):
-        dx, dh, dc = lstm_cell_backward(caches[step], dh, dc, grads)
-        dX[positions[step]] += dx
+        dz[step], dh, dc = lstm_cell_backward(caches[step], dh, dc)
+    dz = np.stack(dz)
+    x, h_prev, c_prev, c = (np.stack([getattr(s, field) for s in caches])
+                            for field in ("x", "h_prev", "c_prev", "c"))
+    dX[positions] += dz @ p.w_x.T
+    stacks = {
+        "w_x": x.T @ dz,
+        "w_h": h_prev.T @ dz,
+        "w_c": np.hstack([c_prev.T @ dz[:, :2 * H], c.T @ dz[:, 3 * H:]]),
+        "b": dz.sum(axis=0),
+    }
+    for name, grad in _gate_views(stacks, H).items():
+        grads[name] += grad
 
 
 def bilstm_backward(cache: BiLSTMCache, d_fwd, d_bwd, grads_fwd, grads_bwd) -> np.ndarray:

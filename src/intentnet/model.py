@@ -8,8 +8,9 @@ softmax head. Both subnetworks read the same embedding table.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -46,14 +47,36 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def validate(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int":
+                if isinstance(value, bool) or not _is_integer(value):
+                    raise ValueError(f"{field.name} must be an integer, got {value!r}")
+            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{field.name} must be a number, got {value!r}")
         positive = ("batch_size", "hidden", "filters", "embed_dim", "max_len",
                     "lr", "max_epochs", "plateau_patience", "stop_patience",
                     "min_count")
+        # each test is written so that a NaN (JSON allows it) fails it
         for name in positive:
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if not 0.0 < self.lr_factor <= 1.0:
+            raise ValueError("lr_factor must be in (0, 1]")
+        if not self.min_lr >= 0:
+            raise ValueError("min_lr must not be negative")
+        if not self.lr >= self.min_lr:
+            raise ValueError("lr must not be below min_lr")
+
+
+def _is_integer(value) -> bool:
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 def cross_entropy(logits: np.ndarray, gold: int) -> tuple[float, np.ndarray]:

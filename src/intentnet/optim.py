@@ -87,11 +87,14 @@ def reduce_lr_on_plateau(history: Sequence[EpochRecord], factor: float = 0.1,
     the best loss fails to improve by at least ``min_delta`` for
     ``patience`` consecutive epochs, the rate is multiplied by ``factor``
     (floored at ``min_lr``) and the stagnation counter resets. Being a pure
-    function of the history keeps reruns reproducible.
+    function of the history keeps reruns reproducible. A starting rate below
+    ``min_lr`` is rejected: the floor would raise it.
     """
     if not history:
         raise ValueError("history is empty")
     lr = history[0].lr
+    if lr < min_lr:
+        raise ValueError(f"starting rate {lr:g} is below min_lr {min_lr:g}")
     best = float("inf")
     stale = 0
     for record in history:

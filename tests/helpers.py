@@ -62,11 +62,12 @@ def scalar_lstm_cell(x, h_prev, c_prev, p):
             out.append(act(z))
         return out
 
-    i = gate(p.w_xi, p.w_hi, p.w_ci, p.b_i, c_prev, sig)
-    f = gate(p.w_xf, p.w_hf, p.w_cf, p.b_f, c_prev, sig)
-    g = gate(p.w_xg, p.w_hg, None, p.b_g, None, math.tanh)
+    b = p.blocks()
+    i = gate(b["w_xi"], b["w_hi"], b["w_ci"], b["b_i"], c_prev, sig)
+    f = gate(b["w_xf"], b["w_hf"], b["w_cf"], b["b_f"], c_prev, sig)
+    g = gate(b["w_xg"], b["w_hg"], None, b["b_g"], None, math.tanh)
     c = [f[j] * float(c_prev[j]) + i[j] * g[j] for j in range(hidden)]
-    o = gate(p.w_xo, p.w_ho, p.w_co, p.b_o, c, sig)
+    o = gate(b["w_xo"], b["w_ho"], b["w_co"], b["b_o"], c, sig)
     h = [o[j] * math.tanh(c[j]) for j in range(hidden)]
     return np.array(h), np.array(c)
 

@@ -18,7 +18,7 @@ from intentnet import data, synthetic
 from intentnet.baseline import predict_nb, train_nb
 from intentnet.cli import main
 from intentnet.data import LABELS, Vocab, build_vocab, encode
-from intentnet.layers import lstm_cell_forward
+from intentnet.layers import LSTMParams, lstm_cell_forward
 from intentnet.model import (
     HybridModel,
     TrainConfig,
@@ -28,8 +28,6 @@ from intentnet.model import (
     train,
 )
 from intentnet.tensor import Rng, softmax
-
-from test_layers import zero_lstm_params
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -69,7 +67,7 @@ def test_criterion_1_gradient_integrity(capsys):
 
 
 def test_criterion_2_closed_form_layers(capsys):
-    cell = zero_lstm_params(2, 1)
+    cell = LSTMParams(2, 1, np.float64)
     h, c, _ = lstm_cell_forward(np.zeros(2), np.zeros(1), np.ones(1), cell)
     cell_ok = abs(float(c[0]) - 0.5) < 1e-5 and abs(float(h[0]) - 0.23106) < 1e-5
 

@@ -99,6 +99,14 @@ class TestTrainCommand:
         assert rc == 1
         assert "not_a_key" in capsys.readouterr().err
 
+    def test_mistyped_config_value_is_usage_error(self, toy_corpus_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hidden": "big"}))
+        rc = main(["train", "--corpus", str(toy_corpus_dir), "--out", str(tmp_path / "m.bin"),
+                   "--config", str(config)])
+        assert rc == 1
+        assert capsys.readouterr().err == "usage error: hidden must be an integer, got 'big'\n"
+
     def test_prints_one_line_per_epoch(self, toy_corpus_dir, tmp_path, capsys):
         rc = main(["train", "--corpus", str(toy_corpus_dir),
                    "--out", str(tmp_path / "m.bin"), *FAST_TRAIN])

@@ -34,24 +34,12 @@ GRAD_TOL = 1e-4
 N_SEEDS = 20
 
 
-def zero_lstm_params(k, hidden, dtype=np.float64):
-    shapes = dict(
-        w_xi=(k, hidden), w_xf=(k, hidden), w_xg=(k, hidden), w_xo=(k, hidden),
-        w_hi=(hidden, hidden), w_hf=(hidden, hidden), w_hg=(hidden, hidden),
-        w_ho=(hidden, hidden), w_ci=(hidden, hidden), w_cf=(hidden, hidden),
-        w_co=(hidden, hidden), b_i=(hidden,), b_f=(hidden,), b_g=(hidden,),
-        b_o=(hidden,),
-    )
-    return LSTMParams(**{name: np.zeros(s, dtype=dtype) for name, s in shapes.items()})
-
-
 def random_lstm_params(rng, k, hidden):
     p = init_lstm_params(rng, k, hidden, dtype=np.float64)
     # randomize biases too so the check does not run at a special point
-    p.b_f[:] = rng.uniform(-0.5, 0.5, (hidden,))
-    p.b_i[:] = rng.uniform(-0.5, 0.5, (hidden,))
-    p.b_g[:] = rng.uniform(-0.5, 0.5, (hidden,))
-    p.b_o[:] = rng.uniform(-0.5, 0.5, (hidden,))
+    blocks = p.blocks()
+    for name in ("b_f", "b_i", "b_g", "b_o"):
+        blocks[name][:] = rng.uniform(-0.5, 0.5, (hidden,))
     return p
 
 
@@ -94,14 +82,14 @@ class TestEmbedding:
 
 class TestLSTMCell:
     def test_zero_params_zero_cell(self):
-        p = zero_lstm_params(2, 1)
+        p = LSTMParams(2, 1, np.float64)
         h, c, _ = lstm_cell_forward(np.zeros(2), np.zeros(1), np.zeros(1), p)
         npt.assert_array_equal(h, [0.0])
         npt.assert_array_equal(c, [0.0])
 
     def test_zero_params_unit_cell_state(self):
         # gates collapse to 1/2: new cell = 0.5, hidden = 0.5*tanh(0.5)
-        p = zero_lstm_params(2, 1)
+        p = LSTMParams(2, 1, np.float64)
         h, c, _ = lstm_cell_forward(np.zeros(2), np.zeros(1), np.ones(1), p)
         npt.assert_allclose(c, [0.5], atol=1e-12)
         npt.assert_allclose(h, [0.23105857863000487], atol=1e-12)
@@ -119,7 +107,7 @@ class TestLSTMCell:
             npt.assert_allclose(c, c_ref, atol=1e-6)
 
     def test_shape_mismatch_rejected(self):
-        p = zero_lstm_params(2, 3)
+        p = LSTMParams(2, 3, np.float64)
         with pytest.raises(ValueError):
             lstm_cell_forward(np.zeros(4), np.zeros(3), np.zeros(3), p)
 
@@ -129,9 +117,8 @@ class TestLSTMCell:
         _, _, cache = lstm_cell_forward(
             rng.uniform(-1, 1, (2,)), rng.uniform(-1, 1, (2,)), rng.uniform(-1, 1, (2,)), p
         )
-        grads = zero_grads(p.blocks())
-        lstm_cell_backward(cache, np.zeros(2), np.zeros(2), grads)
-        for arr in grads.values():
+        # every weight and bias gradient is an outer product with dz
+        for arr in lstm_cell_backward(cache, np.zeros(2), np.zeros(2)):
             npt.assert_array_equal(arr, np.zeros_like(arr))
 
     @pytest.mark.parametrize("seed", range(N_SEEDS))
@@ -151,14 +138,13 @@ class TestLSTMCell:
             return float(gh @ h + gc @ c)
 
         _, _, cache = lstm_cell_forward(x, h_prev, c_prev, p)
-        grads = zero_grads(p.blocks())
-        dx, dh_prev, dc_prev = lstm_cell_backward(cache, gh.copy(), gc.copy(), grads)
+        dz, dh_prev, dc_prev = lstm_cell_backward(cache, gh.copy(), gc.copy())
 
-        for name, arr in p.blocks().items():
-            err = max_rel_error(grads[name], numeric_gradient(loss, arr))
-            assert err < GRAD_TOL, f"{name}: {err}"
+        # the bias enters each pre-activation once, so dz is d(loss)/d(b);
+        # the per-gate weight blocks are checked through TestBiLSTM
+        assert max_rel_error(dz, numeric_gradient(loss, p.b)) < GRAD_TOL
         # input-side gradients, including both cell-state paths into dc_prev
-        assert max_rel_error(dx, numeric_gradient(loss, x)) < GRAD_TOL
+        assert max_rel_error(dz @ p.w_x.T, numeric_gradient(loss, x)) < GRAD_TOL
         assert max_rel_error(dh_prev, numeric_gradient(loss, h_prev)) < GRAD_TOL
         assert max_rel_error(dc_prev, numeric_gradient(loss, c_prev)) < GRAD_TOL
 
@@ -199,7 +185,7 @@ class TestBiLSTM:
             npt.assert_array_equal(out_short[1], out_padded[1])
 
     def test_true_len_out_of_range(self):
-        p = zero_lstm_params(2, 2)
+        p = LSTMParams(2, 2, np.float64)
         with pytest.raises(ValueError):
             bilstm_forward(np.zeros((3, 2)), 4, p, p)
         with pytest.raises(ValueError):

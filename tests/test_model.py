@@ -1,10 +1,12 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from intentnet import synthetic
+from intentnet import container, synthetic
 from intentnet.data import LABELS, Utterance, Vocab
 from intentnet.errors import ContainerError, CorpusError
 from intentnet.model import (
@@ -233,6 +235,33 @@ class TestTraining:
             train(fast_config(), {"train": corpus["train"], "dev": [stray]})
 
 
+class TestTrainConfig:
+    def test_defaults_are_valid(self):
+        TrainConfig().validate()
+
+    @pytest.mark.parametrize("override, message", [
+        ({"lr": 1e-7, "min_lr": 1e-6}, "below min_lr"),
+        ({"min_lr": -1e-6}, "min_lr must not be negative"),
+        ({"lr_factor": 0.0}, r"lr_factor must be in \(0, 1\]"),
+        ({"lr_factor": 1.5}, r"lr_factor must be in \(0, 1\]"),
+        ({"hidden": "big"}, "hidden must be an integer"),
+        ({"hidden": 2.5}, "hidden must be an integer"),
+        ({"batch_size": True}, "batch_size must be an integer"),
+        ({"lr": "fast"}, "lr must be a number"),
+        ({"dropout": False}, "dropout must be a number"),
+        ({"lr": float("nan")}, "lr must be positive"),
+        ({"min_lr": float("nan")}, "min_lr must not be negative"),
+    ], ids=["lr-below-min-lr", "negative-min-lr", "zero-lr-factor", "lr-factor-above-one",
+            "str-int", "float-int", "bool-int", "str-float", "bool-float", "nan-lr",
+            "nan-min-lr"])
+    def test_rejected(self, override, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**override).validate()
+
+    def test_numpy_scalars_accepted(self):
+        TrainConfig(hidden=np.int64(4), lr=np.float32(0.01)).validate()
+
+
 class TestEvalReport:
     def test_all_correct(self):
         report = report_from_pairs([0, 1, 2], [0, 1, 2], ["a", "b", "c"])
@@ -294,6 +323,48 @@ class TestEvalReport:
         assert data["per_class"]["a"]["support"] == 1
         assert data["micro_f1"] == report.micro_f1
         assert np.array(data["confusion"]).shape == (2, 2)
+
+
+# A 4-class model trained for 12 epochs and saved (format v1) by the
+# per-gate storage that preceded the gate-stacked one.
+V1_MODEL = Path(__file__).parent / "data" / "hybrid_v1.bin"
+
+
+class TestModelFileContract:
+    def test_v1_file_loads_with_the_same_parameter_bytes(self, tmp_path):
+        _, blocks = container.read_container(V1_MODEL)
+        params = HybridModel.load(V1_MODEL).parameters()
+        assert list(params) == list(blocks)
+        for name, arr in blocks.items():
+            assert params[name].tobytes() == arr.tobytes(), name
+        HybridModel.load(V1_MODEL).save(tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == V1_MODEL.read_bytes()
+
+    def test_v1_file_predicts_the_same_labels(self):
+        model = HybridModel.load(V1_MODEL)
+        expected = {"aabcaaaca": "app", "a": "app", "ddfdeef": "bus", "hihhggg": "calc",
+                    "adgj": "calc", "cccbbbfff": "calc", "jjjiii": "calc", "jklll": "chat",
+                    "xyz": "chat", "订票": "chat"}
+        assert {text: model.predict(text)[0] for text in expected} == expected
+
+    def test_each_direction_keeps_its_15_per_gate_blocks(self):
+        model = HybridModel.load(V1_MODEL)
+        E, H = model.embed_dim, model.hidden
+        expected = ([(f"w_x{g}", (E, H)) for g in "ifgo"] + [(f"w_h{g}", (H, H)) for g in "ifgo"]
+                    + [(f"w_c{g}", (H, H)) for g in "ifo"] + [(f"b_{g}", (H,)) for g in "ifgo"])
+        for direction in (model.fwd, model.bwd):
+            assert [(name, arr.shape) for name, arr in direction.blocks().items()] == expected
+
+    def test_seeded_initial_weights_match_the_per_gate_layout(self):
+        model = HybridModel(Vocab(["<pad>", "<unk>", "a", "b", "c"]), ["app", "bus", "chat"],
+                            embed_dim=3, hidden=2, filters=2, max_len=5, rng=Rng(7))
+        digest = hashlib.sha256()
+        for name, arr in model.parameters().items():
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        # the digest the per-gate storage gave for the same seed and sizes
+        assert digest.hexdigest() == (
+            "08632ebce277931177bd5702f4fc5b5df5c9b0ce33f3d9902b2f8befe3677375")
 
 
 class TestSerialization:

@@ -133,6 +133,12 @@ class TestReduceLrOnPlateau:
         with pytest.raises(ValueError):
             reduce_lr_on_plateau([])
 
+    def test_starting_rate_below_min_lr_rejected(self):
+        # the floor would otherwise raise the rate from 1e-7 to 1e-6
+        history = [record(e, val_loss=1.0, lr=1e-7) for e in range(1, 5)]
+        with pytest.raises(ValueError, match="min_lr"):
+            reduce_lr_on_plateau(history, patience=3, min_lr=1e-6)
+
 
 class TestShouldStop:
     def test_monotone_improvement_never_stops(self):

@@ -1,5 +1,14 @@
 """Network layers with explicit forward and backward passes.
 
+Every layer works on a batch of B utterances padded to the batch's longest
+effective length T: indices are (B, T), embeddings (B, T, E), and sample b's
+own positions are 0 .. L_b - 1, ``true_len[b]``. A batch of one is the same
+code. Positions past L_b are computed over but never reach an output or a
+gradient: each recurrence direction reads sample b's final state after its
+own L_b steps (the backward direction runs over each sample reversed within
+its length), max pooling masks the windows past a sample's last one, and
+the backward passes therefore give those positions exactly zero gradient.
+
 Each forward returns the values the matching backward needs (a cache);
 each backward accumulates parameter gradients into a plain dict keyed by
 block name and returns the gradients flowing to its inputs. There is no
@@ -11,11 +20,11 @@ of common variants, and the output gate reads the freshly updated cell
 state. Both choices are deliberate and the backward pass differentiates
 them exactly. Each direction stores its weights gate-stacked, one matrix per
 operand (the fused-gate layout of Appleyard et al., arXiv 1604.01946), so a
-cell step makes one product per operand and a chain's weight gradients come
-from one product per stack over all its steps. The 15 per-gate blocks that
-the model file and the optimizer name are column views of those stacks.
+cell step makes one product per operand for the whole batch and a chain's
+weight gradients come from one product per stack over all its B * T rows.
+The 15 per-gate blocks that the model file and the optimizer name are
+column views of those stacks.
 """
-
 from __future__ import annotations
 
 import math
@@ -134,11 +143,12 @@ def init_dense_params(rng: Rng | None, input_dim: int, num_classes: int,
 # embedding
 
 def embedding_forward(indices, table: np.ndarray) -> np.ndarray:
-    """Row lookup; PAD (index 0) rows are zero regardless of table contents."""
+    """Row lookup for an index array of any shape, (B, T) in the model; PAD
+    (index 0) rows are zero regardless of table contents."""
     indices = np.asarray(indices, dtype=np.intp)
     if indices.size and (indices.min() < 0 or indices.max() >= table.shape[0]):
         raise ValueError("embedding index out of range")
-    out = table[indices].copy()
+    out = table[indices]
     out[indices == 0] = 0
     return out
 
@@ -164,12 +174,14 @@ class CellCache(NamedTuple):
 
 
 def lstm_cell_forward(x, h_prev, c_prev, p: LSTMParams):
-    """One memory-cell step.
+    """One memory-cell step for a batch: ``x`` (B, E), ``h_prev`` and
+    ``c_prev`` (B, H); returns the new (B, H) hidden and cell states.
 
     Gate order: input and forget gates read (x, h_prev, c_prev); the
     candidate reads (x, h_prev); the output gate reads (x, h_prev, c_new).
     """
-    if x.shape != (p.input_size,) or h_prev.shape != (p.hidden_size,):
+    if (x.ndim != 2 or x.shape[1] != p.input_size
+            or h_prev.shape != (x.shape[0], p.hidden_size)):
         raise ValueError(
             f"cell shapes disagree: x {x.shape}, h {h_prev.shape}, "
             f"params ({p.input_size}, {p.hidden_size})"
@@ -178,38 +190,38 @@ def lstm_cell_forward(x, h_prev, c_prev, p: LSTMParams):
     # The bias joins the input projection before the recurrent term: other
     # summation orders raise the gradient check's round-off past its bound.
     z = (x @ p.w_x + p.b) + h_prev @ p.w_h
-    z[:2 * H] += c_prev @ p.w_c[:, :2 * H]
-    gates = np.empty_like(z)
-    gates[:2 * H] = sigmoid(z[:2 * H])
-    gates[2 * H:3 * H] = np.tanh(z[2 * H:3 * H])
-    i, f, g = gates[:H], gates[H:2 * H], gates[2 * H:3 * H]
+    z[:, :2 * H] += c_prev @ p.w_c[:, :2 * H]
+    gates = z  # activated in place, gate by gate
+    gates[:, :2 * H] = sigmoid(z[:, :2 * H])
+    np.tanh(z[:, 2 * H:3 * H], out=gates[:, 2 * H:3 * H])
+    i, f, g = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:3 * H]
     c = f * c_prev + i * g
-    gates[3 * H:] = sigmoid(z[3 * H:] + c @ p.w_c[:, 2 * H:])
+    gates[:, 3 * H:] = sigmoid(z[:, 3 * H:] + c @ p.w_c[:, 2 * H:])
     tanh_c = np.tanh(c)
-    h = gates[3 * H:] * tanh_c
+    h = gates[:, 3 * H:] * tanh_c
     return h, c, CellCache(p, x, h_prev, c_prev, gates, c, tanh_c)
 
 
 def lstm_cell_backward(cache: CellCache, dh, dc_in):
-    """Exact gradients of one cell step.
+    """Exact gradients of one batched cell step.
 
-    Returns (dz, dh_prev, dc_prev), where ``dz`` is the gradient of the
-    stacked gate pre-activations (gates as in ``LSTMParams.b``); the caller
-    forms the weight and bias gradients and ``dx = dz @ p.w_x.T`` from it.
-    ``dc_in`` is the gradient arriving at the new cell state from the
-    following step. The output gate's dependence on the new cell state
+    Returns (dz, dh_prev, dc_prev), where ``dz`` (B, 4H) is the gradient of
+    the stacked gate pre-activations (gates as in ``LSTMParams.b``); the
+    caller forms the weight and bias gradients and ``dx = dz @ p.w_x.T``
+    from it. ``dc_in`` is the gradient arriving at the new cell state from
+    the following step. The output gate's dependence on the new cell state
     contributes to dc before the cell update is unwound.
     """
     p, x, h_prev, c_prev, gates, c, tanh_c = cache
     H = p.hidden_size
-    i, f, g, o = gates[:H], gates[H:2 * H], gates[2 * H:3 * H], gates[3 * H:]
+    i, f, g, o = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:3 * H], gates[:, 3 * H:]
     dz = np.empty_like(gates)
-    dz[3 * H:] = dh * tanh_c * o * (1.0 - o)
-    dc = dc_in + dh * o * (1.0 - tanh_c * tanh_c) + dz[3 * H:] @ p.w_c[:, 2 * H:].T
-    dz[:H] = dc * g * i * (1.0 - i)
-    dz[H:2 * H] = dc * c_prev * f * (1.0 - f)
-    dz[2 * H:3 * H] = dc * i * (1.0 - g * g)
-    dc_prev = dc * f + dz[:2 * H] @ p.w_c[:, :2 * H].T
+    dz[:, 3 * H:] = dh * tanh_c * o * (1.0 - o)
+    dc = dc_in + dh * o * (1.0 - tanh_c * tanh_c) + dz[:, 3 * H:] @ p.w_c[:, 2 * H:].T
+    dz[:, :H] = dc * g * i * (1.0 - i)
+    dz[:, H:2 * H] = dc * c_prev * f * (1.0 - f)
+    dz[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
+    dc_prev = dc * f + dz[:, :2 * H] @ p.w_c[:, :2 * H].T
     dh_prev = dz @ p.w_h.T
     return dz, dh_prev, dc_prev
 
@@ -218,50 +230,80 @@ def lstm_cell_backward(cache: CellCache, dh, dc_in):
 # bidirectional unrolling
 
 class BiLSTMCache(NamedTuple):
-    fwd_steps: list      # CellCache per position 0..true_len-1
-    bwd_steps: list      # CellCache per processing step true_len-1..0
-    seq_len: int
-    true_len: int
+    fwd_steps: list        # CellCache per step 0..T-1 over X
+    bwd_steps: list        # CellCache per step 0..T-1 over X reversed per sample
+    true_len: np.ndarray   # (B,)
+    seq_len: int           # rows of X, T or more
 
 
-def _run_chain(X, positions, p: LSTMParams):
-    hidden = p.hidden_size
-    h = np.zeros(hidden, dtype=X.dtype)
-    c = np.zeros(hidden, dtype=X.dtype)
-    caches = []
-    for t in positions:
-        h, c, cache = lstm_cell_forward(X[t], h, c, p)
+def _lengths(true_len, batch: int, seq_len: int, floor: int = 1) -> np.ndarray:
+    """Per-sample lengths as a (B,) int array, each within [floor, seq_len]."""
+    lengths = np.asarray(true_len, dtype=np.intp)
+    if (lengths.shape != (batch,) or not batch
+            or lengths.min() < floor or lengths.max() > seq_len):
+        raise ValueError(f"lengths {lengths.tolist()} out of range for "
+                         f"{batch} sequences of {seq_len} rows (at least {floor})")
+    return lengths
+
+
+def _reverse(X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each sample's first L_b rows in reverse order, zeros after them:
+    ``out[b, t] = X[b, L_b - 1 - t]`` for t < L_b, over max(L) rows. On
+    those rows the gather is its own inverse."""
+    pos = lengths[:, None] - 1 - np.arange(lengths.max())
+    out = X[np.arange(len(lengths))[:, None], np.maximum(pos, 0)]
+    out[pos < 0] = 0
+    return out
+
+
+def _run_chain(X, p: LSTMParams):
+    """All T steps over X (B, T, E); the hidden state after each step."""
+    h = np.zeros((X.shape[0], p.hidden_size), dtype=X.dtype)
+    c = np.zeros_like(h)
+    states, caches = [], []
+    for t in range(X.shape[1]):
+        h, c, cache = lstm_cell_forward(X[:, t], h, c, p)
+        states.append(h)
         caches.append(cache)
-    return h, caches
+    return np.stack(states), caches
 
 
-def bilstm_forward(X: np.ndarray, true_len: int, p_fwd: LSTMParams, p_bwd: LSTMParams):
-    """Final hidden states of both directions over the first ``true_len`` rows.
+def bilstm_forward(X: np.ndarray, true_len, p_fwd: LSTMParams, p_bwd: LSTMParams):
+    """Final (B, H) hidden states of both directions over X (B, T, E).
 
-    Positions past ``true_len`` never enter either recurrence, so trailing
-    padding cannot change the outputs.
+    Both chains run max(L) steps over the whole batch, and sample b's final
+    state is read after its own L_b steps. The backward chain reads each
+    sample reversed within its length, so in both directions a sample's
+    positions past L_b come after its final state and cannot change it.
     """
-    if not 1 <= true_len <= X.shape[0]:
-        raise ValueError(f"true_len {true_len} out of range for {X.shape[0]} rows")
-    h_fwd, fwd_steps = _run_chain(X, range(true_len), p_fwd)
-    h_bwd, bwd_steps = _run_chain(X, range(true_len - 1, -1, -1), p_bwd)
-    return h_fwd, h_bwd, BiLSTMCache(fwd_steps, bwd_steps, X.shape[0], true_len)
+    lengths = _lengths(true_len, X.shape[0], X.shape[1])
+    rows = np.arange(len(lengths))
+    fwd_states, fwd_steps = _run_chain(X[:, :lengths.max()], p_fwd)
+    bwd_states, bwd_steps = _run_chain(_reverse(X, lengths), p_bwd)
+    return (fwd_states[lengths - 1, rows], bwd_states[lengths - 1, rows],
+            BiLSTMCache(fwd_steps, bwd_steps, lengths, X.shape[1]))
 
 
-def _chain_backward(caches, positions, d_final, dX, grads):
-    """Backpropagation through time over one chain; then one product per
-    gate-stack over all steps gives its weight gradients and its rows of dX."""
+def _chain_backward(caches, lengths, d_final, grads):
+    """Backpropagation through time over one chain, ``d_final[b]`` entering
+    at step L_b - 1; then one product per gate-stack over all B * T rows
+    gives its weight gradients and d(inputs), returned as (B, T, E).
+
+    The steps after a sample's last one receive no gradient, so their dz
+    rows are exactly zero and add nothing to the products.
+    """
     p = caches[0].params
     H = p.hidden_size
-    dh = d_final
+    ends = lengths == np.arange(1, len(caches) + 1)[:, None]  # (T, B)
+    dh = np.zeros_like(d_final)
     dc = np.zeros_like(d_final)
     dz = [None] * len(caches)
     for step in range(len(caches) - 1, -1, -1):
+        dh[ends[step]] = d_final[ends[step]]
         dz[step], dh, dc = lstm_cell_backward(caches[step], dh, dc)
-    dz = np.stack(dz)
-    x, h_prev, c_prev, c = (np.stack([getattr(s, field) for s in caches])
+    dz = np.concatenate(dz)  # rows ordered (step, sample)
+    x, h_prev, c_prev, c = (np.concatenate([getattr(s, field) for s in caches])
                             for field in ("x", "h_prev", "c_prev", "c"))
-    dX[positions] += dz @ p.w_x.T
     stacks = {
         "w_x": x.T @ dz,
         "w_h": h_prev.T @ dz,
@@ -270,14 +312,17 @@ def _chain_backward(caches, positions, d_final, dX, grads):
     }
     for name, grad in _gate_views(stacks, H).items():
         grads[name] += grad
+    return (dz @ p.w_x.T).reshape(len(caches), len(lengths), -1).transpose(1, 0, 2)
 
 
 def bilstm_backward(cache: BiLSTMCache, d_fwd, d_bwd, grads_fwd, grads_bwd) -> np.ndarray:
-    """Backpropagation through time for both chains; returns d(embeddings)."""
-    first = cache.fwd_steps[0]
-    dX = np.zeros((cache.seq_len, first.x.shape[0]), dtype=first.x.dtype)
-    _chain_backward(cache.fwd_steps, list(range(cache.true_len)), d_fwd, dX, grads_fwd)
-    _chain_backward(cache.bwd_steps, list(range(cache.true_len - 1, -1, -1)), d_bwd, dX, grads_bwd)
+    """Backpropagation through time for both chains; returns d(embeddings),
+    (B, seq_len, E)."""
+    lengths = cache.true_len
+    d_x = _chain_backward(cache.fwd_steps, lengths, d_fwd, grads_fwd)
+    d_x += _reverse(_chain_backward(cache.bwd_steps, lengths, d_bwd, grads_bwd), lengths)
+    dX = np.zeros((len(lengths), cache.seq_len, d_x.shape[2]), dtype=d_x.dtype)
+    dX[:, :d_x.shape[1]] = d_x
     return dX
 
 
@@ -285,51 +330,55 @@ def bilstm_backward(cache: BiLSTMCache, d_fwd, d_bwd, grads_fwd, grads_bwd) -> n
 # convolution and pooling
 
 class ConvCache(NamedTuple):
-    windows: np.ndarray   # (n_windows, CONV_WIDTH * embed_dim)
-    active: np.ndarray    # ReLU mask, (n_windows, num_filters)
+    windows: np.ndarray   # (B * n_windows, CONV_WIDTH * embed_dim)
+    active: np.ndarray    # ReLU mask, (B, n_windows, num_filters)
     params: ConvParams
     seq_len: int
-    embed_dim: int
 
 
-def conv_forward(X: np.ndarray, p: ConvParams, true_len: int):
-    """Valid width-3 convolution + ReLU over the first ``true_len`` rows."""
-    if true_len < CONV_WIDTH:
-        raise ValueError(f"need at least {CONV_WIDTH} positions, got {true_len}")
-    n_windows = true_len - CONV_WIDTH + 1
-    embed_dim = X.shape[1]
-    windows = np.stack([X[t:t + CONV_WIDTH].reshape(-1) for t in range(n_windows)])
-    flat_filters = p.filters.reshape(p.num_filters, -1)
-    pre = windows @ flat_filters.T + p.bias
+def conv_forward(X: np.ndarray, p: ConvParams, true_len):
+    """Valid width-3 convolution + ReLU over the batch's first max(L) rows:
+    X (B, T, E) gives (B, T - 2, num_filters). Sample b's windows past its
+    last one, L_b - 3, cover padding; ``maxpool_over_time`` masks them."""
+    lengths = _lengths(true_len, X.shape[0], X.shape[1], floor=CONV_WIDTH)
+    B, n = X.shape[0], lengths.max() - CONV_WIDTH + 1
+    # window w of a sample is its rows w, w+1, w+2 laid end to end
+    windows = np.concatenate([X[:, k:k + n] for k in range(CONV_WIDTH)], axis=2)
+    windows = windows.reshape(B * n, -1)
+    pre = (windows @ p.filters.reshape(p.num_filters, -1).T + p.bias).reshape(B, n, -1)
     active = pre > 0
     fmap = np.where(active, pre, 0)
-    return fmap, ConvCache(windows, active, p, X.shape[0], embed_dim)
+    return fmap, ConvCache(windows, active, p, X.shape[1])
 
 
 def conv_backward(cache: ConvCache, d_fmap: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
-    windows, active, p, seq_len, embed_dim = cache
-    d_pre = np.where(active, d_fmap, 0)
+    windows, active, p, seq_len = cache
+    B, n, F = d_fmap.shape
+    d_pre = np.where(active, d_fmap, 0).reshape(B * n, F)
     grads["bias"] += d_pre.sum(axis=0)
     grads["filters"] += (d_pre.T @ windows).reshape(p.filters.shape)
-    d_windows = d_pre @ p.filters.reshape(p.num_filters, -1)
-    dX = np.zeros((seq_len, embed_dim), dtype=d_fmap.dtype)
-    for t in range(windows.shape[0]):
-        dX[t:t + CONV_WIDTH] += d_windows[t].reshape(CONV_WIDTH, embed_dim)
+    d_windows = (d_pre @ p.filters.reshape(F, -1)).reshape(B, n, CONV_WIDTH, -1)
+    dX = np.zeros((B, seq_len, d_windows.shape[3]), dtype=d_fmap.dtype)
+    for k in range(CONV_WIDTH):
+        dX[:, k:k + n] += d_windows[:, :, k]
     return dX
 
 
-def maxpool_over_time(fmap: np.ndarray):
-    """Per-feature max over time; argmax rows cached for the backward pass."""
-    if fmap.shape[0] < 1:
-        raise ValueError("cannot pool an empty feature map")
-    argmax = fmap.argmax(axis=0)  # first occurrence wins ties
-    pooled = fmap[argmax, np.arange(fmap.shape[1])]
+def maxpool_over_time(fmap: np.ndarray, lengths):
+    """Per-sample, per-feature max over the first ``lengths[b]`` rows of
+    fmap (B, n, F); argmax rows (B, F) cached for the backward pass. Rows
+    past a sample's length are masked out, so its maximum and argmax (the
+    first occurrence wins ties) are those of its own rows alone."""
+    lengths = _lengths(lengths, fmap.shape[0], fmap.shape[1])
+    own = np.arange(fmap.shape[1]) < lengths[:, None]
+    argmax = np.where(own[:, :, None], fmap, -np.inf).argmax(axis=1)
+    pooled = np.take_along_axis(fmap, argmax[:, None], axis=1)[:, 0]
     return pooled, argmax
 
 
 def maxpool_backward(argmax: np.ndarray, d_pooled: np.ndarray, length: int) -> np.ndarray:
-    d_fmap = np.zeros((length, d_pooled.shape[0]), dtype=d_pooled.dtype)
-    d_fmap[argmax, np.arange(d_pooled.shape[0])] = d_pooled
+    d_fmap = np.zeros((d_pooled.shape[0], length, d_pooled.shape[1]), dtype=d_pooled.dtype)
+    np.put_along_axis(d_fmap, argmax[:, None], d_pooled[:, None], axis=1)
     return d_fmap
 
 
@@ -337,22 +386,25 @@ def maxpool_backward(argmax: np.ndarray, d_pooled: np.ndarray, length: int) -> n
 # dense head and dropout
 
 def dense_forward(vec: np.ndarray, p: DenseParams) -> np.ndarray:
-    if vec.shape != (p.weight.shape[0],):
+    """Logits (B, C) of the fused vectors ``vec`` (B, D)."""
+    if vec.ndim != 2 or vec.shape[1] != p.weight.shape[0]:
         raise ValueError(f"dense input {vec.shape} does not match weight {p.weight.shape}")
     return vec @ p.weight + p.bias
 
 
 def dense_backward(vec: np.ndarray, p: DenseParams, d_logits: np.ndarray,
                    grads: dict[str, np.ndarray]) -> np.ndarray:
-    grads["weight"] += np.outer(vec, d_logits)
-    grads["bias"] += d_logits
+    grads["weight"] += vec.T @ d_logits
+    grads["bias"] += d_logits.sum(axis=0)
     return d_logits @ p.weight.T
 
 
 def dropout(x: np.ndarray, rate: float, training: bool, rng: Rng | None):
     """Inverted dropout: zero with probability ``rate``, scale survivors.
 
-    Inference (or rate 0) is the identity and draws nothing from ``rng``.
+    Draws one value per element in row-major order, so a (B, F) batch gets
+    the masks of B one-row calls made in turn. Inference (or rate 0) is the
+    identity and draws nothing from ``rng``.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")

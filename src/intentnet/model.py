@@ -1,8 +1,16 @@
 """The full classifier: assembly, training loop, evaluation, persistence.
 
-One utterance flows embedding -> {bidirectional recurrence, width-3
+An utterance flows embedding -> {bidirectional recurrence, width-3
 convolution + max-over-time pooling} -> concatenation -> dropout -> dense
 softmax head. Both subnetworks read the same embedding table.
+
+The network runs on batches: ``forward`` takes B encoded utterances, cuts
+each at its effective length and pads the batch to the longest one, T, so
+the layers see (B, T) indices and (B, T, E) embeddings (see ``layers``).
+A training step is one batched forward and one batched backward over the
+minibatch. Inference (``predict``, ``evaluate`` and the dev pass of
+``train``) runs each utterance as a batch of one, so all three give
+bit-identical logits for the same utterance.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ class TrainConfig:
                 raise ValueError(f"{field.name} must be a number, got {value!r}")
         positive = ("batch_size", "hidden", "filters", "embed_dim", "max_len",
                     "lr", "max_epochs", "plateau_patience", "stop_patience",
-                    "min_count")
+                    "min_count", "clip_norm")
         # each test is written so that a NaN (JSON allows it) fails it
         for name in positive:
             if not getattr(self, name) > 0:
@@ -79,15 +87,16 @@ def _is_integer(value) -> bool:
     return True
 
 
-def cross_entropy(logits: np.ndarray, gold: int) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood of ``gold`` and its gradient (probs - onehot), from
-    the logits: log-sum-exp keeps the loss finite where a probability underflows."""
-    if not 0 <= gold < logits.shape[0]:
-        raise ValueError(f"gold class {gold} out of range")
-    loss = float(np.logaddexp.reduce(logits) - logits[gold])
-    d_logits = softmax(logits)
-    d_logits[gold] -= 1.0
-    return loss, d_logits
+def cross_entropy(logits: np.ndarray, gold):
+    """Negative log-likelihood of ``gold`` and its gradient (probs - onehot), per
+    row of ``logits`` (..., C) with ``gold`` (...) class indices. Taken from the
+    logits: log-sum-exp keeps the loss finite where a probability underflows."""
+    gold = np.asarray(gold)
+    if np.any((gold < 0) | (gold >= logits.shape[-1])):
+        raise ValueError(f"gold class {gold.tolist()} out of range")
+    onehot = np.arange(logits.shape[-1]) == gold[..., None]
+    loss = np.logaddexp.reduce(logits, axis=-1) - np.sum(logits, axis=-1, where=onehot)
+    return loss, softmax(logits) - onehot
 
 
 class HybridModel:
@@ -141,57 +150,74 @@ class HybridModel:
         for name, arr in own.items():
             arr[...] = values[name]
 
-    def forward(self, indices: Sequence[int], true_len: int, training: bool = False,
-                rng: Rng | None = None):
-        """Class logits plus the caches the backward pass consumes."""
-        X = layers.embedding_forward(list(indices)[:true_len], self.embedding)
+    def forward(self, indices: Sequence[Sequence[int]], true_len: Sequence[int],
+                training: bool = False, rng: Rng | None = None):
+        """Class logits (B, C) of B encoded utterances, plus the caches the
+        backward pass consumes.
+
+        ``indices`` holds the B index sequences and ``true_len`` their
+        effective lengths. Each sequence is cut at its length and the batch
+        is padded with PAD to the longest, T, so what lies past a length
+        never reaches the logits.
+        """
+        if len(indices) != len(true_len):
+            raise ValueError(f"{len(indices)} sequences but {len(true_len)} lengths")
+        ids = np.zeros((len(true_len), max(true_len)), dtype=np.intp)
+        for row, seq, n in zip(ids, indices, true_len):
+            if not 1 <= n <= len(seq):
+                raise ValueError(f"true_len {n} out of range for {len(seq)} indices")
+            row[:n] = seq[:n]
+        X = layers.embedding_forward(ids, self.embedding)
         h_fwd, h_bwd, bi_cache = layers.bilstm_forward(X, true_len, self.fwd, self.bwd)
         fmap, conv_cache = layers.conv_forward(X, self.conv, true_len)
-        pooled, argmax = layers.maxpool_over_time(fmap)
-        fused = np.concatenate([h_fwd, h_bwd, pooled])
+        n_windows = np.asarray(true_len) - (layers.CONV_WIDTH - 1)
+        pooled, argmax = layers.maxpool_over_time(fmap, n_windows)
+        fused = np.concatenate([h_fwd, h_bwd, pooled], axis=1)
         dropped, mask = layers.dropout(fused, self.dropout_rate, training, rng)
         logits = layers.dense_forward(dropped, self.dense)
-        caches = (bi_cache, conv_cache, argmax, dropped, mask, true_len,
-                  list(indices)[:true_len])
+        caches = (bi_cache, conv_cache, argmax, fmap.shape[1], dropped, mask, ids)
         return logits, caches
 
     def _backward(self, caches, d_logits, grads: dict[str, np.ndarray]) -> None:
-        bi_cache, conv_cache, argmax, dropped, mask, true_len, used = caches
+        bi_cache, conv_cache, argmax, n_windows, dropped, mask, ids = caches
         dense_grads = {"weight": grads["out.weight"], "bias": grads["out.bias"]}
         d_dropped = layers.dense_backward(dropped, self.dense, d_logits, dense_grads)
         d_fused = layers.dropout_backward(d_dropped, mask)
-        d_h_fwd = d_fused[:self.hidden]
-        d_h_bwd = d_fused[self.hidden:2 * self.hidden]
-        d_pooled = d_fused[2 * self.hidden:]
-        d_fmap = layers.maxpool_backward(argmax, d_pooled, true_len - 2)
+        d_h_fwd = d_fused[:, :self.hidden]
+        d_h_bwd = d_fused[:, self.hidden:2 * self.hidden]
+        d_pooled = d_fused[:, 2 * self.hidden:]
+        d_fmap = layers.maxpool_backward(argmax, d_pooled, n_windows)
         conv_grads = {"filters": grads["conv.filters"], "bias": grads["conv.bias"]}
         dX = layers.conv_backward(conv_cache, d_fmap, conv_grads)
         grads_fwd = {name: grads[f"fwd.{name}"] for name in self.fwd.blocks()}
         grads_bwd = {name: grads[f"bwd.{name}"] for name in self.bwd.blocks()}
         dX += layers.bilstm_backward(bi_cache, d_h_fwd, d_h_bwd, grads_fwd, grads_bwd)
-        layers.embedding_backward(used, dX, grads["embedding"])
+        layers.embedding_backward(ids, dX, grads["embedding"])
+
+    def _logits(self, indices: Sequence[int], true_len: int) -> np.ndarray:
+        """Inference logits (C,) of one encoded utterance, run as a batch of one."""
+        return self.forward([indices], [true_len])[0][0]
 
     def loss(self, sample) -> float:
         indices, true_len, gold = sample
-        logits, _ = self.forward(indices, true_len, training=False)
-        return cross_entropy(logits, gold)[0]
+        return float(cross_entropy(self._logits(indices, true_len), gold)[0])
 
-    def loss_and_gradients(self, sample, training: bool = False, rng: Rng | None = None,
+    def loss_and_gradients(self, samples, training: bool = False, rng: Rng | None = None,
                            grads: dict[str, np.ndarray] | None = None):
-        """Loss and full parameter gradients for one encoded sample, added into
-        ``grads`` when given (one buffer per batch), else into fresh zeros."""
-        indices, true_len, gold = sample
+        """Per-sample losses of a batch of encoded samples, and the batch's
+        summed parameter gradients, added into ``grads`` when given, else into
+        fresh zeros. One batched forward and one batched backward."""
+        indices, true_len, gold = zip(*samples)
         logits, caches = self.forward(indices, true_len, training=training, rng=rng)
-        loss, d_logits = cross_entropy(logits, gold)
+        losses, d_logits = cross_entropy(logits, gold)
         if grads is None:
             grads = {name: np.zeros_like(arr) for name, arr in self.parameters().items()}
         self._backward(caches, d_logits, grads)
-        return loss, grads
+        return losses.tolist(), grads
 
     def predict(self, text: str):
         """Top label (lowest index on ties) and the full probability vector."""
-        indices, true_len = encode(text, self.vocab, self.max_len)
-        logits, _ = self.forward(indices, true_len, training=False)
+        logits = self._logits(*encode(text, self.vocab, self.max_len))
         return self.labels[int(np.argmax(logits))], softmax(logits)
 
     # -- persistence --------------------------------------------------------
@@ -288,10 +314,9 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
         loss_sum = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-            for sample_idx in batch:
-                loss, _ = model.loss_and_gradients(
-                    train_set[sample_idx], training=True, rng=dropout_rng, grads=grads)
+            losses, grads = model.loss_and_gradients(
+                [train_set[i] for i in batch], training=True, rng=dropout_rng)
+            for sample_idx, loss in zip(batch, losses):
                 if not math.isfinite(loss):
                     raise NumericError(
                         f"non-finite loss at epoch {epoch}, sample {int(sample_idx)}")
@@ -324,8 +349,8 @@ def _validate(model: HybridModel, dev_set) -> tuple[float, float]:
     loss_sum = 0.0
     correct = 0
     for indices, true_len, gold in dev_set:
-        logits, _ = model.forward(indices, true_len, training=False)
-        loss_sum += cross_entropy(logits, gold)[0]
+        logits = model._logits(indices, true_len)
+        loss_sum += float(cross_entropy(logits, gold)[0])
         if int(np.argmax(logits)) == gold:
             correct += 1
     return loss_sum / len(dev_set), correct / len(dev_set)
@@ -403,8 +428,7 @@ def evaluate(model: HybridModel, records: Sequence[Utterance]) -> EvalReport:
     gold = []
     predicted = []
     for utt in records:
-        indices, true_len = encode(utt.text, model.vocab, model.max_len)
-        logits, _ = model.forward(indices, true_len, training=False)
+        logits = model._logits(*encode(utt.text, model.vocab, model.max_len))
         gold.append(model.label_index[utt.label])
         predicted.append(int(np.argmax(logits)))
     return report_from_pairs(gold, predicted, model.labels)

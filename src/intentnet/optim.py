@@ -66,12 +66,15 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 
 def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``."""
+    """Scale all gradients so their joint L2 norm is at most ``max_norm``,
+    which must be positive."""
+    if not max_norm > 0:
+        raise ValueError(f"max_norm must be positive, got {max_norm!r}")
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g.astype(np.float64) ** 2))
     norm = float(np.sqrt(total))
-    if norm > max_norm > 0:
+    if norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():
             g *= scale
@@ -139,11 +142,11 @@ def gradient_check(model, sample, eps: float = 1e-5) -> GradCheckResult:
     """Compare analytic gradients against central finite differences.
 
     ``model`` must expose ``parameters() -> dict[str, ndarray]``,
-    ``loss(sample) -> float`` and ``loss_and_gradients(sample)``; the
-    parameter arrays are perturbed in place and restored. Run in float64
-    with dropout disabled, on small shapes.
+    ``loss(sample) -> float`` and ``loss_and_gradients(samples)``, which
+    is given a batch of one; the parameter arrays are perturbed in place and
+    restored. Run in float64 with dropout disabled, on small shapes.
     """
-    base_loss, analytic = model.loss_and_gradients(sample)
+    (base_loss,), analytic = model.loss_and_gradients([sample])
     if not np.isfinite(base_loss):
         raise NumericError("non-finite loss at the check point")
     per_block: dict[str, float] = {}

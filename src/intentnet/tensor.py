@@ -77,12 +77,15 @@ class Rng:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x), computed as 0.5 * tanh(x / 2) + 0.5: tanh never
+    overflows, and the steps run in place on one temporary."""
     x = np.asarray(x)
-    if x.dtype.kind != "f":
-        x = x.astype(np.float64)
-    # exp(-|x|) never overflows; both branches share it
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    out = np.array(x, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
+    out *= 0.5
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -68,8 +68,9 @@ def test_criterion_1_gradient_integrity(capsys):
 
 def test_criterion_2_closed_form_layers(capsys):
     cell = LSTMParams(2, 1, np.float64)
-    h, c, _ = lstm_cell_forward(np.zeros(2), np.zeros(1), np.ones(1), cell)
-    cell_ok = abs(float(c[0]) - 0.5) < 1e-5 and abs(float(h[0]) - 0.23106) < 1e-5
+    h, c, _ = lstm_cell_forward(np.zeros((1, 2)), np.zeros((1, 1)), np.ones((1, 1)), cell)
+    c, h = float(c[0, 0]), float(h[0, 0])
+    cell_ok = abs(c - 0.5) < 1e-5 and abs(h - 0.23106) < 1e-5
 
     probs = softmax(np.zeros(31))
     softmax_ok = bool(np.allclose(probs, 1.0 / 31.0, atol=1e-9))
@@ -79,7 +80,7 @@ def test_criterion_2_closed_form_layers(capsys):
 
     with capsys.disabled():
         report("closed-form layers", cell_ok and softmax_ok and ce_ok,
-               f"cell ({float(c[0]):.5f}, {float(h[0]):.5f}), "
+               f"cell ({c:.5f}, {h:.5f}), "
                f"uniform softmax, ce {loss:.4f} vs {math.log(31):.4f}")
 
 
@@ -89,9 +90,9 @@ def test_criterion_3_padding_invariance(capsys):
     rng = Rng(33)
     for text in random_texts(100, seed=34):
         indices, true_len = encode(text, model.vocab, model.max_len)
-        base, _ = model.forward(indices, true_len)
+        base, _ = model.forward([indices], [true_len])
         extra = 1 + rng.integer(40)
-        padded, _ = model.forward(list(indices) + [0] * extra, true_len)
+        padded, _ = model.forward([list(indices) + [0] * extra], [true_len])
         if base.tobytes() != padded.tobytes():
             failures += 1
     with capsys.disabled():

@@ -107,6 +107,16 @@ class TestTrainCommand:
         assert rc == 1
         assert capsys.readouterr().err == "usage error: hidden must be an integer, got 'big'\n"
 
+    @pytest.mark.parametrize("clip_norm", [0, -1.0])
+    def test_non_positive_clip_norm_is_usage_error(self, toy_corpus_dir, tmp_path, capsys,
+                                                   clip_norm):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"clip_norm": clip_norm}))
+        rc = main(["train", "--corpus", str(toy_corpus_dir), "--out", str(tmp_path / "m.bin"),
+                   "--config", str(config)])
+        assert rc == 1
+        assert capsys.readouterr().err == "usage error: clip_norm must be positive\n"
+
     def test_prints_one_line_per_epoch(self, toy_corpus_dir, tmp_path, capsys):
         rc = main(["train", "--corpus", str(toy_corpus_dir),
                    "--out", str(tmp_path / "m.bin"), *FAST_TRAIN])

@@ -83,42 +83,47 @@ class TestEmbedding:
 class TestLSTMCell:
     def test_zero_params_zero_cell(self):
         p = LSTMParams(2, 1, np.float64)
-        h, c, _ = lstm_cell_forward(np.zeros(2), np.zeros(1), np.zeros(1), p)
-        npt.assert_array_equal(h, [0.0])
-        npt.assert_array_equal(c, [0.0])
+        h, c, _ = lstm_cell_forward(np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 1)), p)
+        npt.assert_array_equal(h, [[0.0]])
+        npt.assert_array_equal(c, [[0.0]])
 
     def test_zero_params_unit_cell_state(self):
         # gates collapse to 1/2: new cell = 0.5, hidden = 0.5*tanh(0.5)
         p = LSTMParams(2, 1, np.float64)
-        h, c, _ = lstm_cell_forward(np.zeros(2), np.zeros(1), np.ones(1), p)
-        npt.assert_allclose(c, [0.5], atol=1e-12)
-        npt.assert_allclose(h, [0.23105857863000487], atol=1e-12)
+        h, c, _ = lstm_cell_forward(np.zeros((1, 2)), np.zeros((1, 1)), np.ones((1, 1)), p)
+        npt.assert_allclose(c, [[0.5]], atol=1e-12)
+        npt.assert_allclose(h, [[0.23105857863000487]], atol=1e-12)
 
     def test_matches_scalar_loop_oracle(self):
         for seed in range(5):
             rng = Rng(seed)
             p = random_lstm_params(rng, 3, 3)
-            x = rng.uniform(-1, 1, (3,))
-            h_prev = rng.uniform(-1, 1, (3,))
-            c_prev = rng.uniform(-1, 1, (3,))
+            x = rng.uniform(-1, 1, (4, 3))
+            h_prev = rng.uniform(-1, 1, (4, 3))
+            c_prev = rng.uniform(-1, 1, (4, 3))
             h, c, _ = lstm_cell_forward(x, h_prev, c_prev, p)
-            h_ref, c_ref = scalar_lstm_cell(x, h_prev, c_prev, p)
-            npt.assert_allclose(h, h_ref, atol=1e-6)
-            npt.assert_allclose(c, c_ref, atol=1e-6)
+            for b in range(4):
+                h_ref, c_ref = scalar_lstm_cell(x[b], h_prev[b], c_prev[b], p)
+                npt.assert_allclose(h[b], h_ref, atol=1e-6)
+                npt.assert_allclose(c[b], c_ref, atol=1e-6)
 
     def test_shape_mismatch_rejected(self):
         p = LSTMParams(2, 3, np.float64)
         with pytest.raises(ValueError):
-            lstm_cell_forward(np.zeros(4), np.zeros(3), np.zeros(3), p)
+            lstm_cell_forward(np.zeros((1, 4)), np.zeros((1, 3)), np.zeros((1, 3)), p)
+        with pytest.raises(ValueError):  # batch sizes disagree
+            lstm_cell_forward(np.zeros((2, 2)), np.zeros((1, 3)), np.zeros((1, 3)), p)
+        with pytest.raises(ValueError):  # no batch axis
+            lstm_cell_forward(np.zeros(2), np.zeros(3), np.zeros(3), p)
 
     def test_zero_upstream_gives_zero_param_grads(self):
         rng = Rng(1)
         p = random_lstm_params(rng, 2, 2)
         _, _, cache = lstm_cell_forward(
-            rng.uniform(-1, 1, (2,)), rng.uniform(-1, 1, (2,)), rng.uniform(-1, 1, (2,)), p
+            rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 2)), p
         )
-        # every weight and bias gradient is an outer product with dz
-        for arr in lstm_cell_backward(cache, np.zeros(2), np.zeros(2)):
+        # every weight and bias gradient is a product with dz
+        for arr in lstm_cell_backward(cache, np.zeros((3, 2)), np.zeros((3, 2))):
             npt.assert_array_equal(arr, np.zeros_like(arr))
 
     @pytest.mark.parametrize("seed", range(N_SEEDS))
@@ -126,23 +131,25 @@ class TestLSTMCell:
         rng = Rng(seed)
         k = 1 + rng.integer(5)
         hidden = 1 + rng.integer(4)
+        batch = 1 + rng.integer(3)
         p = random_lstm_params(rng, k, hidden)
-        x = rng.uniform(-1, 1, (k,))
-        h_prev = rng.uniform(-1, 1, (hidden,))
-        c_prev = rng.uniform(-1, 1, (hidden,))
-        gh = rng.uniform(-1, 1, (hidden,))
-        gc = rng.uniform(-1, 1, (hidden,))
+        x = rng.uniform(-1, 1, (batch, k))
+        h_prev = rng.uniform(-1, 1, (batch, hidden))
+        c_prev = rng.uniform(-1, 1, (batch, hidden))
+        gh = rng.uniform(-1, 1, (batch, hidden))
+        gc = rng.uniform(-1, 1, (batch, hidden))
 
         def loss():
             h, c, _ = lstm_cell_forward(x, h_prev, c_prev, p)
-            return float(gh @ h + gc @ c)
+            return float(np.sum(gh * h + gc * c))
 
         _, _, cache = lstm_cell_forward(x, h_prev, c_prev, p)
         dz, dh_prev, dc_prev = lstm_cell_backward(cache, gh.copy(), gc.copy())
 
-        # the bias enters each pre-activation once, so dz is d(loss)/d(b);
-        # the per-gate weight blocks are checked through TestBiLSTM
-        assert max_rel_error(dz, numeric_gradient(loss, p.b)) < GRAD_TOL
+        # the bias enters each row's pre-activations once, so the batch sum of
+        # dz is d(loss)/d(b); the per-gate weight blocks are checked through
+        # TestBiLSTM
+        assert max_rel_error(dz.sum(axis=0), numeric_gradient(loss, p.b)) < GRAD_TOL
         # input-side gradients, including both cell-state paths into dc_prev
         assert max_rel_error(dz @ p.w_x.T, numeric_gradient(loss, x)) < GRAD_TOL
         assert max_rel_error(dh_prev, numeric_gradient(loss, h_prev)) < GRAD_TOL
@@ -154,10 +161,10 @@ class TestBiLSTM:
         rng = Rng(3)
         p_fwd = random_lstm_params(rng, 2, 3)
         p_bwd = random_lstm_params(rng, 2, 3)
-        X = rng.uniform(-1, 1, (1, 2))
-        h_fwd, h_bwd, _ = bilstm_forward(X, 1, p_fwd, p_bwd)
-        expect_f, _, _ = lstm_cell_forward(X[0], np.zeros(3), np.zeros(3), p_fwd)
-        expect_b, _, _ = lstm_cell_forward(X[0], np.zeros(3), np.zeros(3), p_bwd)
+        X = rng.uniform(-1, 1, (1, 1, 2))
+        h_fwd, h_bwd, _ = bilstm_forward(X, [1], p_fwd, p_bwd)
+        expect_f, _, _ = lstm_cell_forward(X[:, 0], np.zeros((1, 3)), np.zeros((1, 3)), p_fwd)
+        expect_b, _, _ = lstm_cell_forward(X[:, 0], np.zeros((1, 3)), np.zeros((1, 3)), p_bwd)
         npt.assert_array_equal(h_fwd, expect_f)
         npt.assert_array_equal(h_bwd, expect_b)
 
@@ -166,8 +173,8 @@ class TestBiLSTM:
         p = random_lstm_params(rng, 2, 3)
         row_a = rng.uniform(-1, 1, (2,))
         row_b = rng.uniform(-1, 1, (2,))
-        X = np.stack([row_a, row_b, row_a])  # palindromic sequence
-        h_fwd, h_bwd, _ = bilstm_forward(X, 3, p, p)
+        X = np.stack([row_a, row_b, row_a])[None]  # palindromic sequence
+        h_fwd, h_bwd, _ = bilstm_forward(X, [3], p, p)
         npt.assert_array_equal(h_fwd, h_bwd)
 
     def test_padding_never_enters(self):
@@ -175,21 +182,29 @@ class TestBiLSTM:
         p_fwd = random_lstm_params(rng, 3, 2)
         p_bwd = random_lstm_params(rng, 3, 2)
         for _ in range(10):
-            true_len = 1 + rng.integer(4)
-            X = rng.uniform(-1, 1, (true_len, 3))
-            pad = rng.uniform(-9, 9, (2 + rng.integer(4), 3))
-            padded = np.vstack([X, pad])
-            out_short = bilstm_forward(X, true_len, p_fwd, p_bwd)[:2]
-            out_padded = bilstm_forward(padded, true_len, p_fwd, p_bwd)[:2]
-            npt.assert_array_equal(out_short[0], out_padded[0])
-            npt.assert_array_equal(out_short[1], out_padded[1])
+            batch = 1 + rng.integer(3)
+            lengths = [1 + rng.integer(4) for _ in range(batch)]
+            width = max(lengths)
+            X = rng.uniform(-1, 1, (batch, width, 3))
+            clean = X.copy()
+            for b, n in enumerate(lengths):
+                clean[b, n:] = 0
+            pad = rng.uniform(-9, 9, (batch, 2 + rng.integer(4), 3))
+            # a sample's rows past its length hold garbage, and more rows follow
+            padded = np.concatenate([X, pad], axis=1)
+            out_clean = bilstm_forward(clean, lengths, p_fwd, p_bwd)[:2]
+            out_padded = bilstm_forward(padded, lengths, p_fwd, p_bwd)[:2]
+            npt.assert_array_equal(out_clean[0], out_padded[0])
+            npt.assert_array_equal(out_clean[1], out_padded[1])
 
     def test_true_len_out_of_range(self):
         p = LSTMParams(2, 2, np.float64)
         with pytest.raises(ValueError):
-            bilstm_forward(np.zeros((3, 2)), 4, p, p)
+            bilstm_forward(np.zeros((1, 3, 2)), [4], p, p)
         with pytest.raises(ValueError):
-            bilstm_forward(np.zeros((3, 2)), 0, p, p)
+            bilstm_forward(np.zeros((1, 3, 2)), [0], p, p)
+        with pytest.raises(ValueError):  # one length per sequence
+            bilstm_forward(np.zeros((2, 3, 2)), [3], p, p)
 
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_backward_matches_finite_differences(self, seed):
@@ -197,18 +212,21 @@ class TestBiLSTM:
         k = 1 + rng.integer(4)
         hidden = 1 + rng.integer(3)
         n = 2 + rng.integer(4)
-        true_len = max(1, n - 1)
+        batch = 1 + rng.integer(3)
+        # mixed lengths, each short of the n rows, so that every sample has
+        # padding and the shorter ones stop before the batch does
+        lengths = [1 + rng.integer(n - 1) for _ in range(batch)]
         p_fwd = random_lstm_params(rng, k, hidden)
         p_bwd = random_lstm_params(rng, k, hidden)
-        X = rng.uniform(-1, 1, (n, k))
-        gf = rng.uniform(-1, 1, (hidden,))
-        gb = rng.uniform(-1, 1, (hidden,))
+        X = rng.uniform(-1, 1, (batch, n, k))
+        gf = rng.uniform(-1, 1, (batch, hidden))
+        gb = rng.uniform(-1, 1, (batch, hidden))
 
         def loss():
-            h_fwd, h_bwd, _ = bilstm_forward(X, true_len, p_fwd, p_bwd)
-            return float(gf @ h_fwd + gb @ h_bwd)
+            h_fwd, h_bwd, _ = bilstm_forward(X, lengths, p_fwd, p_bwd)
+            return float(np.sum(gf * h_fwd + gb * h_bwd))
 
-        _, _, cache = bilstm_forward(X, true_len, p_fwd, p_bwd)
+        _, _, cache = bilstm_forward(X, lengths, p_fwd, p_bwd)
         grads_fwd = zero_grads(p_fwd.blocks())
         grads_bwd = zero_grads(p_bwd.blocks())
         dX = bilstm_backward(cache, gf.copy(), gb.copy(), grads_fwd, grads_bwd)
@@ -223,33 +241,36 @@ class TestBiLSTM:
 class TestConv:
     def test_zero_filters_zero_output(self):
         p = ConvParams(filters=np.zeros((2, 3, 4)), bias=np.zeros(2))
-        fmap, _ = conv_forward(np.ones((5, 4)), p, 5)
-        npt.assert_array_equal(fmap, np.zeros((3, 2)))
+        fmap, _ = conv_forward(np.ones((1, 5, 4)), p, [5])
+        npt.assert_array_equal(fmap, np.zeros((1, 3, 2)))
 
     def test_hand_window_sums(self):
         # one all-ones width-3 filter over the scalar sequence 1,2,3,4
         p = ConvParams(filters=np.ones((1, 3, 1)), bias=np.zeros(1))
-        X = np.array([[1.0], [2.0], [3.0], [4.0]])
-        fmap, _ = conv_forward(X, p, 4)
-        npt.assert_array_equal(fmap, [[6.0], [9.0]])
+        X = np.array([[[1.0], [2.0], [3.0], [4.0]]])
+        fmap, _ = conv_forward(X, p, [4])
+        npt.assert_array_equal(fmap, [[[6.0], [9.0]]])
 
     def test_relu_clamps_negative_preactivations(self):
         p = ConvParams(filters=np.ones((1, 3, 1)), bias=np.array([-100.0]))
-        fmap, _ = conv_forward(np.ones((3, 1)), p, 3)
-        npt.assert_array_equal(fmap, [[0.0]])
+        fmap, _ = conv_forward(np.ones((1, 3, 1)), p, [3])
+        npt.assert_array_equal(fmap, [[[0.0]]])
 
     def test_output_length_is_true_len_minus_two(self):
         rng = Rng(6)
         p = init_conv_params(rng, 2, 3, dtype=np.float64)
-        X = rng.uniform(-1, 1, (8, 2))
+        X = rng.uniform(-1, 1, (2, 8, 2))
         for true_len in range(3, 9):
-            fmap, _ = conv_forward(X, p, true_len)
-            assert fmap.shape == (true_len - 2, 3)
+            # the batch's longest length sets the width
+            fmap, _ = conv_forward(X, p, [3, true_len])
+            assert fmap.shape == (2, true_len - 2, 3)
 
     def test_short_input_rejected(self):
         p = init_conv_params(Rng(0), 2, 1, dtype=np.float64)
         with pytest.raises(ValueError):
-            conv_forward(np.zeros((4, 2)), p, 2)
+            conv_forward(np.zeros((1, 4, 2)), p, [2])
+        with pytest.raises(ValueError):
+            conv_forward(np.zeros((2, 4, 2)), p, [4, 2])
 
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_backward_matches_finite_differences(self, seed):
@@ -257,16 +278,18 @@ class TestConv:
         k = 1 + rng.integer(5)
         n_filters = 1 + rng.integer(3)
         n = 3 + rng.integer(4)
+        batch = 1 + rng.integer(3)
+        lengths = [3 + rng.integer(n - 2) for _ in range(batch)]
         p = init_conv_params(rng, k, n_filters, dtype=np.float64)
         p.bias[:] = rng.uniform(-0.3, 0.3, (n_filters,))
-        X = rng.uniform(-1, 1, (n, k))
-        g = rng.uniform(-1, 1, (n - 2, n_filters))
+        X = rng.uniform(-1, 1, (batch, n, k))
+        g = rng.uniform(-1, 1, (batch, max(lengths) - 2, n_filters))
 
         def loss():
-            fmap, _ = conv_forward(X, p, n)
+            fmap, _ = conv_forward(X, p, lengths)
             return float(np.sum(g * fmap))
 
-        _, cache = conv_forward(X, p, n)
+        _, cache = conv_forward(X, p, lengths)
         grads = zero_grads(p.blocks())
         dX = conv_backward(cache, g.copy(), grads)
 
@@ -277,72 +300,85 @@ class TestConv:
 
 class TestMaxPool:
     def test_single_row(self):
-        pooled, argmax = maxpool_over_time(np.array([[1.0, -2.0]]))
-        npt.assert_array_equal(pooled, [1.0, -2.0])
-        npt.assert_array_equal(argmax, [0, 0])
+        pooled, argmax = maxpool_over_time(np.array([[[1.0, -2.0]]]), [1])
+        npt.assert_array_equal(pooled, [[1.0, -2.0]])
+        npt.assert_array_equal(argmax, [[0, 0]])
 
     def test_hand_column(self):
-        pooled, argmax = maxpool_over_time(np.array([[3.0], [7.0], [2.0]]))
-        npt.assert_array_equal(pooled, [7.0])
-        npt.assert_array_equal(argmax, [1])
+        pooled, argmax = maxpool_over_time(np.array([[[3.0], [7.0], [2.0]]]), [3])
+        npt.assert_array_equal(pooled, [[7.0]])
+        npt.assert_array_equal(argmax, [[1]])
 
     def test_tie_routes_gradient_to_first_occurrence(self):
-        fmap = np.array([[5.0], [5.0]])
-        pooled, argmax = maxpool_over_time(fmap)
-        npt.assert_array_equal(pooled, [5.0])
-        d_fmap = maxpool_backward(argmax, np.array([1.0]), 2)
-        npt.assert_array_equal(d_fmap, [[1.0], [0.0]])
+        fmap = np.array([[[5.0], [5.0]]])
+        pooled, argmax = maxpool_over_time(fmap, [2])
+        npt.assert_array_equal(pooled, [[5.0]])
+        d_fmap = maxpool_backward(argmax, np.array([[1.0]]), 2)
+        npt.assert_array_equal(d_fmap, [[[1.0], [0.0]]])
 
     def test_gradient_one_sparse_per_column(self):
         rng = Rng(7)
-        fmap = rng.uniform(-1, 1, (6, 4))
-        pooled, argmax = maxpool_over_time(fmap)
-        d_fmap = maxpool_backward(argmax, rng.uniform(0.5, 1.5, (4,)), 6)
-        assert np.all((d_fmap != 0).sum(axis=0) == 1)
+        fmap = rng.uniform(-1, 1, (2, 6, 4))
+        pooled, argmax = maxpool_over_time(fmap, [6, 6])
+        d_fmap = maxpool_backward(argmax, rng.uniform(0.5, 1.5, (2, 4)), 6)
+        assert np.all((d_fmap != 0).sum(axis=1) == 1)
+
+    def test_rows_past_a_sample_length_are_masked(self):
+        rng = Rng(8)
+        fmap = rng.uniform(-1, 1, (2, 5, 3))
+        fmap[1, 2:] = 100.0  # beyond the second sample's two rows
+        pooled, argmax = maxpool_over_time(fmap, [5, 2])
+        npt.assert_array_equal(pooled[1], fmap[1, :2].max(axis=0))
+        npt.assert_array_equal(argmax[1], fmap[1, :2].argmax(axis=0))
+        d_fmap = maxpool_backward(argmax, np.ones((2, 3)), 5)
+        npt.assert_array_equal(d_fmap[1, 2:], 0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            maxpool_over_time(np.zeros((0, 2)))
+            maxpool_over_time(np.zeros((1, 0, 2)), [0])
 
 
 class TestDense:
     def test_zero_weight_passes_bias(self):
         p = DenseParams(weight=np.zeros((3, 2)), bias=np.array([0.5, -1.0]))
-        npt.assert_array_equal(dense_forward(np.ones(3), p), [0.5, -1.0])
+        npt.assert_array_equal(dense_forward(np.ones((1, 3)), p), [[0.5, -1.0]])
 
     def test_identity_weight(self):
         p = DenseParams(weight=np.eye(3), bias=np.array([1.0, 1.0, 1.0]))
-        vec = np.array([0.1, 0.2, 0.3])
+        vec = np.array([[0.1, 0.2, 0.3]])
         npt.assert_allclose(dense_forward(vec, p), vec + 1.0)
 
     def test_matches_naive_dot(self):
         rng = Rng(8)
         p = init_dense_params(rng, 4, 3, dtype=np.float64)
-        vec = rng.uniform(-1, 1, (4,))
+        vec = rng.uniform(-1, 1, (2, 4))
         logits = dense_forward(vec, p)
-        naive = [
-            sum(float(vec[a]) * float(p.weight[a, j]) for a in range(4)) + float(p.bias[j])
+        naive = [[
+            sum(float(row[a]) * float(p.weight[a, j]) for a in range(4)) + float(p.bias[j])
             for j in range(3)
-        ]
+        ] for row in vec]
         npt.assert_allclose(logits, naive, atol=1e-6)
 
     def test_shape_mismatch_rejected(self):
         p = DenseParams(weight=np.zeros((3, 2)), bias=np.zeros(2))
         with pytest.raises(ValueError):
-            dense_forward(np.ones(4), p)
+            dense_forward(np.ones((1, 4)), p)
+        with pytest.raises(ValueError):  # no batch axis
+            dense_forward(np.ones(3), p)
 
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_backward_matches_finite_differences(self, seed):
         rng = Rng(3000 + seed)
         dim = 1 + rng.integer(6)
         classes = 1 + rng.integer(4)
+        batch = 1 + rng.integer(3)
         p = init_dense_params(rng, dim, classes, dtype=np.float64)
         p.bias[:] = rng.uniform(-0.3, 0.3, (classes,))
-        vec = rng.uniform(-1, 1, (dim,))
-        g = rng.uniform(-1, 1, (classes,))
+        vec = rng.uniform(-1, 1, (batch, dim))
+        g = rng.uniform(-1, 1, (batch, classes))
 
         def loss():
-            return float(g @ dense_forward(vec, p))
+            return float(np.sum(g * dense_forward(vec, p)))
 
         grads = zero_grads(p.blocks())
         d_vec = dense_backward(vec, p, g.copy(), grads)
@@ -382,3 +418,10 @@ class TestDropout:
         d_out = rng.uniform(-1, 1, (10,))
         npt.assert_array_equal(dropout_backward(d_out, mask), d_out * mask)
         npt.assert_array_equal(dropout_backward(d_out, None), d_out)
+
+    def test_batch_draws_the_masks_of_sequential_rows(self):
+        x = np.ones((4, 7))
+        _, batched = dropout(x, 0.5, training=True, rng=Rng(21))
+        rng = Rng(21)
+        rows = [dropout(row, 0.5, training=True, rng=rng)[1] for row in x]
+        npt.assert_array_equal(batched, np.stack(rows))

@@ -7,13 +7,15 @@ import numpy.testing as npt
 import pytest
 
 from intentnet import container, synthetic
-from intentnet.data import LABELS, Utterance, Vocab
-from intentnet.errors import ContainerError, CorpusError
+from intentnet import model as model_module
+from intentnet.data import LABELS, Utterance, Vocab, encode
+from intentnet.errors import ContainerError, CorpusError, NumericError
 from intentnet.model import (
     HybridModel,
     TrainConfig,
     cross_entropy,
     down_scaled_model,
+    encode_dataset,
     evaluate,
     random_check_sample,
     report_from_pairs,
@@ -21,7 +23,9 @@ from intentnet.model import (
 )
 from intentnet.tensor import Rng, softmax
 
-from helpers import rewrite_container, write_raw_header
+from helpers import max_rel_error, numeric_gradient, rewrite_container, write_raw_header
+
+GRAD_TOL = 1e-4
 
 
 def tiny_model(num_classes=4, vocab_chars="abcdefg", **kw):
@@ -80,23 +84,23 @@ class TestCrossEntropy:
 class TestForward:
     def test_zero_params_give_uniform_probs(self):
         model = zero_all(tiny_model(num_classes=31))
-        logits, _ = model.forward([2, 3, 4], 3)
-        npt.assert_allclose(softmax(logits), np.full(31, 1.0 / 31.0), atol=1e-7)
+        logits, _ = model.forward([[2, 3, 4]], [3])
+        npt.assert_allclose(softmax(logits), np.full((1, 31), 1.0 / 31.0), atol=1e-7)
 
     def test_probs_form_a_distribution(self):
         model = tiny_model()
         for seed in range(5):
             rng = Rng(seed)
             indices = [2 + rng.integer(7) for _ in range(5)]
-            logits, _ = model.forward(indices, 5)
-            probs = softmax(logits)
+            logits, _ = model.forward([indices], [5])
+            probs = softmax(logits[0])
             assert abs(float(probs.sum()) - 1.0) < 1e-6
             assert np.all(probs > 0)
 
     def test_inference_is_deterministic(self):
         model = tiny_model()
-        a, _ = model.forward([2, 3, 4, 5], 4)
-        b, _ = model.forward([2, 3, 4, 5], 4)
+        a, _ = model.forward([[2, 3, 4, 5]], [4])
+        b, _ = model.forward([[2, 3, 4, 5]], [4])
         npt.assert_array_equal(a, b)
 
     def test_fused_width_for_reference_sizes(self):
@@ -107,8 +111,8 @@ class TestForward:
         model = tiny_model()
         short = [2, 5, 3]
         padded = short + [0] * 10
-        a, _ = model.forward(short, 3)
-        b, _ = model.forward(padded, 3)
+        a, _ = model.forward([short], [3])
+        b, _ = model.forward([padded], [3])
         npt.assert_array_equal(a, b)
 
 
@@ -116,31 +120,88 @@ class TestGradientBuffer:
     def test_batch_buffer_equals_sum_of_fresh_gradients(self):
         model = down_scaled_model(seed=4)
         samples = [random_check_sample(seed, model) for seed in range(5)]
-        fresh = [model.loss_and_gradients(sample) for sample in samples]
+        fresh = [model.loss_and_gradients([sample]) for sample in samples]
         buffer = {name: np.zeros_like(arr) for name, arr in model.parameters().items()}
-        for sample, (loss, _) in zip(samples, fresh):
-            loss_again, returned = model.loss_and_gradients(sample, grads=buffer)
-            assert loss_again == loss and returned is buffer
+        for sample, (losses, _) in zip(samples, fresh):
+            losses_again, returned = model.loss_and_gradients([sample], grads=buffer)
+            assert losses_again == losses and returned is buffer
         for name, total in buffer.items():
             npt.assert_allclose(total, sum(grads[name] for _, grads in fresh),
                                 rtol=1e-6, atol=1e-12)
 
     def test_train_passes_one_buffer_per_batch(self, monkeypatch):
-        buffers = []
+        calls = []
         original = HybridModel.loss_and_gradients
 
-        def spy(self, sample, training=False, rng=None, grads=None):
-            buffers.append(grads)
-            return original(self, sample, training, rng, grads)
+        def spy(self, samples, training=False, rng=None, grads=None):
+            losses, returned = original(self, samples, training, rng, grads)
+            calls.append((self, samples, returned))
+            return losses, returned
 
         monkeypatch.setattr(HybridModel, "loss_and_gradients", spy)
         corpus = tiny_corpus()
         train(fast_config(max_epochs=1, batch_size=4), corpus)
-        assert len(buffers) == len(corpus["train"])
+        # one call per batch of 4 (the last one short), each with its own buffer
+        assert [len(samples) for _, samples, _ in calls] == [4, 4, 4, 4, 2]
+        buffers = [grads for _, _, grads in calls]
         assert all(isinstance(grads, dict) for grads in buffers)
-        for i, a in enumerate(buffers):
-            for j, b in enumerate(buffers):
-                assert (a is b) == (i // 4 == j // 4)
+        assert len({id(grads) for grads in buffers}) == len(buffers)
+        # together the batches carry every training sample once
+        model = calls[0][0]
+        expected = encode_dataset(corpus["train"], model.vocab, model.max_len,
+                                  model.label_index)
+        carried = [sample for _, samples, _ in calls for sample in samples]
+        assert sorted(map(repr, carried)) == sorted(map(repr, expected))
+
+
+def mixed_batch(model):
+    """Encoded samples of lengths 3 (floored from one character), 4, 5 (cut at
+    ``max_len``) and 3, in that order."""
+    texts = ["a", "bcde", "fgabcde", "gfe"]
+    return [(*encode(text, model.vocab, model.max_len), k % model.num_classes)
+            for k, text in enumerate(texts)]
+
+
+class TestBatch:
+    """The batched forward and backward against batches of one, in float64."""
+
+    def test_gradient_equals_sum_of_batch_of_one_gradients(self):
+        model = down_scaled_model(seed=6)
+        samples = mixed_batch(model)
+        assert [n for _, n, _ in samples] == [3, 4, model.max_len, 3]
+        losses, batched = model.loss_and_gradients(samples)
+        singles = [model.loss_and_gradients([sample]) for sample in samples]
+        npt.assert_allclose(losses, [loss for (loss,), _ in singles], rtol=1e-12)
+        for name, grad in batched.items():
+            npt.assert_allclose(grad, sum(grads[name] for _, grads in singles),
+                                rtol=1e-6, atol=1e-12, err_msg=name)
+
+    def test_logits_match_batch_of_one_and_ignore_batchmates(self):
+        model = down_scaled_model(seed=7)
+        samples = mixed_batch(model)
+        logits, _ = model.forward([s[0] for s in samples], [s[1] for s in samples])
+        for row, (indices, true_len, _) in zip(logits, samples):
+            npt.assert_allclose(row, model._logits(indices, true_len), rtol=1e-12, atol=1e-15)
+        # the same utterance beside batchmates of other lengths
+        first = samples[0]
+        for mate in samples[1:]:
+            pair, _ = model.forward([first[0], mate[0]], [first[1], mate[1]])
+            npt.assert_allclose(pair[0], logits[0], rtol=1e-12, atol=1e-15)
+
+    def test_backward_matches_finite_differences(self):
+        # the short samples put the reversal gather and the pooling mask on
+        # the path of every gradient
+        model = down_scaled_model(seed=8)
+        samples = mixed_batch(model)
+        indices, true_len, gold = zip(*samples)
+
+        def loss():
+            logits, _ = model.forward(indices, true_len)
+            return float(np.sum(cross_entropy(logits, gold)[0]))
+
+        _, analytic = model.loss_and_gradients(samples)
+        for name, arr in model.parameters().items():
+            assert max_rel_error(analytic[name], numeric_gradient(loss, arr)) < GRAD_TOL, name
 
 
 class TestPredict:
@@ -228,6 +289,23 @@ class TestTraining:
         with pytest.raises(CorpusError):
             train(fast_config(), {"train": tiny_corpus()["train"], "dev": []})
 
+    def test_non_finite_loss_names_epoch_and_sample(self, monkeypatch):
+        original = HybridModel.loss_and_gradients
+        batches = []
+
+        def poisoned(self, samples, training=False, rng=None, grads=None):
+            losses, grads = original(self, samples, training, rng, grads)
+            batches.append(samples)
+            if len(batches) == 2:
+                losses[1] = losses[3] = float("nan")
+            return losses, grads
+
+        monkeypatch.setattr(HybridModel, "loss_and_gradients", poisoned)
+        config = fast_config(max_epochs=2, batch_size=4)
+        order = Rng(config.seed).spawn(model_module._STREAM_SHUFFLE_BASE + 1).permutation(18)
+        with pytest.raises(NumericError, match=rf"epoch 1, sample {order[5]}$"):
+            train(config, tiny_corpus())
+
     def test_dev_label_missing_from_train_rejected(self):
         corpus = tiny_corpus()
         stray = Utterance(id=999, text="zzz", label=LABELS[30])
@@ -251,9 +329,12 @@ class TestTrainConfig:
         ({"dropout": False}, "dropout must be a number"),
         ({"lr": float("nan")}, "lr must be positive"),
         ({"min_lr": float("nan")}, "min_lr must not be negative"),
+        ({"clip_norm": 0.0}, "clip_norm must be positive"),
+        ({"clip_norm": -1.0}, "clip_norm must be positive"),
+        ({"clip_norm": float("nan")}, "clip_norm must be positive"),
     ], ids=["lr-below-min-lr", "negative-min-lr", "zero-lr-factor", "lr-factor-above-one",
             "str-int", "float-int", "bool-int", "str-float", "bool-float", "nan-lr",
-            "nan-min-lr"])
+            "nan-min-lr", "zero-clip-norm", "negative-clip-norm", "nan-clip-norm"])
     def test_rejected(self, override, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**override).validate()

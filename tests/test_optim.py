@@ -92,6 +92,14 @@ class TestClip:
         npt.assert_allclose(grads["a"], [0.6])
         npt.assert_allclose(grads["b"], [0.8])
 
+    @pytest.mark.parametrize("max_norm", [-1.0, 0.0, float("nan")])
+    def test_non_positive_max_norm_rejected(self, max_norm):
+        # such a bound used to leave every gradient unscaled
+        grads = {"a": np.array([300.0, 400.0])}
+        with pytest.raises(ValueError, match="max_norm must be positive"):
+            clip_by_global_norm(grads, max_norm)
+        npt.assert_array_equal(grads["a"], [300.0, 400.0])
+
 
 class TestReduceLrOnPlateau:
     def test_three_stagnant_epochs_reduce_by_ten(self):
@@ -183,10 +191,10 @@ class TestGradientCheck:
             def loss(self, sample):
                 return self._inner.loss(sample)
 
-            def loss_and_gradients(self, sample):
-                loss, grads = self._inner.loss_and_gradients(sample)
+            def loss_and_gradients(self, samples):
+                losses, grads = self._inner.loss_and_gradients(samples)
                 grads["out.weight"] = -grads["out.weight"]
-                return loss, grads
+                return losses, grads
 
         model = down_scaled_model(seed=1)
         sample = random_check_sample(1, model)
@@ -197,7 +205,7 @@ class TestGradientCheck:
     def test_pad_embedding_row_has_zero_gradient_both_ways(self):
         model = down_scaled_model(seed=2)
         sample = ([0, 2, 3, 0, 4], 5, 1)  # PAD inside the effective length
-        _, analytic = model.loss_and_gradients(sample)
+        _, analytic = model.loss_and_gradients([sample])
         npt.assert_array_equal(analytic["embedding"][0], np.zeros(model.embed_dim))
         eps = 1e-5
         for j in range(model.embed_dim):

@@ -1,5 +1,5 @@
 """Multinomial Naive Bayes over character counts; the sanity floor the
-neural model must stay above."""
+neural model must stay above. It lives in memory only: no model file holds it."""
 
 from __future__ import annotations
 
@@ -8,9 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import container
-from .data import Utterance, Vocab, label_list, tokenize
-from .errors import ContainerError, CorpusError
+from .data import Utterance, Vocab, tokenize
+from .errors import CorpusError
 
 ALPHA = 1.0  # add-one smoothing
 
@@ -25,41 +24,6 @@ class NBModel:
     @property
     def label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
-
-    def save(self, path) -> None:
-        header = {
-            "format_version": container.FORMAT_VERSION,
-            "kind": "naive_bayes",
-            "num_classes": len(self.labels),
-            "vocab_size": len(self.vocab),
-            "labels": self.labels,
-            "vocab": self.vocab.tokens,
-        }
-        container.write_container(path, header, {
-            "log_prior": self.log_prior,
-            "log_likelihood": self.log_likelihood,
-        })
-
-    @classmethod
-    def load(cls, path) -> "NBModel":
-        header, blocks = container.read_container(path)
-        if header.get("kind") != "naive_bayes":
-            raise CorpusError(
-                f"{path}: expected a naive_bayes model, found {header.get('kind')!r}")
-        try:
-            model = cls(
-                labels=label_list(header["labels"]),
-                vocab=Vocab(header["vocab"]),
-                log_prior=blocks["log_prior"].astype(np.float64),
-                log_likelihood=blocks["log_likelihood"].astype(np.float64),
-            )
-            shape = (len(model.labels), len(model.vocab))
-            if model.log_likelihood.shape != shape or model.log_prior.shape != shape[:1]:
-                raise ValueError(f"blocks do not have the shapes {shape} the header gives")
-        except (LookupError, TypeError, ValueError) as exc:
-            raise ContainerError(
-                f"{path}: cannot build a model: {type(exc).__name__}: {exc}") from exc
-        return model
 
 
 def train_nb(records: Sequence[Utterance], vocab: Vocab) -> NBModel:

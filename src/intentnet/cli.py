@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -63,14 +64,28 @@ def _build_parser() -> _Parser:
 
     p_grad = sub.add_parser("gradcheck",
                             help="verify analytic gradients against finite differences")
-    p_grad.add_argument("--eps", type=float, default=1e-5)
-    p_grad.add_argument("--seeds", type=int, default=20)
+    p_grad.add_argument("--eps", type=_positive(float), default=1e-5)
+    p_grad.add_argument("--seeds", type=_positive(int), default=20)
 
     p_stats = sub.add_parser("stats", help="per-label split statistics")
     p_stats.add_argument("--corpus", required=True)
     p_stats.add_argument("--expect-reference", action="store_true",
                          help="compare against the published reference counts")
     return parser
+
+
+def _positive(kind):
+    """An argparse ``type``: a finite ``kind`` (int or float) above zero."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a finite {kind.__name__} > 0, "
+                                             f"got {text!r}")
+        return value
+    return parse
 
 
 def _merged_config(args) -> TrainConfig:
@@ -80,6 +95,8 @@ def _merged_config(args) -> TrainConfig:
         if not path.is_file():
             raise CorpusError(f"missing config file: {path}")
         overrides = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(overrides, dict):
+            raise UsageError(f"{path}: config must be a JSON object")
         unknown = set(overrides) - set(values)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -164,11 +181,10 @@ def cmd_gradcheck(args) -> int:
     width = max(len(name) for name in worst_per_block)
     for name in sorted(worst_per_block):
         print(f"{name:<{width}}  {worst_per_block[name]:.3e}")
-    worst = max(worst_per_block.values())
-    ok = worst <= optim.GRADCHECK_TOL
-    print(f"worst relative error: {worst:.3e} ({'PASS' if ok else 'FAIL'} at "
-          f"{optim.GRADCHECK_TOL:g}, {args.seeds} seeds, eps {args.eps:g})")
-    return 0 if ok else 3
+    result = optim.GradCheckResult(max(worst_per_block.values()), worst_per_block)
+    print(f"worst relative error: {result.max_error:.3e} ({'PASS' if result.passed else 'FAIL'} "
+          f"at {optim.GRADCHECK_TOL:g}, {args.seeds} seeds, eps {args.eps:g})")
+    return 0 if result.passed else 3
 
 
 def cmd_stats(args) -> int:

@@ -11,6 +11,7 @@ short, noisy, typo-ridden utterances the taxonomy targets.
 
 from __future__ import annotations
 
+import io
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -124,11 +125,15 @@ def load_corpus(corpus_dir, split: str) -> list[Utterance]:
     path = Path(corpus_dir) / f"{split}.jsonl"
     if not path.is_file():
         raise CorpusError(f"missing corpus file: {path}")
+    raw_bytes = path.read_bytes()
+    try:
+        text = raw_bytes.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw_bytes.count(b"\n", 0, exc.start) + 1
+        raise CorpusError(f"{path}:{line_no}: not UTF-8 ({exc.reason})") from exc
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        if raw.strip():
             records.append(_parse_line(raw, line_no, path))
     return records
 

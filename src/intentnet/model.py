@@ -108,6 +108,9 @@ class HybridModel:
         """``rng`` draws the initial weights; ``None`` leaves them at zero."""
         if min(embed_dim, hidden, filters) < 1 or max_len < MIN_ENCODED_LEN:
             raise ValueError(f"sizes must be positive and max_len at least {MIN_ENCODED_LEN}")
+        if (isinstance(dropout_rate, bool) or not isinstance(dropout_rate, numbers.Real)
+                or not 0.0 <= dropout_rate < 1.0):
+            raise ValueError(f"dropout rate must be a number in [0, 1), got {dropout_rate!r}")
         self.vocab = vocab
         self.labels = label_list(labels)
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
@@ -202,16 +205,13 @@ class HybridModel:
         indices, true_len, gold = sample
         return float(cross_entropy(self._logits(indices, true_len), gold)[0])
 
-    def loss_and_gradients(self, samples, training: bool = False, rng: Rng | None = None,
-                           grads: dict[str, np.ndarray] | None = None):
+    def loss_and_gradients(self, samples, training: bool = False, rng: Rng | None = None):
         """Per-sample losses of a batch of encoded samples, and the batch's
-        summed parameter gradients, added into ``grads`` when given, else into
-        fresh zeros. One batched forward and one batched backward."""
+        summed parameter gradients. One batched forward and one batched backward."""
         indices, true_len, gold = zip(*samples)
         logits, caches = self.forward(indices, true_len, training=training, rng=rng)
         losses, d_logits = cross_entropy(logits, gold)
-        if grads is None:
-            grads = {name: np.zeros_like(arr) for name, arr in self.parameters().items()}
+        grads = {name: np.zeros_like(arr) for name, arr in self.parameters().items()}
         self._backward(caches, d_logits, grads)
         return losses.tolist(), grads
 
@@ -252,7 +252,7 @@ class HybridModel:
                 filters=operator.index(header["filters"]),
                 max_len=operator.index(header["max_len"]),
                 rng=None,
-                dropout_rate=header.get("dropout", 0.5),
+                dropout_rate=header["dropout"],
                 dtype=np.float32,
             )
             model.set_parameters(blocks)
@@ -307,7 +307,6 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
     history: list[optim.EpochRecord] = []
     lr = config.lr
     best_f1 = -float("inf")
-    best_params = {name: arr.copy() for name, arr in params.items()}
 
     for epoch in range(1, config.max_epochs + 1):
         order = root.spawn(_STREAM_SHUFFLE_BASE + epoch).permutation(len(train_set))
@@ -332,7 +331,7 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
         history.append(record)
         if log is not None:
             log(record)
-        if val_f1 > best_f1 + optim.MIN_DELTA:
+        if val_f1 > best_f1 + optim.MIN_DELTA:  # always true at epoch 1
             best_f1 = val_f1
             best_params = {name: arr.copy() for name, arr in params.items()}
         lr = optim.reduce_lr_on_plateau(history, factor=config.lr_factor,
@@ -437,19 +436,18 @@ def evaluate(model: HybridModel, records: Sequence[Utterance]) -> EvalReport:
 # ---------------------------------------------------------------------------
 # down-scaled assembly for gradient checking
 
-def down_scaled_model(seed: int, vocab_size: int = 9, num_classes: int = 4,
-                      embed_dim: int = 4, hidden: int = 3, filters: int = 2,
-                      max_len: int = 5) -> HybridModel:
-    """Small float64 model with dropout off, for finite-difference checks."""
-    tokens = ["<pad>", "<unk>"] + [chr(ord("a") + i) for i in range(vocab_size - 2)]
-    model = HybridModel(Vocab(tokens), list(LABELS[:num_classes]), embed_dim,
-                        hidden, filters, max_len, rng=Rng(seed).spawn(_STREAM_INIT),
-                        dropout_rate=0.0, dtype=np.float64)
-    return model
+def down_scaled_model(seed: int) -> HybridModel:
+    """Small float64 model with dropout off, for finite-difference checks: 7
+    letters, 4 classes, embed_dim 4, hidden 3, filters 2, max_len 5."""
+    tokens = ["<pad>", "<unk>"] + list("abcdefg")
+    return HybridModel(Vocab(tokens), list(LABELS[:4]), embed_dim=4, hidden=3, filters=2,
+                       max_len=5, rng=Rng(seed).spawn(_STREAM_INIT), dropout_rate=0.0,
+                       dtype=np.float64)
 
 
-def random_check_sample(seed: int, model: HybridModel, seq_len: int = 5):
+def random_check_sample(seed: int, model: HybridModel):
+    """A full-length encoded sample (``model.max_len`` letters) and a gold class."""
     rng = Rng(seed).spawn(77)
-    indices = [2 + rng.integer(len(model.vocab) - 2) for _ in range(seq_len)]
+    indices = [2 + rng.integer(len(model.vocab) - 2) for _ in range(model.max_len)]
     gold = rng.integer(model.num_classes)
-    return indices, seq_len, gold
+    return indices, model.max_len, gold

@@ -82,12 +82,11 @@ def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 def reduce_lr_on_plateau(history: Sequence[EpochRecord], factor: float = 0.1,
-                         patience: int = 3, min_lr: float = 1e-6,
-                         min_delta: float = MIN_DELTA) -> float:
+                         patience: int = 3, min_lr: float = 1e-6) -> float:
     """Learning rate for the next epoch under the reduce-on-plateau rule.
 
     Replays the recorded validation losses from the first epoch: whenever
-    the best loss fails to improve by at least ``min_delta`` for
+    the best loss fails to improve by at least ``MIN_DELTA`` for
     ``patience`` consecutive epochs, the rate is multiplied by ``factor``
     (floored at ``min_lr``) and the stagnation counter resets. Being a pure
     function of the history keeps reruns reproducible. A starting rate below
@@ -101,7 +100,7 @@ def reduce_lr_on_plateau(history: Sequence[EpochRecord], factor: float = 0.1,
     best = float("inf")
     stale = 0
     for record in history:
-        if record.val_loss < best - min_delta:
+        if record.val_loss < best - MIN_DELTA:
             best = record.val_loss
             stale = 0
         else:
@@ -112,15 +111,14 @@ def reduce_lr_on_plateau(history: Sequence[EpochRecord], factor: float = 0.1,
     return lr
 
 
-def should_stop(history: Sequence[EpochRecord], patience: int = 8,
-                min_delta: float = MIN_DELTA) -> bool:
+def should_stop(history: Sequence[EpochRecord], patience: int = 8) -> bool:
     """True when validation micro-F1 has stagnated for ``patience`` epochs."""
     if not history:
         raise ValueError("history is empty")
     best = -float("inf")
     stale = 0
     for record in history:
-        if record.val_f1 > best + min_delta:
+        if record.val_f1 > best + MIN_DELTA:
             best = record.val_f1
             stale = 0
         else:

@@ -5,12 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from intentnet import synthetic
-from intentnet.baseline import NBModel, predict_nb, train_nb
+from intentnet.baseline import predict_nb, train_nb
 from intentnet.data import LABELS, Utterance, Vocab, build_vocab
-from intentnet.errors import ContainerError, CorpusError
+from intentnet.errors import CorpusError
 from intentnet.model import report_from_pairs
-
-from helpers import rewrite_container
 
 
 def utt(text, label, id=0):
@@ -100,34 +98,3 @@ class TestSeparableAccuracy:
         report = report_from_pairs(gold, pred, model.labels)
         assert report.micro_f1 >= 0.95
 
-
-class TestNBSerialization:
-    def test_round_trip_preserves_predictions(self, tmp_path, toy_model):
-        path = tmp_path / "nb.bin"
-        toy_model.save(path)
-        loaded = NBModel.load(path)
-        assert loaded.labels == toy_model.labels
-        for text in ("aa", "bb", "ab", "ba"):
-            assert predict_nb(loaded, text)[0] == predict_nb(toy_model, text)[0]
-
-    @pytest.mark.parametrize("edit", [
-        pytest.param(lambda h, b: b.pop("log_likelihood"), id="missing-block"),
-        pytest.param(lambda h, b: b.update(log_prior=b["log_prior"][:1]), id="short-prior"),
-        pytest.param(lambda h, b: h.pop("labels"), id="missing-key"),
-        pytest.param(lambda h, b: h.update(labels=5), id="labels-not-a-list"),
-        pytest.param(lambda h, b: h.update(vocab=["<unk>"]), id="invalid-vocab"),
-    ])
-    def test_unbuildable_file_is_container_error(self, tmp_path, toy_model, edit):
-        path = tmp_path / "nb.bin"
-        toy_model.save(path)
-        rewrite_container(path, edit)
-        with pytest.raises(ContainerError, match="nb.bin"):
-            NBModel.load(path)
-
-    def test_kind_tag_enforced(self, tmp_path, toy_model):
-        from intentnet.model import HybridModel
-
-        path = tmp_path / "nb.bin"
-        toy_model.save(path)
-        with pytest.raises(CorpusError, match="hybrid"):
-            HybridModel.load(path)

@@ -107,6 +107,23 @@ class TestTrainCommand:
         assert rc == 1
         assert capsys.readouterr().err == "usage error: hidden must be an integer, got 'big'\n"
 
+    @pytest.mark.parametrize("body", ["null", "123", '[["lr", 0.1]]', "[1]"])
+    def test_config_that_is_not_an_object_is_usage_error(self, toy_corpus_dir, tmp_path,
+                                                          capsys, body):
+        config = tmp_path / "config.json"
+        config.write_text(body)
+        rc = main(["train", "--corpus", str(toy_corpus_dir), "--out", str(tmp_path / "m.bin"),
+                   "--config", str(config)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"usage error: {config}: config must be a JSON object\n"
+
+    def test_non_utf8_corpus_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "train.jsonl").write_bytes(b'{"id": 1, "text": "\xff", "label": "chat"}\n')
+        rc = main(["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: {tmp_path / 'train.jsonl'}:1: not UTF-8 (invalid start byte)\n")
+
     @pytest.mark.parametrize("clip_norm", [0, -1.0])
     def test_non_positive_clip_norm_is_usage_error(self, toy_corpus_dir, tmp_path, capsys,
                                                    clip_norm):
@@ -209,6 +226,18 @@ class TestGradcheckCommand:
         assert np.isfinite(worst)
         assert rc in (0, 3)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps", "0"), ("--eps", "-1e-5"), ("--eps", "nan"), ("--eps", "inf"),
+        ("--seeds", "0"), ("--seeds", "-2"), ("--seeds", "1.5"),
+    ])
+    def test_bad_argument_is_one_line_usage_error(self, capsys, flag, value):
+        rc = main(["gradcheck", f"{flag}={value}"])  # "=" keeps "-1e-5" a value
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: argument {flag}: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestStatsCommand:
     def test_prints_zero_counts_for_empty_split(self, tmp_path, capsys):
@@ -275,6 +304,7 @@ class TestUsageErrors:
         pytest.param(lambda h, b: h.pop("embed_dim"), id="missing-key"),
         pytest.param(lambda h, b: b.pop("out.bias"), id="missing-block"),
         pytest.param(lambda h, b: b.update({"out.bias": b["out.bias"][:1]}), id="short-bias"),
+        pytest.param(lambda h, b: h.update(dropout="x"), id="string-dropout"),
     ])
     def test_hand_edited_model_is_data_error(self, trained_model_path, tmp_path, capsys,
                                              edit):

@@ -67,6 +67,12 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="non-empty"):
             load_corpus(tmp_path, "train")
 
+    def test_non_utf8_line_named(self, tmp_path):
+        (tmp_path / "train.jsonl").write_bytes(b'{"id": 1, "text": "ok", "label": "chat"}\n'
+                                               b'{"id": 2, "text": "\xff", "label": "chat"}\n')
+        with pytest.raises(CorpusError, match=r"train\.jsonl:2: not UTF-8"):
+            load_corpus(tmp_path, "train")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError, match="train.jsonl"):
             load_corpus(tmp_path, "train")

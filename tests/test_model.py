@@ -17,7 +17,6 @@ from intentnet.model import (
     down_scaled_model,
     encode_dataset,
     evaluate,
-    random_check_sample,
     report_from_pairs,
     train,
 )
@@ -117,24 +116,12 @@ class TestForward:
 
 
 class TestGradientBuffer:
-    def test_batch_buffer_equals_sum_of_fresh_gradients(self):
-        model = down_scaled_model(seed=4)
-        samples = [random_check_sample(seed, model) for seed in range(5)]
-        fresh = [model.loss_and_gradients([sample]) for sample in samples]
-        buffer = {name: np.zeros_like(arr) for name, arr in model.parameters().items()}
-        for sample, (losses, _) in zip(samples, fresh):
-            losses_again, returned = model.loss_and_gradients([sample], grads=buffer)
-            assert losses_again == losses and returned is buffer
-        for name, total in buffer.items():
-            npt.assert_allclose(total, sum(grads[name] for _, grads in fresh),
-                                rtol=1e-6, atol=1e-12)
-
     def test_train_passes_one_buffer_per_batch(self, monkeypatch):
         calls = []
         original = HybridModel.loss_and_gradients
 
-        def spy(self, samples, training=False, rng=None, grads=None):
-            losses, returned = original(self, samples, training, rng, grads)
+        def spy(self, samples, training=False, rng=None):
+            losses, returned = original(self, samples, training, rng)
             calls.append((self, samples, returned))
             return losses, returned
 
@@ -293,8 +280,8 @@ class TestTraining:
         original = HybridModel.loss_and_gradients
         batches = []
 
-        def poisoned(self, samples, training=False, rng=None, grads=None):
-            losses, grads = original(self, samples, training, rng, grads)
+        def poisoned(self, samples, training=False, rng=None):
+            losses, grads = original(self, samples, training, rng)
             batches.append(samples)
             if len(batches) == 2:
                 losses[1] = losses[3] = float("nan")
@@ -514,12 +501,22 @@ class TestSerialization:
         pytest.param(lambda h, b: h.update(vocab=h["vocab"][::-1]), id="vocab-order"),
         pytest.param(lambda h, b: h.update(labels=5), id="labels-not-a-list"),
         pytest.param(lambda h, b: h["labels"].__setitem__(0, None), id="label-not-a-string"),
+        pytest.param(lambda h, b: h.pop("dropout"), id="missing-dropout"),
+        pytest.param(lambda h, b: h.update(dropout="x"), id="string-dropout"),
+        pytest.param(lambda h, b: h.update(dropout=2.0), id="dropout-out-of-range"),
     ])
     def test_unbuildable_file_is_container_error(self, tmp_path, edit):
         path = tmp_path / "model.bin"
         tiny_model().save(path)
         rewrite_container(path, edit)
         with pytest.raises(ContainerError, match="model.bin"):
+            HybridModel.load(path)
+
+    def test_kind_tag_enforced(self, tmp_path):
+        path = tmp_path / "model.bin"
+        tiny_model().save(path)
+        rewrite_container(path, lambda h, b: h.update(kind="naive_bayes"))
+        with pytest.raises(CorpusError, match="hybrid"):
             HybridModel.load(path)
 
     @pytest.mark.parametrize("header", [b"\xff\xfe", b"{not json", b"[1, 2]"],

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intentnet import container
-from intentnet.baseline import NBModel, train_nb
-from intentnet.data import MIN_ENCODED_LEN, PAD_INDEX, Utterance, Vocab, build_vocab, encode
+from intentnet.data import MIN_ENCODED_LEN, PAD_INDEX, Vocab, encode
 from intentnet.errors import ContainerError, CorpusError
 from intentnet.model import HybridModel
 from intentnet.optim import EpochRecord, reduce_lr_on_plateau, should_stop
@@ -17,38 +16,27 @@ from intentnet.tensor import Rng
 PROPERTY = settings(max_examples=200, deadline=None)
 
 
-def _hybrid_bytes(path):
+# parametrized so the test id names the model kind it fuzzes
+@pytest.fixture(scope="module", params=["hybrid"])
+def saved(request, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
     vocab = Vocab(["<pad>", "<unk>", "a", "b", "c"])
     HybridModel(vocab, ["chat", "app", "bus"], embed_dim=3, hidden=2, filters=2,
                 max_len=5, rng=Rng(3)).save(path)
-    return path.read_bytes()
-
-
-def _nb_bytes(path):
-    records = [Utterance(id=0, text="aab", label="chat"), Utterance(id=1, text="bc", label="app")]
-    train_nb(records, build_vocab(records)).save(path)
-    return path.read_bytes()
-
-
-@pytest.fixture(scope="module", params=[(HybridModel, _hybrid_bytes), (NBModel, _nb_bytes)],
-                ids=["hybrid", "naive-bayes"])
-def saved(request, tmp_path_factory):
-    cls, make = request.param
-    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
-    return cls, path, make(path)
+    return path, path.read_bytes()
 
 
 @PROPERTY
 @given(data=st.data())
 def test_one_changed_byte_loads_or_raises_a_file_error(saved, data):
-    cls, path, raw = saved
+    path, raw = saved
     payload = bytearray(raw[:-8])
     pos = data.draw(st.integers(0, len(payload) - 1), label="position")
     payload[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != payload[pos]),
                              label="byte")
     path.write_bytes(bytes(payload) + struct.pack("<Q", container.fnv1a64(bytes(payload))))
     try:
-        cls.load(path)
+        HybridModel.load(path)
     except (ContainerError, CorpusError):
         pass
 

@@ -116,6 +116,10 @@ def cmd_train(args) -> int:
     for path in (out_path, history_path):  # fail before training, not after
         if not path.parent.is_dir():
             raise CorpusError(f"output directory does not exist: {path.parent}")
+        if path.is_dir():
+            raise CorpusError(f"output path is a directory: {path}")
+    if out_path.resolve() == history_path.resolve():
+        raise UsageError(f"--history and --out name the same file: {out_path}")
     corpus = {split: data.load_corpus(args.corpus, split) for split in ("train", "dev")}
 
     def log(record: optim.EpochRecord) -> None:

@@ -93,6 +93,8 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     for _ in range(n_blocks):
         name_len = struct.unpack("<H", take(2))[0]
         name = text(name_len, "a block name")
+        if name in blocks:
+            raise ContainerError(f"{path}: block {name!r} appears twice")
         ndim = struct.unpack("<B", take(1))[0]
         if ndim > 3:  # the most any block has (the convolution filters)
             raise ContainerError(f"{path}: block {name!r} has {ndim} axes")

@@ -10,8 +10,9 @@ its length), max pooling masks the windows past a sample's last one, and
 the backward passes therefore give those positions exactly zero gradient.
 
 Each forward returns the values the matching backward needs (a cache);
-each backward accumulates parameter gradients into a plain dict keyed by
-block name and returns the gradients flowing to its inputs. There is no
+each backward accumulates parameter gradients into a parameter object of
+the layer's own class (built zero, so gradients have the parameters'
+shapes) and returns the gradients flowing to its inputs. There is no
 autodiff graph: the chain rule is spelled out per layer.
 
 The LSTM cell lets every gate read the cell state through full square
@@ -47,13 +48,6 @@ def glorot_limit(fan_in: int, fan_out: int) -> float:
 _STACK_GATES = {"w_x": "ifgo", "w_h": "ifgo", "w_c": "ifo", "b": "ifgo"}
 
 
-def _gate_views(stacks: dict[str, np.ndarray], hidden: int) -> dict[str, np.ndarray]:
-    """The per-gate column views of gate-stacked arrays, keyed by block name."""
-    return {(stack if stack != "b" else "b_") + gate:
-            stacks[stack][..., k * hidden:(k + 1) * hidden]
-            for stack, gates in _STACK_GATES.items() for k, gate in enumerate(gates)}
-
-
 class LSTMParams:
     """Weights and biases of one recurrence direction, stored gate-stacked.
 
@@ -80,7 +74,10 @@ class LSTMParams:
         return self.w_x.shape[0]
 
     def blocks(self) -> dict[str, np.ndarray]:
-        return _gate_views(vars(self), self.hidden_size)
+        H = self.hidden_size
+        return {(stack if stack != "b" else "b_") + gate:
+                getattr(self, stack)[..., k * H:(k + 1) * H]
+                for stack, gates in _STACK_GATES.items() for k, gate in enumerate(gates)}
 
 
 @dataclass
@@ -105,38 +102,15 @@ class DenseParams:
         return {"weight": self.weight, "bias": self.bias}
 
 
-def init_lstm_params(rng: Rng | None, input_size: int, hidden: int, dtype=np.float32) -> LSTMParams:
-    """Glorot-uniform weights; zero biases except the forget gate at 1.
-
-    Weights are drawn block by block in ``blocks()`` order, so a seed gives
-    the same values as drawing ``w_xi``, ``w_xf``, ... ``w_co`` one by one.
-    """
-    p = LSTMParams(input_size, hidden, dtype)
-    blocks = p.blocks()
-    for name, view in blocks.items():
-        if name.startswith("w_"):
-            view[...] = uniform_init(rng, view.shape, glorot_limit(*view.shape), dtype)
-    blocks["b_f"][...] = 1
-    return p
-
-
-def init_conv_params(rng: Rng | None, embed_dim: int, num_filters: int,
-                     dtype=np.float32) -> ConvParams:
-    fan_in = CONV_WIDTH * embed_dim
-    limit = glorot_limit(fan_in, num_filters)
-    return ConvParams(
-        filters=uniform_init(rng, (num_filters, CONV_WIDTH, embed_dim), limit, dtype),
-        bias=np.zeros(num_filters, dtype=dtype),
-    )
-
-
-def init_dense_params(rng: Rng | None, input_dim: int, num_classes: int,
-                      dtype=np.float32) -> DenseParams:
-    limit = glorot_limit(input_dim, num_classes)
-    return DenseParams(
-        weight=uniform_init(rng, (input_dim, num_classes), limit, dtype),
-        bias=np.zeros(num_classes, dtype=dtype),
-    )
+def init_weights(rng: Rng, *params) -> None:
+    """Draw Glorot-uniform values, in place, into every block of two or more
+    axes, object by object in ``blocks()`` order; biases are left as they
+    are. A block's fans are its first axis and the product of the others."""
+    for p in params:
+        for view in p.blocks().values():
+            if view.ndim >= 2:
+                limit = glorot_limit(view.shape[0], math.prod(view.shape[1:]))
+                view[...] = uniform_init(rng, view.shape, limit, view.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +258,11 @@ def bilstm_forward(X: np.ndarray, true_len, p_fwd: LSTMParams, p_bwd: LSTMParams
             BiLSTMCache(fwd_steps, bwd_steps, lengths, X.shape[1]))
 
 
-def _chain_backward(caches, lengths, d_final, grads):
+def _chain_backward(caches, lengths, d_final, grads: LSTMParams):
     """Backpropagation through time over one chain, ``d_final[b]`` entering
     at step L_b - 1; then one product per gate-stack over all B * T rows
-    gives its weight gradients and d(inputs), returned as (B, T, E).
+    adds its weight gradients into ``grads`` and gives d(inputs), returned
+    as (B, T, E).
 
     The steps after a sample's last one receive no gradient, so their dz
     rows are exactly zero and add nothing to the products.
@@ -304,18 +279,16 @@ def _chain_backward(caches, lengths, d_final, grads):
     dz = np.concatenate(dz)  # rows ordered (step, sample)
     x, h_prev, c_prev, c = (np.concatenate([getattr(s, field) for s in caches])
                             for field in ("x", "h_prev", "c_prev", "c"))
-    stacks = {
-        "w_x": x.T @ dz,
-        "w_h": h_prev.T @ dz,
-        "w_c": np.hstack([c_prev.T @ dz[:, :2 * H], c.T @ dz[:, 3 * H:]]),
-        "b": dz.sum(axis=0),
-    }
-    for name, grad in _gate_views(stacks, H).items():
-        grads[name] += grad
+    grads.w_x += x.T @ dz
+    grads.w_h += h_prev.T @ dz
+    grads.w_c[:, :2 * H] += c_prev.T @ dz[:, :2 * H]
+    grads.w_c[:, 2 * H:] += c.T @ dz[:, 3 * H:]
+    grads.b += dz.sum(axis=0)
     return (dz @ p.w_x.T).reshape(len(caches), len(lengths), -1).transpose(1, 0, 2)
 
 
-def bilstm_backward(cache: BiLSTMCache, d_fwd, d_bwd, grads_fwd, grads_bwd) -> np.ndarray:
+def bilstm_backward(cache: BiLSTMCache, d_fwd, d_bwd, grads_fwd: LSTMParams,
+                    grads_bwd: LSTMParams) -> np.ndarray:
     """Backpropagation through time for both chains; returns d(embeddings),
     (B, seq_len, E)."""
     lengths = cache.true_len
@@ -351,12 +324,12 @@ def conv_forward(X: np.ndarray, p: ConvParams, true_len):
     return fmap, ConvCache(windows, active, p, X.shape[1])
 
 
-def conv_backward(cache: ConvCache, d_fmap: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
+def conv_backward(cache: ConvCache, d_fmap: np.ndarray, grads: ConvParams) -> np.ndarray:
     windows, active, p, seq_len = cache
     B, n, F = d_fmap.shape
     d_pre = np.where(active, d_fmap, 0).reshape(B * n, F)
-    grads["bias"] += d_pre.sum(axis=0)
-    grads["filters"] += (d_pre.T @ windows).reshape(p.filters.shape)
+    grads.bias += d_pre.sum(axis=0)
+    grads.filters += (d_pre.T @ windows).reshape(p.filters.shape)
     d_windows = (d_pre @ p.filters.reshape(F, -1)).reshape(B, n, CONV_WIDTH, -1)
     dX = np.zeros((B, seq_len, d_windows.shape[3]), dtype=d_fmap.dtype)
     for k in range(CONV_WIDTH):
@@ -393,24 +366,24 @@ def dense_forward(vec: np.ndarray, p: DenseParams) -> np.ndarray:
 
 
 def dense_backward(vec: np.ndarray, p: DenseParams, d_logits: np.ndarray,
-                   grads: dict[str, np.ndarray]) -> np.ndarray:
-    grads["weight"] += vec.T @ d_logits
-    grads["bias"] += d_logits.sum(axis=0)
+                   grads: DenseParams) -> np.ndarray:
+    grads.weight += vec.T @ d_logits
+    grads.bias += d_logits.sum(axis=0)
     return d_logits @ p.weight.T
 
 
 def dropout(x: np.ndarray, rate: float, training: bool, rng: Rng | None):
     """Inverted dropout: zero with probability ``rate``, scale survivors.
 
-    Draws one value per element in row-major order, so a (B, F) batch gets
-    the masks of B one-row calls made in turn. Inference (or rate 0) is the
-    identity and draws nothing from ``rng``.
+    The mask comes from ``rng.uniform``, one draw per element in row-major
+    order, so a (B, F) batch gets the masks of B one-row calls made in turn.
+    Inference (or rate 0) is the identity and draws nothing from ``rng``.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
     if not training or rate == 0.0:
         return x, None
-    keep = np.array([rng.random() >= rate for _ in range(x.size)]).reshape(x.shape)
+    keep = rng.uniform(0.0, 1.0, x.shape) >= rate
     mask = keep.astype(x.dtype) / (1.0 - rate)
     return x * mask, mask
 

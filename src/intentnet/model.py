@@ -8,13 +8,15 @@ The network runs on batches: ``forward`` takes B encoded utterances, cuts
 each at its effective length and pads the batch to the longest one, T, so
 the layers see (B, T) indices and (B, T, E) embeddings (see ``layers``).
 A training step is one batched forward and one batched backward over the
-minibatch. Inference (``predict``, ``evaluate`` and the dev pass of
-``train``) runs each utterance as a batch of one, so all three give
-bit-identical logits for the same utterance.
+minibatch. Inference (``predict``, ``loss``, ``evaluate`` and the dev pass
+of ``train``) goes through ``HybridModel._infer``, which runs each utterance
+as a batch of one, so all of them give bit-identical logits for the same
+utterance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -105,7 +107,9 @@ class HybridModel:
     def __init__(self, vocab: Vocab, labels: Sequence[str], embed_dim: int,
                  hidden: int, filters: int, max_len: int, rng: Rng | None,
                  dropout_rate: float = 0.5, dtype=np.float32):
-        """``rng`` draws the initial weights; ``None`` leaves them at zero."""
+        """``rng`` draws the initial weights: Glorot-uniform weights and
+        embedding (its PAD row zero), zero biases but the forget gates' at 1.
+        With ``None`` every block is zero and nothing is drawn."""
         if min(embed_dim, hidden, filters) < 1 or max_len < MIN_ENCODED_LEN:
             raise ValueError(f"sizes must be positive and max_len at least {MIN_ENCODED_LEN}")
         if (isinstance(dropout_rate, bool) or not isinstance(dropout_rate, numbers.Real)
@@ -121,14 +125,21 @@ class HybridModel:
         self.dropout_rate = dropout_rate
         self.dtype = dtype
 
-        limit = layers.glorot_limit(len(vocab), embed_dim)
-        self.embedding = uniform_init(rng, (len(vocab), embed_dim), limit, dtype)
-        self.embedding[0] = 0  # PAD row stays zero
-        self.fwd = layers.init_lstm_params(rng, embed_dim, hidden, dtype)
-        self.bwd = layers.init_lstm_params(rng, embed_dim, hidden, dtype)
-        self.conv = layers.init_conv_params(rng, embed_dim, filters, dtype)
+        self.embedding = np.zeros((len(vocab), embed_dim), dtype=dtype)
+        self.fwd = layers.LSTMParams(embed_dim, hidden, dtype)
+        self.bwd = layers.LSTMParams(embed_dim, hidden, dtype)
+        self.conv = layers.ConvParams(np.zeros((filters, layers.CONV_WIDTH, embed_dim), dtype),
+                                      np.zeros(filters, dtype))
         fused_dim = 2 * hidden + filters
-        self.dense = layers.init_dense_params(rng, fused_dim, len(self.labels), dtype)
+        self.dense = layers.DenseParams(np.zeros((fused_dim, self.num_classes), dtype),
+                                        np.zeros(self.num_classes, dtype))
+        if rng is not None:
+            limit = layers.glorot_limit(len(vocab), embed_dim)
+            self.embedding[...] = uniform_init(rng, self.embedding.shape, limit, dtype)
+            self.embedding[0] = 0  # PAD row stays zero
+            layers.init_weights(rng, self.fwd, self.bwd, self.conv, self.dense)
+            for direction in (self.fwd, self.bwd):
+                direction.blocks()["b_f"][...] = 1
 
     @property
     def num_classes(self) -> int:
@@ -181,29 +192,27 @@ class HybridModel:
         caches = (bi_cache, conv_cache, argmax, fmap.shape[1], dropped, mask, ids)
         return logits, caches
 
-    def _backward(self, caches, d_logits, grads: dict[str, np.ndarray]) -> None:
+    def _backward(self, caches, d_logits, grads: "HybridModel") -> None:
+        """Add the parameter gradients into ``grads``, a model of the same sizes."""
         bi_cache, conv_cache, argmax, n_windows, dropped, mask, ids = caches
-        dense_grads = {"weight": grads["out.weight"], "bias": grads["out.bias"]}
-        d_dropped = layers.dense_backward(dropped, self.dense, d_logits, dense_grads)
+        d_dropped = layers.dense_backward(dropped, self.dense, d_logits, grads.dense)
         d_fused = layers.dropout_backward(d_dropped, mask)
         d_h_fwd = d_fused[:, :self.hidden]
         d_h_bwd = d_fused[:, self.hidden:2 * self.hidden]
         d_pooled = d_fused[:, 2 * self.hidden:]
         d_fmap = layers.maxpool_backward(argmax, d_pooled, n_windows)
-        conv_grads = {"filters": grads["conv.filters"], "bias": grads["conv.bias"]}
-        dX = layers.conv_backward(conv_cache, d_fmap, conv_grads)
-        grads_fwd = {name: grads[f"fwd.{name}"] for name in self.fwd.blocks()}
-        grads_bwd = {name: grads[f"bwd.{name}"] for name in self.bwd.blocks()}
-        dX += layers.bilstm_backward(bi_cache, d_h_fwd, d_h_bwd, grads_fwd, grads_bwd)
-        layers.embedding_backward(ids, dX, grads["embedding"])
+        dX = layers.conv_backward(conv_cache, d_fmap, grads.conv)
+        dX += layers.bilstm_backward(bi_cache, d_h_fwd, d_h_bwd, grads.fwd, grads.bwd)
+        layers.embedding_backward(ids, dX, grads.embedding)
 
-    def _logits(self, indices: Sequence[int], true_len: int) -> np.ndarray:
-        """Inference logits (C,) of one encoded utterance, run as a batch of one."""
-        return self.forward([indices], [true_len])[0][0]
+    def _infer(self, samples) -> np.ndarray:
+        """Inference logits (N, C) of encoded samples, each starting (indices,
+        true_len), run one at a time as a batch of one: a row then never
+        depends on its batchmates. ``samples`` may be a generator."""
+        return np.concatenate([self.forward([s[0]], [s[1]])[0] for s in samples])
 
     def loss(self, sample) -> float:
-        indices, true_len, gold = sample
-        return float(cross_entropy(self._logits(indices, true_len), gold)[0])
+        return float(cross_entropy(self._infer([sample]), [sample[2]])[0][0])
 
     def loss_and_gradients(self, samples, training: bool = False, rng: Rng | None = None):
         """Per-sample losses of a batch of encoded samples, and the batch's
@@ -211,13 +220,15 @@ class HybridModel:
         indices, true_len, gold = zip(*samples)
         logits, caches = self.forward(indices, true_len, training=training, rng=rng)
         losses, d_logits = cross_entropy(logits, gold)
-        grads = {name: np.zeros_like(arr) for name, arr in self.parameters().items()}
+        grads = HybridModel(self.vocab, self.labels, self.embed_dim, self.hidden,
+                            self.filters, self.max_len, rng=None,
+                            dropout_rate=self.dropout_rate, dtype=self.dtype)
         self._backward(caches, d_logits, grads)
-        return losses.tolist(), grads
+        return losses.tolist(), grads.parameters()
 
     def predict(self, text: str):
         """Top label (lowest index on ties) and the full probability vector."""
-        logits = self._logits(*encode(text, self.vocab, self.max_len))
+        logits = self._infer([encode(text, self.vocab, self.max_len)])[0]
         return self.labels[int(np.argmax(logits))], softmax(logits)
 
     # -- persistence --------------------------------------------------------
@@ -345,13 +356,11 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
 
 
 def _validate(model: HybridModel, dev_set) -> tuple[float, float]:
-    loss_sum = 0.0
-    correct = 0
-    for indices, true_len, gold in dev_set:
-        logits = model._logits(indices, true_len)
-        loss_sum += float(cross_entropy(logits, gold)[0])
-        if int(np.argmax(logits)) == gold:
-            correct += 1
+    """Mean loss, summed in ``dev_set`` order, and accuracy over the dev set."""
+    gold = np.array([sample[2] for sample in dev_set])
+    logits = model._infer(dev_set)
+    loss_sum = functools.reduce(operator.add, cross_entropy(logits, gold)[0].tolist(), 0.0)
+    correct = int(np.sum(logits.argmax(axis=1) == gold))
     return loss_sum / len(dev_set), correct / len(dev_set)
 
 
@@ -424,13 +433,10 @@ def evaluate(model: HybridModel, records: Sequence[Utterance]) -> EvalReport:
     unknown = {utt.label for utt in records} - set(model.labels)
     if unknown:
         raise CorpusError(f"labels absent from the model: {sorted(unknown)}")
-    gold = []
-    predicted = []
-    for utt in records:
-        logits = model._logits(*encode(utt.text, model.vocab, model.max_len))
-        gold.append(model.label_index[utt.label])
-        predicted.append(int(np.argmax(logits)))
-    return report_from_pairs(gold, predicted, model.labels)
+    # each utterance is encoded just before its own forward pass
+    logits = model._infer(encode(utt.text, model.vocab, model.max_len) for utt in records)
+    gold = [model.label_index[utt.label] for utt in records]
+    return report_from_pairs(gold, logits.argmax(axis=1).tolist(), model.labels)
 
 
 # ---------------------------------------------------------------------------

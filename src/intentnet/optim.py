@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -142,7 +143,8 @@ def gradient_check(model, sample, eps: float = 1e-5) -> GradCheckResult:
     ``model`` must expose ``parameters() -> dict[str, ndarray]``,
     ``loss(sample) -> float`` and ``loss_and_gradients(samples)``, which
     is given a batch of one; the parameter arrays are perturbed in place and
-    restored. Run in float64 with dropout disabled, on small shapes.
+    restored. Run in float64 with dropout disabled, on small shapes. A
+    non-finite error (a NaN or infinite gradient or loss) counts as infinite.
     """
     (base_loss,), analytic = model.loss_and_gradients([sample])
     if not np.isfinite(base_loss):
@@ -162,6 +164,6 @@ def gradient_check(model, sample, eps: float = 1e-5) -> GradCheckResult:
             numeric = (plus - minus) / (2.0 * eps)
             a = float(analytic[name][idx])
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
+            worst = max(worst, err if math.isfinite(err) else math.inf)
         per_block[name] = worst
     return GradCheckResult(max_error=max(per_block.values()), per_block=per_block)

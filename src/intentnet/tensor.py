@@ -61,7 +61,8 @@ class Rng:
         return self.next_u64() % n
 
     def uniform(self, low: float, high: float, shape, dtype=np.float64):
-        """Uniform samples in [low, high) of the given shape."""
+        """Uniform samples in [low, high) of the given shape: one ``random()``
+        draw per element, in row-major order."""
         count = int(np.prod(shape))
         draws = np.array([self.random() for _ in range(count)], dtype=np.float64)
         out = low + (high - low) * draws
@@ -98,11 +99,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def uniform_init(rng: Rng | None, shape, limit: float, dtype=np.float32) -> np.ndarray:
-    """i.i.d. uniform entries in [-limit, +limit]; deterministic given the seed.
-    Zeros, with nothing drawn, when ``rng`` is None (for values to be overwritten)."""
+def uniform_init(rng: Rng, shape, limit: float, dtype=np.float32) -> np.ndarray:
+    """i.i.d. uniform entries in [-limit, +limit]; deterministic given the seed."""
     if limit <= 0:
         raise ValueError("limit must be positive")
-    if rng is None:
-        return np.zeros(shape, dtype=dtype)
     return rng.uniform(-limit, limit, shape=shape, dtype=dtype)

@@ -72,11 +72,6 @@ def scalar_lstm_cell(x, h_prev, c_prev, p):
     return np.array(h), np.array(c)
 
 
-def zero_grads(blocks):
-    """A zeroed gradient dict mirroring a layer's parameter blocks."""
-    return {name: np.zeros_like(arr) for name, arr in blocks.items()}
-
-
 def decode(indices, vocab):
     """Inverse of ``data.encode`` for in-vocabulary text (padding dropped)."""
     return "".join(vocab.tokens[i] for i in indices if i != PAD_INDEX)

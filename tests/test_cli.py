@@ -226,6 +226,21 @@ class TestGradcheckCommand:
         assert np.isfinite(worst)
         assert rc in (0, 3)
 
+    def test_nan_gradient_fails_with_exit_3(self, capsys, monkeypatch):
+        original = HybridModel.loss_and_gradients
+
+        def nan_out_weight(self, samples, training=False, rng=None):
+            losses, grads = original(self, samples, training, rng)
+            grads["out.weight"][...] = np.nan
+            return losses, grads
+
+        monkeypatch.setattr(HybridModel, "loss_and_gradients", nan_out_weight)
+        rc = main(["gradcheck", "--seeds", "2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 3
+        assert ["out.weight", "inf"] in [line.split() for line in lines]
+        assert lines[-1].startswith("worst relative error: inf (FAIL")
+
     @pytest.mark.parametrize("flag, value", [
         ("--eps", "0"), ("--eps", "-1e-5"), ("--eps", "nan"), ("--eps", "inf"),
         ("--seeds", "0"), ("--seeds", "-2"), ("--seeds", "1.5"),
@@ -318,3 +333,25 @@ class TestUsageErrors:
     def test_unwritable_output_is_data_error(self, toy_corpus_dir, tmp_path, capsys):
         assert main(["train", "--corpus", str(toy_corpus_dir),
                      "--out", str(tmp_path / "no_dir" / "m.bin"), *FAST_TRAIN]) == 2
+
+    def test_output_directory_is_data_error_before_training(self, toy_corpus_dir, tmp_path,
+                                                            capsys):
+        out_dir = tmp_path / "models"
+        out_dir.mkdir()
+        rc = main(["train", "--corpus", str(toy_corpus_dir), "--out", str(out_dir),
+                   *FAST_TRAIN])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""  # no epoch ran
+        assert captured.err == f"data error: output path is a directory: {out_dir}\n"
+
+    def test_history_equal_to_out_is_usage_error_before_training(self, toy_corpus_dir,
+                                                                 tmp_path, capsys):
+        out = tmp_path / "m.bin"
+        rc = main(["train", "--corpus", str(toy_corpus_dir), "--out", str(out),
+                   "--history", str(tmp_path / "." / "m.bin"), *FAST_TRAIN])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+        assert not out.exists()

@@ -18,9 +18,7 @@ from intentnet.layers import (
     dropout_backward,
     embedding_backward,
     embedding_forward,
-    init_conv_params,
-    init_dense_params,
-    init_lstm_params,
+    init_weights,
     lstm_cell_backward,
     lstm_cell_forward,
     maxpool_backward,
@@ -28,14 +26,15 @@ from intentnet.layers import (
 )
 from intentnet.tensor import Rng
 
-from helpers import max_rel_error, numeric_gradient, scalar_lstm_cell, zero_grads
+from helpers import max_rel_error, numeric_gradient, scalar_lstm_cell
 
 GRAD_TOL = 1e-4
 N_SEEDS = 20
 
 
 def random_lstm_params(rng, k, hidden):
-    p = init_lstm_params(rng, k, hidden, dtype=np.float64)
+    p = LSTMParams(k, hidden, np.float64)
+    init_weights(rng, p)
     # randomize biases too so the check does not run at a special point
     blocks = p.blocks()
     for name in ("b_f", "b_i", "b_g", "b_o"):
@@ -227,9 +226,10 @@ class TestBiLSTM:
             return float(np.sum(gf * h_fwd + gb * h_bwd))
 
         _, _, cache = bilstm_forward(X, lengths, p_fwd, p_bwd)
-        grads_fwd = zero_grads(p_fwd.blocks())
-        grads_bwd = zero_grads(p_bwd.blocks())
+        grads_fwd = LSTMParams(k, hidden, np.float64)
+        grads_bwd = LSTMParams(k, hidden, np.float64)
         dX = bilstm_backward(cache, gf.copy(), gb.copy(), grads_fwd, grads_bwd)
+        grads_fwd, grads_bwd = grads_fwd.blocks(), grads_bwd.blocks()
 
         assert max_rel_error(dX, numeric_gradient(loss, X)) < GRAD_TOL
         for name, arr in p_fwd.blocks().items():
@@ -258,7 +258,8 @@ class TestConv:
 
     def test_output_length_is_true_len_minus_two(self):
         rng = Rng(6)
-        p = init_conv_params(rng, 2, 3, dtype=np.float64)
+        p = ConvParams(filters=np.zeros((3, CONV_WIDTH, 2)), bias=np.zeros(3))
+        init_weights(rng, p)
         X = rng.uniform(-1, 1, (2, 8, 2))
         for true_len in range(3, 9):
             # the batch's longest length sets the width
@@ -266,7 +267,8 @@ class TestConv:
             assert fmap.shape == (2, true_len - 2, 3)
 
     def test_short_input_rejected(self):
-        p = init_conv_params(Rng(0), 2, 1, dtype=np.float64)
+        p = ConvParams(filters=np.zeros((1, CONV_WIDTH, 2)), bias=np.zeros(1))
+        init_weights(Rng(0), p)
         with pytest.raises(ValueError):
             conv_forward(np.zeros((1, 4, 2)), p, [2])
         with pytest.raises(ValueError):
@@ -280,7 +282,8 @@ class TestConv:
         n = 3 + rng.integer(4)
         batch = 1 + rng.integer(3)
         lengths = [3 + rng.integer(n - 2) for _ in range(batch)]
-        p = init_conv_params(rng, k, n_filters, dtype=np.float64)
+        p = ConvParams(filters=np.zeros((n_filters, CONV_WIDTH, k)), bias=np.zeros(n_filters))
+        init_weights(rng, p)
         p.bias[:] = rng.uniform(-0.3, 0.3, (n_filters,))
         X = rng.uniform(-1, 1, (batch, n, k))
         g = rng.uniform(-1, 1, (batch, max(lengths) - 2, n_filters))
@@ -290,12 +293,12 @@ class TestConv:
             return float(np.sum(g * fmap))
 
         _, cache = conv_forward(X, p, lengths)
-        grads = zero_grads(p.blocks())
+        grads = ConvParams(filters=np.zeros_like(p.filters), bias=np.zeros_like(p.bias))
         dX = conv_backward(cache, g.copy(), grads)
 
         assert max_rel_error(dX, numeric_gradient(loss, X)) < GRAD_TOL
-        assert max_rel_error(grads["filters"], numeric_gradient(loss, p.filters)) < GRAD_TOL
-        assert max_rel_error(grads["bias"], numeric_gradient(loss, p.bias)) < GRAD_TOL
+        assert max_rel_error(grads.filters, numeric_gradient(loss, p.filters)) < GRAD_TOL
+        assert max_rel_error(grads.bias, numeric_gradient(loss, p.bias)) < GRAD_TOL
 
 
 class TestMaxPool:
@@ -350,7 +353,8 @@ class TestDense:
 
     def test_matches_naive_dot(self):
         rng = Rng(8)
-        p = init_dense_params(rng, 4, 3, dtype=np.float64)
+        p = DenseParams(weight=np.zeros((4, 3)), bias=np.zeros(3))
+        init_weights(rng, p)
         vec = rng.uniform(-1, 1, (2, 4))
         logits = dense_forward(vec, p)
         naive = [[
@@ -372,7 +376,8 @@ class TestDense:
         dim = 1 + rng.integer(6)
         classes = 1 + rng.integer(4)
         batch = 1 + rng.integer(3)
-        p = init_dense_params(rng, dim, classes, dtype=np.float64)
+        p = DenseParams(weight=np.zeros((dim, classes)), bias=np.zeros(classes))
+        init_weights(rng, p)
         p.bias[:] = rng.uniform(-0.3, 0.3, (classes,))
         vec = rng.uniform(-1, 1, (batch, dim))
         g = rng.uniform(-1, 1, (batch, classes))
@@ -380,11 +385,11 @@ class TestDense:
         def loss():
             return float(np.sum(g * dense_forward(vec, p)))
 
-        grads = zero_grads(p.blocks())
+        grads = DenseParams(weight=np.zeros_like(p.weight), bias=np.zeros_like(p.bias))
         d_vec = dense_backward(vec, p, g.copy(), grads)
         assert max_rel_error(d_vec, numeric_gradient(loss, vec)) < GRAD_TOL
-        assert max_rel_error(grads["weight"], numeric_gradient(loss, p.weight)) < GRAD_TOL
-        assert max_rel_error(grads["bias"], numeric_gradient(loss, p.bias)) < GRAD_TOL
+        assert max_rel_error(grads.weight, numeric_gradient(loss, p.weight)) < GRAD_TOL
+        assert max_rel_error(grads.bias, numeric_gradient(loss, p.bias)) < GRAD_TOL
 
 
 class TestDropout:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +169,8 @@ class TestBatch:
         samples = mixed_batch(model)
         logits, _ = model.forward([s[0] for s in samples], [s[1] for s in samples])
         for row, (indices, true_len, _) in zip(logits, samples):
-            npt.assert_allclose(row, model._logits(indices, true_len), rtol=1e-12, atol=1e-15)
+            npt.assert_allclose(row, model._infer([(indices, true_len)])[0], rtol=1e-12,
+                                atol=1e-15)
         # the same utterance beside batchmates of other lengths
         first = samples[0]
         for mate in samples[1:]:
@@ -214,6 +216,27 @@ class TestPredict:
         label, probs = model.predict("ZZZ")
         assert label in model.labels
         assert abs(float(probs.sum()) - 1.0) < 1e-6
+
+
+class TestInferenceAgreement:
+    def test_predict_evaluate_and_dev_pass_agree_exactly(self):
+        model = tiny_model()
+        texts = ["a", "gfedcbagfe", "bcd", "ZZ", "abcdefgab", "ee", "c", "fedcba"]
+        assert min(map(len, texts)) == 1 and max(map(len, texts)) > model.max_len
+        records = [Utterance(id=k, text=text, label=model.labels[k % model.num_classes])
+                   for k, text in enumerate(texts)]
+        dev_set = encode_dataset(records, model.vocab, model.max_len, model.label_index)
+
+        val_loss, val_accuracy = model_module._validate(model, dev_set)
+        loss_sum = 0.0
+        for sample in dev_set:  # in dev_set order
+            loss_sum += model.loss(sample)
+        assert val_loss == loss_sum / len(dev_set)
+        predicted = [model.label_index[model.predict(utt.text)[0]] for utt in records]
+        gold = [model.label_index[utt.label] for utt in records]
+        assert val_accuracy == sum(p == g for p, g in zip(predicted, gold)) / len(records)
+        expected = report_from_pairs(gold, predicted, model.labels).confusion
+        npt.assert_array_equal(evaluate(model, records).confusion, expected)
 
 
 class TestTraining:
@@ -510,6 +533,21 @@ class TestSerialization:
         tiny_model().save(path)
         rewrite_container(path, edit)
         with pytest.raises(ContainerError, match="model.bin"):
+            HybridModel.load(path)
+
+    def test_duplicated_block_is_container_error(self, tmp_path):
+        path = tmp_path / "model.bin"
+        tiny_model().save(path)
+        payload = path.read_bytes()[:-8]
+        # a second out.bias, of 7s, after every block the file holds
+        count_at = 8 + struct.unpack_from("<I", payload, 4)[0]
+        n_blocks = struct.unpack_from("<I", payload, count_at)[0]
+        extra = (struct.pack("<H", 8) + b"out.bias" + struct.pack("<BI", 1, 4)
+                 + np.full(4, 7, dtype="<f4").tobytes())
+        payload = (payload[:count_at] + struct.pack("<I", n_blocks + 1)
+                   + payload[count_at + 4:] + extra)
+        path.write_bytes(payload + struct.pack("<Q", container.fnv1a64(payload)))
+        with pytest.raises(ContainerError, match="model.bin: block 'out.bias' appears twice"):
             HybridModel.load(path)
 
     def test_kind_tag_enforced(self, tmp_path):

@@ -202,6 +202,29 @@ class TestGradientCheck:
         assert result.per_block["out.weight"] > 1e-2
         assert not result.passed
 
+    def test_nan_gradient_counts_as_infinite_error(self):
+        class NaNWeight:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def parameters(self):
+                return self._inner.parameters()
+
+            def loss(self, sample):
+                return self._inner.loss(sample)
+
+            def loss_and_gradients(self, samples):
+                losses, grads = self._inner.loss_and_gradients(samples)
+                grads["out.weight"] = np.full_like(grads["out.weight"], np.nan)
+                return losses, grads
+
+        model = down_scaled_model(seed=1)
+        sample = random_check_sample(1, model)
+        result = gradient_check(NaNWeight(model), sample)
+        assert result.per_block["out.weight"] == np.inf
+        assert result.max_error == np.inf
+        assert not result.passed
+
     def test_pad_embedding_row_has_zero_gradient_both_ways(self):
         model = down_scaled_model(seed=2)
         sample = ([0, 2, 3, 0, 4], 5, 1)  # PAD inside the effective length

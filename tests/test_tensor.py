@@ -74,11 +74,6 @@ class TestUniformInit:
         x = uniform_init(Rng(2), (100_000,), 1.0, dtype=np.float64)
         assert abs(x.mean()) < 0.02
 
-    def test_no_stream_gives_zeros(self):
-        x = uniform_init(None, (3, 2), 0.5)
-        assert x.dtype == np.float32
-        npt.assert_array_equal(x, np.zeros((3, 2)))
-
     def test_nonpositive_limit_rejected(self):
         with pytest.raises(ValueError):
             uniform_init(Rng(0), (2,), 0.0)

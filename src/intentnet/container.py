@@ -55,6 +55,7 @@ def write_container(path, header: dict, blocks: dict[str, np.ndarray]) -> None:
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the named blocks, as read-only views of the file's bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16 or raw[:4] != MAGIC:
@@ -99,8 +100,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         if ndim > 3:  # the most any block has (the convolution filters)
             raise ContainerError(f"{path}: block {name!r} has {ndim} axes")
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape).copy()
-        blocks[name] = arr
+        blocks[name] = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
     if offset != len(payload):
         raise ContainerError(f"{path}: trailing bytes in container")
     return header, blocks

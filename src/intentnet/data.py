@@ -172,22 +172,20 @@ def build_vocab(train: Sequence[Utterance], min_count: int = 1) -> Vocab:
 
 
 def encode(text: str, vocab: Vocab, max_len: int) -> tuple[list[int], int]:
-    """Index sequence of length ``max_len`` plus the effective length.
+    """Index sequence plus its length, the effective length.
 
     Out-of-vocabulary characters map to UNK; the sequence is truncated at
-    ``max_len`` and right-padded with PAD. The effective length is floored at
-    MIN_ENCODED_LEN so downstream convolution windows always exist: those
-    floor positions are PAD and stay inside the effective length on purpose.
+    ``max_len`` and right-padded with PAD up to MIN_ENCODED_LEN, so
+    downstream convolution windows always exist: those floor positions are
+    PAD and stay inside the effective length on purpose.
     """
     if max_len < MIN_ENCODED_LEN:
         raise ValueError(f"max_len must be >= {MIN_ENCODED_LEN}")
     if not text:
         raise ValueError("cannot encode empty text")
-    tokens = tokenize(text)[:max_len]
-    true_len = max(len(tokens), MIN_ENCODED_LEN)
-    indices = [vocab.lookup(tok) for tok in tokens]
-    indices.extend([PAD_INDEX] * (max_len - len(indices)))
-    return indices, true_len
+    indices = [vocab.lookup(tok) for tok in tokenize(text)[:max_len]]
+    indices.extend([PAD_INDEX] * (MIN_ENCODED_LEN - len(indices)))
+    return indices, len(indices)
 
 
 @dataclass

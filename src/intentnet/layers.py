@@ -372,16 +372,16 @@ def dense_backward(vec: np.ndarray, p: DenseParams, d_logits: np.ndarray,
     return d_logits @ p.weight.T
 
 
-def dropout(x: np.ndarray, rate: float, training: bool, rng: Rng | None):
+def dropout(x: np.ndarray, rate: float, rng: Rng | None):
     """Inverted dropout: zero with probability ``rate``, scale survivors.
 
     The mask comes from ``rng.uniform``, one draw per element in row-major
     order, so a (B, F) batch gets the masks of B one-row calls made in turn.
-    Inference (or rate 0) is the identity and draws nothing from ``rng``.
+    Without ``rng`` (inference), or at rate 0, it is the identity: no draws.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x, None
     keep = rng.uniform(0.0, 1.0, x.shape) >= rate
     mask = keep.astype(x.dtype) / (1.0 - rate)

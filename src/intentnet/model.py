@@ -161,18 +161,21 @@ class HybridModel:
         for name, arr in own.items():
             if np.shape(values[name]) != arr.shape:
                 raise ValueError(f"block {name} is {np.shape(values[name])}, not {arr.shape}")
+            if not np.isfinite(values[name]).all():
+                raise ValueError(f"block {name} holds a non-finite value")
         for name, arr in own.items():
             arr[...] = values[name]
 
     def forward(self, indices: Sequence[Sequence[int]], true_len: Sequence[int],
-                training: bool = False, rng: Rng | None = None):
+                rng: Rng | None = None):
         """Class logits (B, C) of B encoded utterances, plus the caches the
         backward pass consumes.
 
         ``indices`` holds the B index sequences and ``true_len`` their
         effective lengths. Each sequence is cut at its length and the batch
         is padded with PAD to the longest, T, so what lies past a length
-        never reaches the logits.
+        never reaches the logits. Dropout draws its masks from ``rng``, and
+        is off without one.
         """
         if len(indices) != len(true_len):
             raise ValueError(f"{len(indices)} sequences but {len(true_len)} lengths")
@@ -187,7 +190,7 @@ class HybridModel:
         n_windows = np.asarray(true_len) - (layers.CONV_WIDTH - 1)
         pooled, argmax = layers.maxpool_over_time(fmap, n_windows)
         fused = np.concatenate([h_fwd, h_bwd, pooled], axis=1)
-        dropped, mask = layers.dropout(fused, self.dropout_rate, training, rng)
+        dropped, mask = layers.dropout(fused, self.dropout_rate, rng)
         logits = layers.dense_forward(dropped, self.dense)
         caches = (bi_cache, conv_cache, argmax, fmap.shape[1], dropped, mask, ids)
         return logits, caches
@@ -214,11 +217,11 @@ class HybridModel:
     def loss(self, sample) -> float:
         return float(cross_entropy(self._infer([sample]), [sample[2]])[0][0])
 
-    def loss_and_gradients(self, samples, training: bool = False, rng: Rng | None = None):
+    def loss_and_gradients(self, samples, rng: Rng | None = None):
         """Per-sample losses of a batch of encoded samples, and the batch's
         summed parameter gradients. One batched forward and one batched backward."""
         indices, true_len, gold = zip(*samples)
-        logits, caches = self.forward(indices, true_len, training=training, rng=rng)
+        logits, caches = self.forward(indices, true_len, rng=rng)
         losses, d_logits = cross_entropy(logits, gold)
         grads = HybridModel(self.vocab, self.labels, self.embed_dim, self.hidden,
                             self.filters, self.max_len, rng=None,
@@ -255,6 +258,12 @@ class HybridModel:
         if header.get("kind") != "hybrid":
             raise CorpusError(f"{path}: expected a hybrid model, found {header.get('kind')!r}")
         try:
+            # sizes the blocks do not hold would allocate more than the file has
+            held = (*blocks["embedding"].shape[1:], *blocks["fwd.w_hi"].shape[:1],
+                    *blocks["conv.bias"].shape)
+            sizes = tuple(header[key] for key in ("embed_dim", "hidden", "filters"))
+            if sizes != held:
+                raise ValueError(f"header sizes {sizes} differ from the blocks' {held}")
             model = cls(
                 vocab=Vocab(header["vocab"]),
                 labels=header["labels"],
@@ -317,7 +326,6 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
     dropout_rng = root.spawn(_STREAM_DROPOUT)
     history: list[optim.EpochRecord] = []
     lr = config.lr
-    best_f1 = -float("inf")
 
     for epoch in range(1, config.max_epochs + 1):
         order = root.spawn(_STREAM_SHUFFLE_BASE + epoch).permutation(len(train_set))
@@ -325,7 +333,7 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             losses, grads = model.loss_and_gradients(
-                [train_set[i] for i in batch], training=True, rng=dropout_rng)
+                [train_set[i] for i in batch], rng=dropout_rng)
             for sample_idx, loss in zip(batch, losses):
                 if not math.isfinite(loss):
                     raise NumericError(
@@ -334,7 +342,10 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
             for name in grads:
                 grads[name] /= len(batch)
             optim.clip_by_global_norm(grads, config.clip_norm)
-            optim.adam_step(params, grads, state, lr)
+            try:
+                optim.adam_step(params, grads, state, lr)
+            except NumericError as exc:
+                raise NumericError(f"{exc} at epoch {epoch}, samples {batch.tolist()}") from exc
 
         val_loss, val_f1 = _validate(model, dev_set)
         record = optim.EpochRecord(epoch=epoch, train_loss=loss_sum / len(train_set),
@@ -342,8 +353,7 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
         history.append(record)
         if log is not None:
             log(record)
-        if val_f1 > best_f1 + optim.MIN_DELTA:  # always true at epoch 1
-            best_f1 = val_f1
+        if not optim.should_stop(history, patience=1):  # val_f1 improved; always at epoch 1
             best_params = {name: arr.copy() for name, arr in params.items()}
         lr = optim.reduce_lr_on_plateau(history, factor=config.lr_factor,
                                         patience=config.plateau_patience,

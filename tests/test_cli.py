@@ -64,6 +64,15 @@ class TestTrainCommand:
             assert record["epoch"] == epoch
             assert set(record) == {"epoch", "train_loss", "val_loss", "val_f1", "lr"}
 
+    def test_max_len_only_truncates(self, toy_corpus_dir, tmp_path):
+        # padding every utterance to 2**61 slots would fail to allocate
+        out = tmp_path / "m.bin"
+        rc = main(["train", "--corpus", str(toy_corpus_dir), "--out", str(out),
+                   *FAST_TRAIN, "--max-len", str(2**61)])
+        assert rc == 0
+        assert HybridModel.load(out).max_len == 2**61
+        assert main(["predict", "--model", str(out), "--text", "abc"]) == 0
+
     def test_default_history_path(self, toy_corpus_dir, tmp_path):
         out = tmp_path / "m.bin"
         rc = main(["train", "--corpus", str(toy_corpus_dir), "--out", str(out), *FAST_TRAIN])
@@ -229,8 +238,8 @@ class TestGradcheckCommand:
     def test_nan_gradient_fails_with_exit_3(self, capsys, monkeypatch):
         original = HybridModel.loss_and_gradients
 
-        def nan_out_weight(self, samples, training=False, rng=None):
-            losses, grads = original(self, samples, training, rng)
+        def nan_out_weight(self, samples, rng=None):
+            losses, grads = original(self, samples, rng)
             grads["out.weight"][...] = np.nan
             return losses, grads
 
@@ -320,6 +329,11 @@ class TestUsageErrors:
         pytest.param(lambda h, b: b.pop("out.bias"), id="missing-block"),
         pytest.param(lambda h, b: b.update({"out.bias": b["out.bias"][:1]}), id="short-bias"),
         pytest.param(lambda h, b: h.update(dropout="x"), id="string-dropout"),
+        pytest.param(lambda h, b: b.update({"out.bias": b["out.bias"] * np.nan}), id="nan-weight"),
+        pytest.param(lambda h, b: b.update({"conv.filters": b["conv.filters"] + np.inf}),
+                     id="inf-weight"),
+        pytest.param(lambda h, b: h.update(embed_dim=2**45), id="huge-embed-dim"),
+        pytest.param(lambda h, b: h.update(hidden=2**45), id="huge-hidden"),
     ])
     def test_hand_edited_model_is_data_error(self, trained_model_path, tmp_path, capsys,
                                              edit):

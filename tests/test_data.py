@@ -119,7 +119,7 @@ class TestEncode:
 
     def test_short_text_floors_length_at_three(self, vocab):
         indices, true_len = encode("ab", vocab, max_len=5)
-        assert indices == [vocab.lookup("a"), vocab.lookup("b"), PAD_INDEX, PAD_INDEX, PAD_INDEX]
+        assert indices == [vocab.lookup("a"), vocab.lookup("b"), PAD_INDEX]
         assert true_len == 3
 
     def test_truncation(self, vocab):
@@ -130,7 +130,7 @@ class TestEncode:
 
     def test_all_unknown(self, vocab):
         indices, true_len = encode("xyz", vocab, max_len=4)
-        assert indices == [UNK_INDEX, UNK_INDEX, UNK_INDEX, PAD_INDEX]
+        assert indices == [UNK_INDEX, UNK_INDEX, UNK_INDEX]
         assert true_len == 3
 
     def test_empty_text_rejected(self, vocab):

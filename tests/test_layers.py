@@ -395,38 +395,38 @@ class TestDense:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = np.ones((3, 2))
-        y, mask = dropout(x, 0.0, training=True, rng=Rng(0))
+        y, mask = dropout(x, 0.0, rng=Rng(0))
         npt.assert_array_equal(y, x)
         assert mask is None
 
     def test_inference_identity(self):
         x = np.ones(5)
-        y, mask = dropout(x, 0.9, training=False, rng=None)
+        y, mask = dropout(x, 0.9, rng=None)
         npt.assert_array_equal(y, x)
         assert mask is None
 
     def test_inverted_scaling_preserves_mean(self):
         x = np.ones(100_000)
-        y, _ = dropout(x, 0.5, training=True, rng=Rng(13))
+        y, _ = dropout(x, 0.5, rng=Rng(13))
         assert abs(y.mean() - 1.0) < 0.02
         # survivors are exactly scaled by 1/(1-rate)
         assert set(np.unique(y)) == {0.0, 2.0}
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
-            dropout(np.ones(2), 1.0, training=True, rng=Rng(0))
+            dropout(np.ones(2), 1.0, rng=Rng(0))
 
     def test_backward_applies_same_mask(self):
         rng = Rng(9)
         x = rng.uniform(-1, 1, (10,))
-        y, mask = dropout(x, 0.4, training=True, rng=rng)
+        y, mask = dropout(x, 0.4, rng=rng)
         d_out = rng.uniform(-1, 1, (10,))
         npt.assert_array_equal(dropout_backward(d_out, mask), d_out * mask)
         npt.assert_array_equal(dropout_backward(d_out, None), d_out)
 
     def test_batch_draws_the_masks_of_sequential_rows(self):
         x = np.ones((4, 7))
-        _, batched = dropout(x, 0.5, training=True, rng=Rng(21))
+        _, batched = dropout(x, 0.5, rng=Rng(21))
         rng = Rng(21)
-        rows = [dropout(row, 0.5, training=True, rng=rng)[1] for row in x]
+        rows = [dropout(row, 0.5, rng=rng)[1] for row in x]
         npt.assert_array_equal(batched, np.stack(rows))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -121,8 +122,8 @@ class TestGradientBuffer:
         calls = []
         original = HybridModel.loss_and_gradients
 
-        def spy(self, samples, training=False, rng=None):
-            losses, returned = original(self, samples, training, rng)
+        def spy(self, samples, rng=None):
+            losses, returned = original(self, samples, rng)
             calls.append((self, samples, returned))
             return losses, returned
 
@@ -303,8 +304,8 @@ class TestTraining:
         original = HybridModel.loss_and_gradients
         batches = []
 
-        def poisoned(self, samples, training=False, rng=None):
-            losses, grads = original(self, samples, training, rng)
+        def poisoned(self, samples, rng=None):
+            losses, grads = original(self, samples, rng)
             batches.append(samples)
             if len(batches) == 2:
                 losses[1] = losses[3] = float("nan")
@@ -314,6 +315,24 @@ class TestTraining:
         config = fast_config(max_epochs=2, batch_size=4)
         order = Rng(config.seed).spawn(model_module._STREAM_SHUFFLE_BASE + 1).permutation(18)
         with pytest.raises(NumericError, match=rf"epoch 1, sample {order[5]}$"):
+            train(config, tiny_corpus())
+
+    def test_non_finite_gradient_names_block_epoch_and_samples(self, monkeypatch):
+        original = HybridModel.loss_and_gradients
+        batches = []
+
+        def poisoned(self, samples, rng=None):
+            losses, grads = original(self, samples, rng)
+            batches.append(samples)
+            if len(batches) == 2:
+                grads["out.weight"][0, 0] = np.nan
+            return losses, grads
+
+        monkeypatch.setattr(HybridModel, "loss_and_gradients", poisoned)
+        config = fast_config(max_epochs=2, batch_size=4)
+        order = Rng(config.seed).spawn(model_module._STREAM_SHUFFLE_BASE + 1).permutation(18)
+        message = f"non-finite gradient in out.weight at epoch 1, samples {order[4:8].tolist()}"
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
             train(config, tiny_corpus())
 
     def test_dev_label_missing_from_train_rejected(self):
@@ -512,6 +531,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="out.bias"):
             model.set_parameters(values)
 
+    def test_set_parameters_names_a_non_finite_block(self):
+        model = tiny_model()
+        values = {name: arr.copy() for name, arr in model.parameters().items()}
+        values["fwd.w_hg"][1, 0] = np.inf
+        with pytest.raises(ValueError, match="block fwd.w_hg holds a non-finite value"):
+            model.set_parameters(values)
+
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda h, b: b.pop("conv.bias"), id="missing-block"),
         pytest.param(lambda h, b: b.update(extra=np.zeros(2)), id="extra-block"),
@@ -527,6 +553,12 @@ class TestSerialization:
         pytest.param(lambda h, b: h.pop("dropout"), id="missing-dropout"),
         pytest.param(lambda h, b: h.update(dropout="x"), id="string-dropout"),
         pytest.param(lambda h, b: h.update(dropout=2.0), id="dropout-out-of-range"),
+        pytest.param(lambda h, b: b.update({"out.bias": b["out.bias"] * np.nan}), id="nan-weight"),
+        pytest.param(lambda h, b: b.update({"conv.filters": b["conv.filters"] + np.inf}),
+                     id="inf-weight"),
+        # sizes that fail to allocate unless the blocks are checked first
+        pytest.param(lambda h, b: h.update(embed_dim=2**45), id="huge-embed-dim"),
+        pytest.param(lambda h, b: h.update(hidden=2**45), id="huge-hidden"),
     ])
     def test_unbuildable_file_is_container_error(self, tmp_path, edit):
         path = tmp_path / "model.bin"

@@ -45,13 +45,13 @@ _VOCAB = Vocab(["<pad>", "<unk>", "a", "b", "c"])
 
 
 @given(text=st.text(min_size=1, max_size=50), max_len=st.integers(MIN_ENCODED_LEN, 40))
-def test_encode_pads_after_the_text_to_max_len(text, max_len):
+def test_encode_pads_after_the_text_to_the_floor(text, max_len):
     indices, true_len = encode(text, _VOCAB, max_len)
     kept = min(len(text), max_len)
-    assert len(indices) == max_len
+    assert len(indices) == true_len
     assert true_len == min(max(len(text), MIN_ENCODED_LEN), max_len)
     assert PAD_INDEX not in indices[:kept]
-    assert indices[kept:] == [PAD_INDEX] * (max_len - kept)
+    assert indices[kept:] == [PAD_INDEX] * (true_len - kept)
 
 
 _metric = st.floats(0.0, 1.0, allow_nan=False)

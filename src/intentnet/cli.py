@@ -94,7 +94,12 @@ def _merged_config(args) -> TrainConfig:
         path = Path(args.config)
         if not path.is_file():
             raise CorpusError(f"missing config file: {path}")
-        overrides = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            overrides = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: not UTF-8 ({exc.reason})") from exc
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: malformed JSON ({exc})") from exc
         if not isinstance(overrides, dict):
             raise UsageError(f"{path}: config must be a JSON object")
         unknown = set(overrides) - set(values)

@@ -71,6 +71,8 @@ class TrainConfig:
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must be in [0, 2**64)")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if not 0.0 < self.lr_factor <= 1.0:
@@ -336,8 +338,8 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
                 [train_set[i] for i in batch], rng=dropout_rng)
             for sample_idx, loss in zip(batch, losses):
                 if not math.isfinite(loss):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch}, sample {int(sample_idx)}")
+                    raise NumericError(f"non-finite loss at epoch {epoch}, "
+                                       f"utterance id {train_records[sample_idx].id}")
                 loss_sum += loss
             for name in grads:
                 grads[name] /= len(batch)
@@ -345,7 +347,8 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
             try:
                 optim.adam_step(params, grads, state, lr)
             except NumericError as exc:
-                raise NumericError(f"{exc} at epoch {epoch}, samples {batch.tolist()}") from exc
+                ids = [train_records[i].id for i in batch]
+                raise NumericError(f"{exc} at epoch {epoch}, utterance ids {ids}") from exc
 
         val_loss, val_f1 = _validate(model, dev_set)
         record = optim.EpochRecord(epoch=epoch, train_loss=loss_sum / len(train_set),

@@ -126,6 +126,37 @@ class TestTrainCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"usage error: {config}: config must be a JSON object\n"
 
+    @pytest.mark.parametrize("body, reason", [
+        (b"{lr: 1}", "malformed JSON (Expecting property name enclosed in double quotes: "
+                     "line 1 column 2 (char 1))"),
+        (b'{"lr": 0.1\xff}', "not UTF-8 (invalid start byte)"),
+    ], ids=["invalid-json", "not-utf8"])
+    def test_unreadable_config_names_its_file(self, toy_corpus_dir, tmp_path, capsys,
+                                              body, reason):
+        config = tmp_path / "config.json"
+        config.write_bytes(body)
+        rc = main(["train", "--corpus", str(toy_corpus_dir), "--out", str(tmp_path / "m.bin"),
+                   "--config", str(config)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"usage error: {config}: {reason}\n"
+
+    @pytest.mark.parametrize("seed", [str(2 ** 64), "-1"])
+    def test_seed_outside_64_bits_is_usage_error(self, toy_corpus_dir, tmp_path, capsys,
+                                                 seed):
+        out = tmp_path / "m.bin"
+        rc = main(["train", "--corpus", str(toy_corpus_dir), "--out", str(out),
+                   "--seed", seed])
+        assert rc == 1
+        assert capsys.readouterr().err == "usage error: seed must be in [0, 2**64)\n"
+        assert not out.exists()
+
+    def test_largest_seed_trains(self, toy_corpus_dir, tmp_path):
+        out = tmp_path / "m.bin"
+        rc = main(["train", "--corpus", str(toy_corpus_dir), "--out", str(out),
+                   *FAST_TRAIN, "--epochs", "1", "--seed", str(2 ** 64 - 1)])
+        assert rc == 0
+        assert out.is_file()
+
     def test_non_utf8_corpus_is_data_error(self, tmp_path, capsys):
         (tmp_path / "train.jsonl").write_bytes(b'{"id": 1, "text": "\xff", "label": "chat"}\n')
         rc = main(["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.bin")])

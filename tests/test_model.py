@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -46,6 +47,14 @@ def zero_all(model):
 def tiny_corpus(seed=0):
     """Three-class corpus, big enough to train a couple of epochs quickly."""
     records = synthetic.separable_corpus(n_classes=3, per_class=6, seed=seed)
+    return {"train": records, "dev": records}
+
+
+def renumbered_corpus():
+    """``tiny_corpus`` with ids that differ from every record's position in
+    the sorted split, so an error that names an index instead of an id shows."""
+    records = [dataclasses.replace(utt, id=1000 - 7 * utt.id)
+               for utt in tiny_corpus()["train"]]
     return {"train": records, "dev": records}
 
 
@@ -313,9 +322,12 @@ class TestTraining:
 
         monkeypatch.setattr(HybridModel, "loss_and_gradients", poisoned)
         config = fast_config(max_epochs=2, batch_size=4)
+        corpus = renumbered_corpus()
+        records = model_module._canonical(corpus["train"])
         order = Rng(config.seed).spawn(model_module._STREAM_SHUFFLE_BASE + 1).permutation(18)
-        with pytest.raises(NumericError, match=rf"epoch 1, sample {order[5]}$"):
-            train(config, tiny_corpus())
+        with pytest.raises(NumericError,
+                           match=rf"epoch 1, utterance id {records[order[5]].id}$"):
+            train(config, corpus)
 
     def test_non_finite_gradient_names_block_epoch_and_samples(self, monkeypatch):
         original = HybridModel.loss_and_gradients
@@ -330,10 +342,13 @@ class TestTraining:
 
         monkeypatch.setattr(HybridModel, "loss_and_gradients", poisoned)
         config = fast_config(max_epochs=2, batch_size=4)
+        corpus = renumbered_corpus()
+        records = model_module._canonical(corpus["train"])
         order = Rng(config.seed).spawn(model_module._STREAM_SHUFFLE_BASE + 1).permutation(18)
-        message = f"non-finite gradient in out.weight at epoch 1, samples {order[4:8].tolist()}"
+        ids = [records[i].id for i in order[4:8]]
+        message = f"non-finite gradient in out.weight at epoch 1, utterance ids {ids}"
         with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
-            train(config, tiny_corpus())
+            train(config, corpus)
 
     def test_dev_label_missing_from_train_rejected(self):
         corpus = tiny_corpus()
@@ -361,9 +376,12 @@ class TestTrainConfig:
         ({"clip_norm": 0.0}, "clip_norm must be positive"),
         ({"clip_norm": -1.0}, "clip_norm must be positive"),
         ({"clip_norm": float("nan")}, "clip_norm must be positive"),
+        ({"seed": 2 ** 64}, r"seed must be in \[0, 2\*\*64\)"),
+        ({"seed": -1}, r"seed must be in \[0, 2\*\*64\)"),
     ], ids=["lr-below-min-lr", "negative-min-lr", "zero-lr-factor", "lr-factor-above-one",
             "str-int", "float-int", "bool-int", "str-float", "bool-float", "nan-lr",
-            "nan-min-lr", "zero-clip-norm", "negative-clip-norm", "nan-clip-norm"])
+            "nan-min-lr", "zero-clip-norm", "negative-clip-norm", "nan-clip-norm",
+            "seed-2**64", "negative-seed"])
     def test_rejected(self, override, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**override).validate()
@@ -512,8 +530,10 @@ class TestSerialization:
 
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
         draws = []
-        next_u64 = Rng.next_u64
+        next_u64, next_u64_array = Rng.next_u64, Rng.next_u64_array
         monkeypatch.setattr(Rng, "next_u64", lambda rng: draws.append(1) or next_u64(rng))
+        monkeypatch.setattr(Rng, "next_u64_array",
+                            lambda rng, n: draws.append(n) or next_u64_array(rng, n))
         model = tiny_model()
         assert draws  # building a fresh model does draw
         path = tmp_path / "model.bin"

@@ -1,8 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from intentnet.tensor import Rng, sigmoid, softmax, uniform_init
 
@@ -104,3 +107,54 @@ class TestRng:
         r = Rng(8)
         xs = [r.random() for _ in range(1000)]
         assert all(0.0 <= x < 1.0 for x in xs)
+
+
+class TestRngStream:
+    """The stream is pinned on its own, not only through seeded model bytes."""
+
+    def test_first_outputs_of_a_seed(self):
+        r = Rng(12345)
+        assert [r.next_u64() for _ in range(5)] == [
+            5183077046498735836, 3805546223250818746, 4087110861520818665,
+            17199214947194931428, 15045656883698412809]
+
+    def test_dropout_source_digest(self):
+        # the stream the dropout masks of a seed-1 training run come from
+        draws = Rng(1).spawn(2).uniform(0.0, 1.0, (10, 150))
+        assert draws.dtype == np.float64
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == (
+            "347346ec01c26c940b432fe3685ffcfa907855bc24b1e1ecd18591d6533200cd")
+
+    def test_uniform_equals_scalar_random(self):
+        a, b = Rng(4), Rng(4)
+        draws = a.uniform(-0.25, 0.75, (7, 11))
+        expected = [-0.25 + 1.0 * b.random() for _ in range(77)]
+        assert draws.ravel().tolist() == expected
+        assert a.next_u64() == b.next_u64()
+
+    def test_zero_sized_shape_draws_nothing(self):
+        a, b = Rng(9), Rng(9)
+        assert a.uniform(0.0, 1.0, (3, 0)).shape == (3, 0)
+        assert a.next_u64_array(0).dtype == np.uint64
+        assert a.next_u64() == b.next_u64()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), prior=st.integers(0, 20),
+           n=st.integers(0, 5000))
+    @example(seed=0, prior=0, n=0)
+    @example(seed=0, prior=0, n=1)
+    @example(seed=1, prior=3, n=16)
+    @example(seed=1, prior=3, n=17)
+    @example(seed=2, prior=0, n=450)
+    @example(seed=2, prior=1, n=1500)
+    @example(seed=3, prior=0, n=4097)
+    @example(seed=2 ** 64 - 1, prior=2, n=5000)
+    def test_vector_draws_equal_sequential_draws(self, seed, prior, n):
+        vector, scalar = Rng(seed), Rng(seed)
+        for _ in range(prior):
+            vector.next_u64()
+            scalar.next_u64()
+        draws = vector.next_u64_array(n)
+        assert draws.dtype == np.uint64
+        assert draws.tolist() == [scalar.next_u64() for _ in range(n)]
+        assert vector.next_u64() == scalar.next_u64()

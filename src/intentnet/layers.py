@@ -1,13 +1,13 @@
 """Network layers with explicit forward and backward passes.
 
-Every layer works on a batch of B utterances padded to the batch's longest
-effective length T: indices are (B, T), embeddings (B, T, E), and sample b's
-own positions are 0 .. L_b - 1, ``true_len[b]``. A batch of one is the same
-code. Positions past L_b are computed over but never reach an output or a
-gradient: each recurrence direction reads sample b's final state after its
-own L_b steps (the backward direction runs over each sample reversed within
-its length), max pooling masks the windows past a sample's last one, and
-the backward passes therefore give those positions exactly zero gradient.
+The model hands the layers a batch of B utterances padded to its longest
+effective length T: indices (B, T), embeddings (B, T, E); sample b's own
+positions are 0 .. L_b - 1, ``true_len[b]``, and a batch of one is the same
+code. Each layer computes over the X it is given, and only two read lengths:
+the recurrence reads sample b's final state after its own L_b steps (its
+backward direction runs over each sample reversed within its length), and
+max pooling counts only the sample's own L_b - 2 windows. Positions past L_b
+are thus computed over but reach no output, and get exactly zero gradient.
 
 Each forward returns the values the matching backward needs (a cache);
 each backward accumulates parameter gradients into a parameter object of
@@ -207,24 +207,23 @@ class BiLSTMCache(NamedTuple):
     fwd_steps: list        # CellCache per step 0..T-1 over X
     bwd_steps: list        # CellCache per step 0..T-1 over X reversed per sample
     true_len: np.ndarray   # (B,)
-    seq_len: int           # rows of X, T or more
 
 
-def _lengths(true_len, batch: int, seq_len: int, floor: int = 1) -> np.ndarray:
-    """Per-sample lengths as a (B,) int array, each within [floor, seq_len]."""
+def _lengths(true_len, batch: int, seq_len: int) -> np.ndarray:
+    """Per-sample lengths as a (B,) int array, each within [1, seq_len]."""
     lengths = np.asarray(true_len, dtype=np.intp)
     if (lengths.shape != (batch,) or not batch
-            or lengths.min() < floor or lengths.max() > seq_len):
+            or lengths.min() < 1 or lengths.max() > seq_len):
         raise ValueError(f"lengths {lengths.tolist()} out of range for "
-                         f"{batch} sequences of {seq_len} rows (at least {floor})")
+                         f"{batch} sequences of {seq_len} rows")
     return lengths
 
 
 def _reverse(X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Each sample's first L_b rows in reverse order, zeros after them:
-    ``out[b, t] = X[b, L_b - 1 - t]`` for t < L_b, over max(L) rows. On
-    those rows the gather is its own inverse."""
-    pos = lengths[:, None] - 1 - np.arange(lengths.max())
+    ``out[b, t] = X[b, L_b - 1 - t]`` for t < L_b, over X's rows. On those
+    rows the gather is its own inverse."""
+    pos = lengths[:, None] - 1 - np.arange(X.shape[1])
     out = X[np.arange(len(lengths))[:, None], np.maximum(pos, 0)]
     out[pos < 0] = 0
     return out
@@ -245,17 +244,17 @@ def _run_chain(X, p: LSTMParams):
 def bilstm_forward(X: np.ndarray, true_len, p_fwd: LSTMParams, p_bwd: LSTMParams):
     """Final (B, H) hidden states of both directions over X (B, T, E).
 
-    Both chains run max(L) steps over the whole batch, and sample b's final
-    state is read after its own L_b steps. The backward chain reads each
-    sample reversed within its length, so in both directions a sample's
-    positions past L_b come after its final state and cannot change it.
+    Both chains run T steps over the whole batch, and sample b's final state
+    is read after its own L_b steps. The backward chain reads each sample
+    reversed within its length, so in both directions a sample's positions
+    past L_b come after its final state and cannot change it.
     """
     lengths = _lengths(true_len, X.shape[0], X.shape[1])
     rows = np.arange(len(lengths))
-    fwd_states, fwd_steps = _run_chain(X[:, :lengths.max()], p_fwd)
+    fwd_states, fwd_steps = _run_chain(X, p_fwd)
     bwd_states, bwd_steps = _run_chain(_reverse(X, lengths), p_bwd)
     return (fwd_states[lengths - 1, rows], bwd_states[lengths - 1, rows],
-            BiLSTMCache(fwd_steps, bwd_steps, lengths, X.shape[1]))
+            BiLSTMCache(fwd_steps, bwd_steps, lengths))
 
 
 def _chain_backward(caches, lengths, d_final, grads: LSTMParams):
@@ -290,12 +289,10 @@ def _chain_backward(caches, lengths, d_final, grads: LSTMParams):
 def bilstm_backward(cache: BiLSTMCache, d_fwd, d_bwd, grads_fwd: LSTMParams,
                     grads_bwd: LSTMParams) -> np.ndarray:
     """Backpropagation through time for both chains; returns d(embeddings),
-    (B, seq_len, E)."""
+    (B, T, E)."""
     lengths = cache.true_len
-    d_x = _chain_backward(cache.fwd_steps, lengths, d_fwd, grads_fwd)
-    d_x += _reverse(_chain_backward(cache.bwd_steps, lengths, d_bwd, grads_bwd), lengths)
-    dX = np.zeros((len(lengths), cache.seq_len, d_x.shape[2]), dtype=d_x.dtype)
-    dX[:, :d_x.shape[1]] = d_x
+    dX = _chain_backward(cache.fwd_steps, lengths, d_fwd, grads_fwd)
+    dX += _reverse(_chain_backward(cache.bwd_steps, lengths, d_bwd, grads_bwd), lengths)
     return dX
 
 
@@ -306,32 +303,30 @@ class ConvCache(NamedTuple):
     windows: np.ndarray   # (B * n_windows, CONV_WIDTH * embed_dim)
     active: np.ndarray    # ReLU mask, (B, n_windows, num_filters)
     params: ConvParams
-    seq_len: int
 
 
-def conv_forward(X: np.ndarray, p: ConvParams, true_len):
-    """Valid width-3 convolution + ReLU over the batch's first max(L) rows:
-    X (B, T, E) gives (B, T - 2, num_filters). Sample b's windows past its
-    last one, L_b - 3, cover padding; ``maxpool_over_time`` masks them."""
-    lengths = _lengths(true_len, X.shape[0], X.shape[1], floor=CONV_WIDTH)
-    B, n = X.shape[0], lengths.max() - CONV_WIDTH + 1
+def conv_forward(X: np.ndarray, p: ConvParams):
+    """Valid width-3 convolution + ReLU over every window of X: (B, T, E)
+    gives (B, T - 2, num_filters). Which windows count is for pooling to
+    say (``maxpool_over_time``)."""
+    B, n = X.shape[0], X.shape[1] - CONV_WIDTH + 1
     # window w of a sample is its rows w, w+1, w+2 laid end to end
     windows = np.concatenate([X[:, k:k + n] for k in range(CONV_WIDTH)], axis=2)
     windows = windows.reshape(B * n, -1)
     pre = (windows @ p.filters.reshape(p.num_filters, -1).T + p.bias).reshape(B, n, -1)
     active = pre > 0
     fmap = np.where(active, pre, 0)
-    return fmap, ConvCache(windows, active, p, X.shape[1])
+    return fmap, ConvCache(windows, active, p)
 
 
 def conv_backward(cache: ConvCache, d_fmap: np.ndarray, grads: ConvParams) -> np.ndarray:
-    windows, active, p, seq_len = cache
+    windows, active, p = cache
     B, n, F = d_fmap.shape
     d_pre = np.where(active, d_fmap, 0).reshape(B * n, F)
     grads.bias += d_pre.sum(axis=0)
     grads.filters += (d_pre.T @ windows).reshape(p.filters.shape)
     d_windows = (d_pre @ p.filters.reshape(F, -1)).reshape(B, n, CONV_WIDTH, -1)
-    dX = np.zeros((B, seq_len, d_windows.shape[3]), dtype=d_fmap.dtype)
+    dX = np.zeros((B, n + CONV_WIDTH - 1, d_windows.shape[3]), dtype=d_fmap.dtype)
     for k in range(CONV_WIDTH):
         dX[:, k:k + n] += d_windows[:, :, k]
     return dX

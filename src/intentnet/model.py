@@ -174,38 +174,38 @@ class HybridModel:
         backward pass consumes.
 
         ``indices`` holds the B index sequences and ``true_len`` their
-        effective lengths. Each sequence is cut at its length and the batch
-        is padded with PAD to the longest, T, so what lies past a length
-        never reaches the logits. Dropout draws its masks from ``rng``, and
-        is off without one.
+        effective lengths, at least ``MIN_ENCODED_LEN``. Each sequence is cut
+        at its length and the batch padded with PAD to the longest, T, so what
+        lies past a length never reaches the logits. Dropout draws its masks
+        from ``rng``, and is off without one.
         """
         if len(indices) != len(true_len):
             raise ValueError(f"{len(indices)} sequences but {len(true_len)} lengths")
         ids = np.zeros((len(true_len), max(true_len)), dtype=np.intp)
         for row, seq, n in zip(ids, indices, true_len):
-            if not 1 <= n <= len(seq):
-                raise ValueError(f"true_len {n} out of range for {len(seq)} indices")
+            if not MIN_ENCODED_LEN <= n <= len(seq):
+                raise ValueError(f"true_len {n} not in [{MIN_ENCODED_LEN}, {len(seq)}]")
             row[:n] = seq[:n]
         X = layers.embedding_forward(ids, self.embedding)
         h_fwd, h_bwd, bi_cache = layers.bilstm_forward(X, true_len, self.fwd, self.bwd)
-        fmap, conv_cache = layers.conv_forward(X, self.conv, true_len)
+        fmap, conv_cache = layers.conv_forward(X, self.conv)
         n_windows = np.asarray(true_len) - (layers.CONV_WIDTH - 1)
         pooled, argmax = layers.maxpool_over_time(fmap, n_windows)
         fused = np.concatenate([h_fwd, h_bwd, pooled], axis=1)
         dropped, mask = layers.dropout(fused, self.dropout_rate, rng)
         logits = layers.dense_forward(dropped, self.dense)
-        caches = (bi_cache, conv_cache, argmax, fmap.shape[1], dropped, mask, ids)
+        caches = (bi_cache, conv_cache, argmax, dropped, mask, ids)
         return logits, caches
 
     def _backward(self, caches, d_logits, grads: "HybridModel") -> None:
         """Add the parameter gradients into ``grads``, a model of the same sizes."""
-        bi_cache, conv_cache, argmax, n_windows, dropped, mask, ids = caches
+        bi_cache, conv_cache, argmax, dropped, mask, ids = caches
         d_dropped = layers.dense_backward(dropped, self.dense, d_logits, grads.dense)
         d_fused = layers.dropout_backward(d_dropped, mask)
         d_h_fwd = d_fused[:, :self.hidden]
         d_h_bwd = d_fused[:, self.hidden:2 * self.hidden]
         d_pooled = d_fused[:, 2 * self.hidden:]
-        d_fmap = layers.maxpool_backward(argmax, d_pooled, n_windows)
+        d_fmap = layers.maxpool_backward(argmax, d_pooled, conv_cache.active.shape[1])
         dX = layers.conv_backward(conv_cache, d_fmap, grads.conv)
         dX += layers.bilstm_backward(bi_cache, d_h_fwd, d_h_bwd, grads.fwd, grads.bwd)
         layers.embedding_backward(ids, dX, grads.embedding)

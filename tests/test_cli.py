@@ -1,12 +1,13 @@
 import json
+import struct
 import time
 
 import numpy as np
 import pytest
 
-from intentnet import data, synthetic
+from intentnet import container, data, synthetic
 from intentnet.cli import main
-from intentnet.model import HybridModel
+from intentnet.model import HybridModel, evaluate
 
 from helpers import rewrite_container
 
@@ -157,6 +158,33 @@ class TestTrainCommand:
         assert rc == 0
         assert out.is_file()
 
+    def test_missing_config_file_is_data_error(self, toy_corpus_dir, tmp_path, capsys):
+        config = tmp_path / "absent.json"
+        rc = main(["train", "--corpus", str(toy_corpus_dir), "--out", str(tmp_path / "m.bin"),
+                   "--config", str(config)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: missing config file: {config}\n"
+
+    def test_numeric_failure_is_one_line(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "c"
+        write_splits(corpus_dir, synthetic.noisy_splits(n_total=60, n_classes=3, seed=0))
+        rc = main(["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "m.bin"),
+                   "--lr", "1e30", "--hidden", "4", "--filters", "3", "--embed-dim", "5"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("numeric failure: non-finite") and err.count("\n") == 1
+
+    def test_size_too_large_to_allocate_is_usage_error(self, toy_corpus_dir, tmp_path,
+                                                       capsys):
+        # 2**46 columns exceed the user address space, so the allocation is
+        # refused before any memory is touched
+        rc = main(["train", "--corpus", str(toy_corpus_dir), "--out", str(tmp_path / "m.bin"),
+                   "--embed-dim", str(2**46)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
     def test_non_utf8_corpus_is_data_error(self, tmp_path, capsys):
         (tmp_path / "train.jsonl").write_bytes(b'{"id": 1, "text": "\xff", "label": "chat"}\n')
         rc = main(["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.bin")])
@@ -211,6 +239,15 @@ class TestEvalCommand:
         assert len(report["labels"]) == 3
         total = sum(sum(row) for row in report["confusion"])
         assert total == 18
+
+    def test_json_to_stdout_is_the_report(self, toy_corpus_dir, trained_model_path, capsys):
+        rc = main(["eval", "--corpus", str(toy_corpus_dir), "--model",
+                   str(trained_model_path), "--split", "test", "--json", "-"])
+        assert rc == 0
+        printed = json.loads(capsys.readouterr().out.splitlines()[-1])
+        report = evaluate(HybridModel.load(trained_model_path),
+                          data.load_corpus(toy_corpus_dir, "test"))
+        assert printed == report.to_dict()
 
     def test_label_mismatch_is_data_error(self, trained_model_path, tmp_path, capsys):
         corpus_dir = tmp_path / "other"
@@ -374,6 +411,14 @@ class TestUsageErrors:
         assert main(["predict", "--model", str(path), "--text", "abc"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "edited.bin" in err
+
+    def test_trailing_bytes_in_model_are_data_error(self, trained_model_path, tmp_path,
+                                                    capsys):
+        payload = trained_model_path.read_bytes()[:-8] + b"\0"
+        path = tmp_path / "trailing.bin"
+        path.write_bytes(payload + struct.pack("<Q", container.fnv1a64(payload)))
+        assert main(["predict", "--model", str(path), "--text", "abc"]) == 2
+        assert "trailing bytes" in capsys.readouterr().err
 
     def test_unwritable_output_is_data_error(self, toy_corpus_dir, tmp_path, capsys):
         assert main(["train", "--corpus", str(toy_corpus_dir),

@@ -60,6 +60,15 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="exactly the keys"):
             load_corpus(tmp_path, "train")
 
+    @pytest.mark.parametrize("id_text", ['"7"', "true"])
+    def test_non_integer_id_rejected(self, tmp_path, id_text):
+        path = tmp_path / "train.jsonl"
+        path.write_text(f'{{"id": {id_text}, "text": "ok", "label": "chat"}}\n',
+                        encoding="utf-8")
+        with pytest.raises(CorpusError) as exc:
+            load_corpus(tmp_path, "train")
+        assert str(exc.value) == f"{path}:1: id must be an integer"
+
     def test_empty_text_rejected(self, tmp_path):
         (tmp_path / "train.jsonl").write_text(
             '{"id": 1, "text": "", "label": "chat"}\n', encoding="utf-8"

@@ -241,38 +241,28 @@ class TestBiLSTM:
 class TestConv:
     def test_zero_filters_zero_output(self):
         p = ConvParams(filters=np.zeros((2, 3, 4)), bias=np.zeros(2))
-        fmap, _ = conv_forward(np.ones((1, 5, 4)), p, [5])
+        fmap, _ = conv_forward(np.ones((1, 5, 4)), p)
         npt.assert_array_equal(fmap, np.zeros((1, 3, 2)))
 
     def test_hand_window_sums(self):
         # one all-ones width-3 filter over the scalar sequence 1,2,3,4
         p = ConvParams(filters=np.ones((1, 3, 1)), bias=np.zeros(1))
         X = np.array([[[1.0], [2.0], [3.0], [4.0]]])
-        fmap, _ = conv_forward(X, p, [4])
+        fmap, _ = conv_forward(X, p)
         npt.assert_array_equal(fmap, [[[6.0], [9.0]]])
 
     def test_relu_clamps_negative_preactivations(self):
         p = ConvParams(filters=np.ones((1, 3, 1)), bias=np.array([-100.0]))
-        fmap, _ = conv_forward(np.ones((1, 3, 1)), p, [3])
+        fmap, _ = conv_forward(np.ones((1, 3, 1)), p)
         npt.assert_array_equal(fmap, [[[0.0]]])
 
-    def test_output_length_is_true_len_minus_two(self):
+    def test_width_follows_the_rows_of_x(self):
         rng = Rng(6)
         p = ConvParams(filters=np.zeros((3, CONV_WIDTH, 2)), bias=np.zeros(3))
         init_weights(rng, p)
-        X = rng.uniform(-1, 1, (2, 8, 2))
-        for true_len in range(3, 9):
-            # the batch's longest length sets the width
-            fmap, _ = conv_forward(X, p, [3, true_len])
-            assert fmap.shape == (2, true_len - 2, 3)
-
-    def test_short_input_rejected(self):
-        p = ConvParams(filters=np.zeros((1, CONV_WIDTH, 2)), bias=np.zeros(1))
-        init_weights(Rng(0), p)
-        with pytest.raises(ValueError):
-            conv_forward(np.zeros((1, 4, 2)), p, [2])
-        with pytest.raises(ValueError):
-            conv_forward(np.zeros((2, 4, 2)), p, [4, 2])
+        for rows in range(3, 9):
+            fmap, _ = conv_forward(rng.uniform(-1, 1, (2, rows, 2)), p)
+            assert fmap.shape == (2, rows - 2, 3)
 
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_backward_matches_finite_differences(self, seed):
@@ -281,18 +271,17 @@ class TestConv:
         n_filters = 1 + rng.integer(3)
         n = 3 + rng.integer(4)
         batch = 1 + rng.integer(3)
-        lengths = [3 + rng.integer(n - 2) for _ in range(batch)]
         p = ConvParams(filters=np.zeros((n_filters, CONV_WIDTH, k)), bias=np.zeros(n_filters))
         init_weights(rng, p)
         p.bias[:] = rng.uniform(-0.3, 0.3, (n_filters,))
         X = rng.uniform(-1, 1, (batch, n, k))
-        g = rng.uniform(-1, 1, (batch, max(lengths) - 2, n_filters))
+        g = rng.uniform(-1, 1, (batch, n - 2, n_filters))
 
         def loss():
-            fmap, _ = conv_forward(X, p, lengths)
+            fmap, _ = conv_forward(X, p)
             return float(np.sum(g * fmap))
 
-        _, cache = conv_forward(X, p, lengths)
+        _, cache = conv_forward(X, p)
         grads = ConvParams(filters=np.zeros_like(p.filters), bias=np.zeros_like(p.bias))
         dX = conv_backward(cache, g.copy(), grads)
 

@@ -125,6 +125,13 @@ class TestForward:
         b, _ = model.forward([padded], [3])
         npt.assert_array_equal(a, b)
 
+    def test_sample_shorter_than_one_window_rejected(self):
+        model = tiny_model()
+        with pytest.raises(ValueError):
+            model.forward([[2, 3]], [2])
+        with pytest.raises(ValueError):
+            model.forward([[2, 3, 4, 5], [2, 3]], [4, 2])
+
 
 class TestGradientBuffer:
     def test_train_passes_one_buffer_per_batch(self, monkeypatch):

@@ -1,7 +1,9 @@
-"""Property tests: container fuzzing, encoding invariants, schedule replays."""
+"""Property tests: container fuzzing, encoding invariants, schedule replays,
+the batch contract."""
 
 import struct
 
+import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from intentnet import container
 from intentnet.data import MIN_ENCODED_LEN, PAD_INDEX, Vocab, encode
 from intentnet.errors import ContainerError, CorpusError
-from intentnet.model import HybridModel
+from intentnet.model import HybridModel, down_scaled_model
 from intentnet.optim import EpochRecord, reduce_lr_on_plateau, should_stop
 from intentnet.tensor import Rng
 
@@ -87,3 +89,26 @@ def test_stopping_is_a_replay_of_the_f1_history(history, patience):
     assert should_stop(replayed, patience=patience) == stop
     improved = history + [EpochRecord(len(history) + 1, 0.0, 0.0, 2.0, 0.0)]
     assert not should_stop(improved, patience=patience)
+
+
+_CHECK_MODEL = down_scaled_model(seed=3)
+
+
+@st.composite
+def _samples(draw):
+    """An encoded sample of length 3 to 5 with any indices past its length."""
+    true_len = draw(st.integers(MIN_ENCODED_LEN, _CHECK_MODEL.max_len))
+    index = st.integers(0, len(_CHECK_MODEL.vocab) - 1)
+    indices = draw(st.lists(index, min_size=true_len, max_size=true_len + 3))
+    return indices, true_len, draw(st.integers(0, _CHECK_MODEL.num_classes - 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(samples=st.lists(_samples(), min_size=1, max_size=4))
+def test_a_batch_is_the_sum_of_its_batches_of_one(samples):
+    losses, batched = _CHECK_MODEL.loss_and_gradients(samples)
+    singles = [_CHECK_MODEL.loss_and_gradients([sample]) for sample in samples]
+    npt.assert_allclose(losses, [loss for (loss,), _ in singles], rtol=1e-12)
+    for name, grad in batched.items():
+        npt.assert_allclose(grad, sum(grads[name] for _, grads in singles),
+                            rtol=1e-6, atol=1e-12, err_msg=name)

@@ -9,6 +9,15 @@ backward direction runs over each sample reversed within its length), and
 max pooling counts only the sample's own L_b - 2 windows. Positions past L_b
 are thus computed over but reach no output, and get exactly zero gradient.
 
+The forward layers also take leading stack axes in front of these: indices
+(..., B, T), embeddings (..., B, T, E), lengths (..., B). They index from the
+right, time being axis -2 of the embeddings and batch axis -3, so each
+(B, T, E) slice is computed as a call on that slice alone would compute it,
+with one numpy call per layer (per step, in the recurrence) for the whole
+stack. A matrix product over a stack makes one product per slice: a stack
+of S batches of one, (S, 1, T, E), gives each sample the very bits its own
+batch of one gives. The backward passes take the (B, T, E) layout only.
+
 Each forward returns the values the matching backward needs (a cache);
 each backward accumulates parameter gradients into a parameter object of
 the layer's own class (built zero, so gradients have the parameters'
@@ -148,14 +157,14 @@ class CellCache(NamedTuple):
 
 
 def lstm_cell_forward(x, h_prev, c_prev, p: LSTMParams):
-    """One memory-cell step for a batch: ``x`` (B, E), ``h_prev`` and
-    ``c_prev`` (B, H); returns the new (B, H) hidden and cell states.
+    """One memory-cell step for a batch: ``x`` (..., B, E), ``h_prev`` and
+    ``c_prev`` (..., B, H); returns the new (..., B, H) hidden and cell states.
 
     Gate order: input and forget gates read (x, h_prev, c_prev); the
     candidate reads (x, h_prev); the output gate reads (x, h_prev, c_new).
     """
-    if (x.ndim != 2 or x.shape[1] != p.input_size
-            or h_prev.shape != (x.shape[0], p.hidden_size)):
+    if (x.ndim < 2 or x.shape[-1] != p.input_size
+            or h_prev.shape != (*x.shape[:-1], p.hidden_size)):
         raise ValueError(
             f"cell shapes disagree: x {x.shape}, h {h_prev.shape}, "
             f"params ({p.input_size}, {p.hidden_size})"
@@ -164,15 +173,21 @@ def lstm_cell_forward(x, h_prev, c_prev, p: LSTMParams):
     # The bias joins the input projection before the recurrent term: other
     # summation orders raise the gradient check's round-off past its bound.
     z = (x @ p.w_x + p.b) + h_prev @ p.w_h
-    z[:, :2 * H] += c_prev @ p.w_c[:, :2 * H]
-    gates = z  # activated in place, gate by gate
-    gates[:, :2 * H] = sigmoid(z[:, :2 * H])
-    np.tanh(z[:, 2 * H:3 * H], out=gates[:, 2 * H:3 * H])
-    i, f, g = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:3 * H]
+    gates = z  # overwritten with the activations, gate by gate
+    # The sigmoid gates are activated in the fresh contiguous product their
+    # cell term lands in, not in their column slices of z: elementwise work
+    # on a strided slice costs about twice as much once it has several rows.
+    i_f = c_prev @ p.w_c[:, :2 * H]
+    i_f += z[..., :2 * H]
+    gates[..., :2 * H] = sigmoid(i_f, out=i_f)
+    np.tanh(z[..., 2 * H:3 * H], out=gates[..., 2 * H:3 * H])
+    i, f, g = gates[..., :H], gates[..., H:2 * H], gates[..., 2 * H:3 * H]
     c = f * c_prev + i * g
-    gates[:, 3 * H:] = sigmoid(z[:, 3 * H:] + c @ p.w_c[:, 2 * H:])
+    o = c @ p.w_c[:, 2 * H:]
+    o += z[..., 3 * H:]
+    gates[..., 3 * H:] = sigmoid(o, out=o)
     tanh_c = np.tanh(c)
-    h = gates[:, 3 * H:] * tanh_c
+    h = o * tanh_c
     return h, c, CellCache(p, x, h_prev, c_prev, gates, c, tanh_c)
 
 
@@ -206,54 +221,65 @@ def lstm_cell_backward(cache: CellCache, dh, dc_in):
 class BiLSTMCache(NamedTuple):
     fwd_steps: list        # CellCache per step 0..T-1 over X
     bwd_steps: list        # CellCache per step 0..T-1 over X reversed per sample
-    true_len: np.ndarray   # (B,)
+    true_len: np.ndarray   # (..., B)
 
 
-def _lengths(true_len, batch: int, seq_len: int) -> np.ndarray:
-    """Per-sample lengths as a (B,) int array, each within [1, seq_len]."""
+def _lengths(true_len, X: np.ndarray) -> np.ndarray:
+    """Per-sample lengths as an int array shaped like X's axes before its
+    last two, each within [1, T], T being the length of X's axis -2."""
     lengths = np.asarray(true_len, dtype=np.intp)
-    if (lengths.shape != (batch,) or not batch
+    seq_len = X.shape[-2]
+    if (lengths.shape != X.shape[:-2] or not lengths.size
             or lengths.min() < 1 or lengths.max() > seq_len):
         raise ValueError(f"lengths {lengths.tolist()} out of range for "
-                         f"{batch} sequences of {seq_len} rows")
+                         f"{X.shape[:-2]} sequences of {seq_len} rows")
     return lengths
+
+
+def _rows(X: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``out[..., b, j, :] = X[..., b, index[..., b, j], :]``: rows picked
+    from each sample's (T, F) block of X."""
+    blocks = X.reshape(-1, *X.shape[-2:])
+    picked = blocks[np.arange(len(blocks))[:, None], index.reshape(len(blocks), -1)]
+    return picked.reshape(*index.shape, X.shape[-1])
 
 
 def _reverse(X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Each sample's first L_b rows in reverse order, zeros after them:
-    ``out[b, t] = X[b, L_b - 1 - t]`` for t < L_b, over X's rows. On those
-    rows the gather is its own inverse."""
-    pos = lengths[:, None] - 1 - np.arange(X.shape[1])
-    out = X[np.arange(len(lengths))[:, None], np.maximum(pos, 0)]
+    ``out[..., b, t, :] = X[..., b, L_b - 1 - t, :]`` for t < L_b, over X's
+    rows. On those rows the gather is its own inverse."""
+    pos = lengths[..., None] - 1 - np.arange(X.shape[-2])
+    out = _rows(X, np.maximum(pos, 0))
     out[pos < 0] = 0
     return out
 
 
 def _run_chain(X, p: LSTMParams):
-    """All T steps over X (B, T, E); the hidden state after each step."""
-    h = np.zeros((X.shape[0], p.hidden_size), dtype=X.dtype)
+    """All T steps over X (..., B, T, E); the hidden states (..., B, T, H)."""
+    h = np.zeros((*X.shape[:-2], p.hidden_size), dtype=X.dtype)
     c = np.zeros_like(h)
     states, caches = [], []
-    for t in range(X.shape[1]):
-        h, c, cache = lstm_cell_forward(X[:, t], h, c, p)
+    for t in range(X.shape[-2]):
+        h, c, cache = lstm_cell_forward(X[..., t, :], h, c, p)
         states.append(h)
         caches.append(cache)
-    return np.stack(states), caches
+    return np.stack(states, axis=-2), caches
 
 
 def bilstm_forward(X: np.ndarray, true_len, p_fwd: LSTMParams, p_bwd: LSTMParams):
-    """Final (B, H) hidden states of both directions over X (B, T, E).
+    """Final (..., B, H) hidden states of both directions over X (..., B, T, E).
 
     Both chains run T steps over the whole batch, and sample b's final state
     is read after its own L_b steps. The backward chain reads each sample
     reversed within its length, so in both directions a sample's positions
     past L_b come after its final state and cannot change it.
     """
-    lengths = _lengths(true_len, X.shape[0], X.shape[1])
-    rows = np.arange(len(lengths))
+    lengths = _lengths(true_len, X)
     fwd_states, fwd_steps = _run_chain(X, p_fwd)
     bwd_states, bwd_steps = _run_chain(_reverse(X, lengths), p_bwd)
-    return (fwd_states[lengths - 1, rows], bwd_states[lengths - 1, rows],
+    last = lengths - 1
+    return (_rows(fwd_states, last[..., None])[..., 0, :],
+            _rows(bwd_states, last[..., None])[..., 0, :],
             BiLSTMCache(fwd_steps, bwd_steps, lengths))
 
 
@@ -300,20 +326,24 @@ def bilstm_backward(cache: BiLSTMCache, d_fwd, d_bwd, grads_fwd: LSTMParams,
 # convolution and pooling
 
 class ConvCache(NamedTuple):
-    windows: np.ndarray   # (B * n_windows, CONV_WIDTH * embed_dim)
-    active: np.ndarray    # ReLU mask, (B, n_windows, num_filters)
+    windows: np.ndarray   # (..., B * n_windows, CONV_WIDTH * embed_dim)
+    active: np.ndarray    # ReLU mask, (..., B, n_windows, num_filters)
     params: ConvParams
 
 
 def conv_forward(X: np.ndarray, p: ConvParams):
-    """Valid width-3 convolution + ReLU over every window of X: (B, T, E)
-    gives (B, T - 2, num_filters). Which windows count is for pooling to
-    say (``maxpool_over_time``)."""
-    B, n = X.shape[0], X.shape[1] - CONV_WIDTH + 1
+    """Valid width-3 convolution + ReLU over every window of X: (..., B, T, E)
+    gives (..., B, T - 2, num_filters), with one product per B * (T - 2)
+    windows. Which windows count is for pooling to say (``maxpool_over_time``)."""
+    *lead, B, T, _ = X.shape
+    n = T - CONV_WIDTH + 1
+    if n < 1:
+        raise ValueError(f"convolution input has {T} rows; one window needs {CONV_WIDTH}")
     # window w of a sample is its rows w, w+1, w+2 laid end to end
-    windows = np.concatenate([X[:, k:k + n] for k in range(CONV_WIDTH)], axis=2)
-    windows = windows.reshape(B * n, -1)
-    pre = (windows @ p.filters.reshape(p.num_filters, -1).T + p.bias).reshape(B, n, -1)
+    windows = np.concatenate([X[..., k:k + n, :] for k in range(CONV_WIDTH)], axis=-1)
+    windows = windows.reshape(*lead, B * n, -1)
+    pre = windows @ p.filters.reshape(p.num_filters, -1).T + p.bias
+    pre = pre.reshape(*lead, B, n, -1)
     active = pre > 0
     fmap = np.where(active, pre, 0)
     return fmap, ConvCache(windows, active, p)
@@ -333,14 +363,14 @@ def conv_backward(cache: ConvCache, d_fmap: np.ndarray, grads: ConvParams) -> np
 
 
 def maxpool_over_time(fmap: np.ndarray, lengths):
-    """Per-sample, per-feature max over the first ``lengths[b]`` rows of
-    fmap (B, n, F); argmax rows (B, F) cached for the backward pass. Rows
-    past a sample's length are masked out, so its maximum and argmax (the
-    first occurrence wins ties) are those of its own rows alone."""
-    lengths = _lengths(lengths, fmap.shape[0], fmap.shape[1])
-    own = np.arange(fmap.shape[1]) < lengths[:, None]
-    argmax = np.where(own[:, :, None], fmap, -np.inf).argmax(axis=1)
-    pooled = np.take_along_axis(fmap, argmax[:, None], axis=1)[:, 0]
+    """Per-sample, per-feature max over the first ``lengths[..., b]`` rows of
+    fmap (..., B, n, F); argmax rows (..., B, F) cached for the backward pass.
+    Rows past a sample's length are masked out, so its maximum and argmax
+    (the first occurrence wins ties) are those of its own rows alone."""
+    lengths = _lengths(lengths, fmap)
+    own = np.arange(fmap.shape[-2]) < lengths[..., None]
+    argmax = np.where(own[..., None], fmap, -np.inf).argmax(axis=-2)
+    pooled = np.take_along_axis(fmap, argmax[..., None, :], axis=-2)[..., 0, :]
     return pooled, argmax
 
 
@@ -354,8 +384,8 @@ def maxpool_backward(argmax: np.ndarray, d_pooled: np.ndarray, length: int) -> n
 # dense head and dropout
 
 def dense_forward(vec: np.ndarray, p: DenseParams) -> np.ndarray:
-    """Logits (B, C) of the fused vectors ``vec`` (B, D)."""
-    if vec.ndim != 2 or vec.shape[1] != p.weight.shape[0]:
+    """Logits (..., B, C) of the fused vectors ``vec`` (..., B, D)."""
+    if vec.ndim < 2 or vec.shape[-1] != p.weight.shape[0]:
         raise ValueError(f"dense input {vec.shape} does not match weight {p.weight.shape}")
     return vec @ p.weight + p.bias
 

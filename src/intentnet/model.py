@@ -9,9 +9,10 @@ each at its effective length and pads the batch to the longest one, T, so
 the layers see (B, T) indices and (B, T, E) embeddings (see ``layers``).
 A training step is one batched forward and one batched backward over the
 minibatch. Inference (``predict``, ``loss``, ``evaluate`` and the dev pass
-of ``train``) goes through ``HybridModel._infer``, which runs each utterance
-as a batch of one, so all of them give bit-identical logits for the same
-utterance.
+of ``train``) goes through ``HybridModel._infer``, which runs the utterances
+of each effective length together as a stack of batches of one (see
+``layers``): each gets the products, and so the bits, of its own batch of
+one, and all four give bit-identical logits for the same utterance.
 """
 
 from __future__ import annotations
@@ -103,6 +104,14 @@ def cross_entropy(logits: np.ndarray, gold):
     return loss, softmax(logits) - onehot
 
 
+def _cut(seq, n: int):
+    """The first ``n`` indices of ``seq``, after checking that ``n`` is an
+    effective length it can have."""
+    if not MIN_ENCODED_LEN <= n <= len(seq):
+        raise ValueError(f"true_len {n} not in [{MIN_ENCODED_LEN}, {len(seq)}]")
+    return seq[:n]
+
+
 class HybridModel:
     """Embedding + bidirectional recurrence + convolution + dense head."""
 
@@ -183,15 +192,18 @@ class HybridModel:
             raise ValueError(f"{len(indices)} sequences but {len(true_len)} lengths")
         ids = np.zeros((len(true_len), max(true_len)), dtype=np.intp)
         for row, seq, n in zip(ids, indices, true_len):
-            if not MIN_ENCODED_LEN <= n <= len(seq):
-                raise ValueError(f"true_len {n} not in [{MIN_ENCODED_LEN}, {len(seq)}]")
-            row[:n] = seq[:n]
+            row[:n] = _cut(seq, n)
+        return self._run_layers(ids, np.asarray(true_len, dtype=np.intp), rng)
+
+    def _run_layers(self, ids: np.ndarray, lengths: np.ndarray, rng: Rng | None):
+        """Logits (..., B, C) and caches of index sequences ``ids``
+        (..., B, T) with effective lengths ``lengths`` (..., B): the layer
+        sequence, over whatever leading axes ``ids`` has."""
         X = layers.embedding_forward(ids, self.embedding)
-        h_fwd, h_bwd, bi_cache = layers.bilstm_forward(X, true_len, self.fwd, self.bwd)
+        h_fwd, h_bwd, bi_cache = layers.bilstm_forward(X, lengths, self.fwd, self.bwd)
         fmap, conv_cache = layers.conv_forward(X, self.conv)
-        n_windows = np.asarray(true_len) - (layers.CONV_WIDTH - 1)
-        pooled, argmax = layers.maxpool_over_time(fmap, n_windows)
-        fused = np.concatenate([h_fwd, h_bwd, pooled], axis=1)
+        pooled, argmax = layers.maxpool_over_time(fmap, lengths - (layers.CONV_WIDTH - 1))
+        fused = np.concatenate([h_fwd, h_bwd, pooled], axis=-1)
         dropped, mask = layers.dropout(fused, self.dropout_rate, rng)
         logits = layers.dense_forward(dropped, self.dense)
         caches = (bi_cache, conv_cache, argmax, dropped, mask, ids)
@@ -212,9 +224,24 @@ class HybridModel:
 
     def _infer(self, samples) -> np.ndarray:
         """Inference logits (N, C) of encoded samples, each starting (indices,
-        true_len), run one at a time as a batch of one: a row then never
-        depends on its batchmates. ``samples`` may be a generator."""
-        return np.concatenate([self.forward([s[0]], [s[1]])[0] for s in samples])
+        true_len), rows in input order; ``samples`` may be a generator.
+
+        The samples of each effective length L run together as a stack of S
+        batches of one, ids (S, 1, L): every layer then makes, for each
+        sample, the very products a batch of one makes (a (1, K) row times
+        a weight matrix, one (L - 2)-row convolution product), so a row's
+        bits never depend on the other samples or on how many there are.
+        """
+        cut = [_cut(s[0], s[1]) for s in samples]
+        groups: dict[int, list[int]] = {}
+        for k, seq in enumerate(cut):
+            groups.setdefault(len(seq), []).append(k)
+        logits = np.empty((len(cut), self.num_classes), dtype=self.dtype)
+        for n, rows in groups.items():
+            ids = np.array([cut[k] for k in rows], dtype=np.intp)[:, None]
+            lengths = np.full((len(rows), 1), n, dtype=np.intp)
+            logits[rows] = self._run_layers(ids, lengths, None)[0][:, 0]
+        return logits
 
     def loss(self, sample) -> float:
         return float(cross_entropy(self._infer([sample]), [sample[2]])[0][0])
@@ -446,7 +473,7 @@ def evaluate(model: HybridModel, records: Sequence[Utterance]) -> EvalReport:
     unknown = {utt.label for utt in records} - set(model.labels)
     if unknown:
         raise CorpusError(f"labels absent from the model: {sorted(unknown)}")
-    # each utterance is encoded just before its own forward pass
+    # all utterances are encoded first: ``_infer`` groups them by length
     logits = model._infer(encode(utt.text, model.vocab, model.max_len) for utt in records)
     gold = [model.label_index[utt.label] for utt in records]
     return report_from_pairs(gold, logits.argmax(axis=1).tolist(), model.labels)

@@ -1,8 +1,8 @@
 """Dense-array numerics: sigmoid, softmax, seeded initialization.
 
 Conventions used everywhere downstream:
-  - arrays are contiguous row-major numpy ndarrays with 1 to 3 axes,
-    3-axis data ordered (batch, time, feature);
+  - arrays are row-major numpy ndarrays, sequence data ordered
+    (batch, time, feature), with stack axes in front at inference;
   - float32 for training, float64 for gradient-check mode;
   - no broadcasting tricks across modules, no autodiff: backward passes
     are written explicitly per layer.
@@ -154,12 +154,14 @@ class Rng:
         return order
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + e^-x), computed as 0.5 * tanh(x / 2) + 0.5: tanh never
-    overflows, and the steps run in place on one temporary."""
+    overflows, and the steps run in place on one array, ``out`` if given
+    (it may be ``x`` itself), else a new one."""
     x = np.asarray(x)
-    out = np.array(x, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
-    out *= 0.5
+    if out is None:
+        out = np.empty(x.shape, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
+    np.multiply(x, 0.5, out=out)
     np.tanh(out, out=out)
     out *= 0.5
     out += 0.5

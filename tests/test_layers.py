@@ -264,6 +264,12 @@ class TestConv:
             fmap, _ = conv_forward(rng.uniform(-1, 1, (2, rows, 2)), p)
             assert fmap.shape == (2, rows - 2, 3)
 
+    def test_input_narrower_than_one_window_rejected(self):
+        p = ConvParams(filters=np.zeros((2, CONV_WIDTH, 4)), bias=np.zeros(2))
+        for rows in (2, 1):
+            with pytest.raises(ValueError, match="one window needs 3"):
+                conv_forward(np.ones((2, rows, 4)), p)
+
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_backward_matches_finite_differences(self, seed):
         rng = Rng(2000 + seed)
@@ -379,6 +385,34 @@ class TestDense:
         assert max_rel_error(d_vec, numeric_gradient(loss, vec)) < GRAD_TOL
         assert max_rel_error(grads.weight, numeric_gradient(loss, p.weight)) < GRAD_TOL
         assert max_rel_error(grads.bias, numeric_gradient(loss, p.bias)) < GRAD_TOL
+
+
+class TestLeadingStackAxes:
+    """Operands with axes in front of (B, T, E) give, slice by slice, the
+    very bits of the same call on each (B, T, E) slice."""
+
+    def test_each_slice_equals_its_own_call(self):
+        rng = Rng(9)
+        E, H, F, C, T = 5, 4, 3, 2, 6
+        p_fwd = LSTMParams(E, H)
+        p_bwd = LSTMParams(E, H)
+        conv = ConvParams(np.zeros((F, CONV_WIDTH, E), np.float32), np.zeros(F, np.float32))
+        dense = DenseParams(np.zeros((2 * H + F, C), np.float32), np.zeros(C, np.float32))
+        init_weights(rng, p_fwd, p_bwd, conv, dense)
+        X = rng.uniform(-1, 1, (2, 3, 3, T, E), np.float32)
+        lengths = np.array([3 + rng.integer(T - 2) for _ in range(18)]).reshape(2, 3, 3)
+
+        def layers_of(X, lengths):
+            h_fwd, h_bwd, _ = bilstm_forward(X, lengths, p_fwd, p_bwd)
+            fmap, _ = conv_forward(X, conv)
+            pooled, _ = maxpool_over_time(fmap, lengths - 2)
+            return h_fwd, h_bwd, pooled, dense_forward(np.concatenate([h_fwd, h_bwd, pooled],
+                                                                      axis=-1), dense)
+
+        stacked = layers_of(X, lengths)
+        for index in np.ndindex(*X.shape[:2]):
+            for whole, part in zip(stacked, layers_of(X[index], lengths[index])):
+                assert np.array_equal(whole[index], part), index
 
 
 class TestDropout:

@@ -131,6 +131,10 @@ class TestForward:
             model.forward([[2, 3]], [2])
         with pytest.raises(ValueError):
             model.forward([[2, 3, 4, 5], [2, 3]], [4, 2])
+        with pytest.raises(ValueError):
+            model._infer([([2, 3, 4, 5], 4), ([2, 3], 2)])
+        with pytest.raises(ValueError):  # a length past the sequence
+            model._infer([([2, 3, 4], 4)])
 
 
 class TestGradientBuffer:
@@ -254,6 +258,23 @@ class TestInferenceAgreement:
         assert val_accuracy == sum(p == g for p, g in zip(predicted, gold)) / len(records)
         expected = report_from_pairs(gold, predicted, model.labels).confusion
         npt.assert_array_equal(evaluate(model, records).confusion, expected)
+
+    def test_batched_inference_is_batch_invariant_on_the_paper_size_model(self):
+        # the paper's sizes in float32: a BLAS whose products change with the
+        # stack or batch they are issued in fails here
+        vocab = Vocab(["<pad>", "<unk>", *(chr(0x4E00 + k) for k in range(300))])
+        model = HybridModel(vocab, list(LABELS), embed_dim=64, hidden=50, filters=50,
+                            max_len=30, rng=Rng(11))
+        rng = Rng(12)
+        lengths = [n for n in range(3, model.max_len + 1) for _ in range(3)]
+        samples = [([1 + rng.integer(len(vocab) - 1) for _ in range(lengths[k])], lengths[k])
+                   for k in rng.permutation(len(lengths))]
+        batched = model._infer(samples)
+        assert batched.dtype == np.float32
+        assert np.array_equal(batched, np.concatenate([model._infer([s]) for s in samples]))
+        assert np.array_equal(batched, np.concatenate([model.forward([seq], [n])[0]
+                                                       for seq, n in samples]))
+        assert np.array_equal(model._infer(s for s in samples), batched)
 
 
 class TestTraining:
@@ -481,6 +502,17 @@ class TestModelFileContract:
                     "adgj": "calc", "cccbbbfff": "calc", "jjjiii": "calc", "jklll": "chat",
                     "xyz": "chat", "订票": "chat"}
         assert {text: model.predict(text)[0] for text in expected} == expected
+
+    def test_v1_file_logits_are_pinned(self):
+        # the digest the one-utterance-at-a-time inference gave; it holds for
+        # the BLAS kernels that rounded it (OpenBLAS 0.3.31 on an AVX-512
+        # x86-64 CPU), and another kernel may round the products differently
+        model = HybridModel.load(V1_MODEL)
+        texts = ["aabcaaaca", "a", "ddfdeef", "hihhggg", "adgj", "cccbbbfff", "jjjiii",
+                 "jklll", "xyz", "订票"]
+        logits = model._infer(encode(text, model.vocab, model.max_len) for text in texts)
+        assert hashlib.sha256(logits.tobytes()).hexdigest() == (
+            "8fde5afc41bef8b1b49ebe7fe9e8ba066a131b85e8e85ba7ea8723a6782751a2")
 
     def test_each_direction_keeps_its_15_per_gate_blocks(self):
         model = HybridModel.load(V1_MODEL)

@@ -28,6 +28,16 @@ class TestElementwise:
         x = rng.uniform(-8, 8, (100,))
         npt.assert_allclose(sigmoid(x) + sigmoid(-x), np.ones(100), atol=1e-6)
 
+    def test_sigmoid_into_a_given_array_has_the_same_bits(self):
+        x = Rng(4).uniform(-8, 8, (3, 10), np.float32)
+        expected = sigmoid(x)
+        out = np.empty_like(x)
+        assert sigmoid(x, out=out) is out
+        npt.assert_array_equal(out, expected)
+        view = x[:, 2:7]  # in place, on a strided view
+        assert sigmoid(view, out=view) is view
+        npt.assert_array_equal(x[:, 2:7], expected[:, 2:7])
+
 
 class TestSoftmax:
     def test_uniform_on_zeros(self):

@@ -34,46 +34,84 @@ class EpochRecord:
 
 
 class AdamState:
-    """First/second moment estimates mirroring a named parameter dict."""
+    """First/second moment estimates mirroring a named parameter dict, and
+    the scratch memory ``adam_step`` computes in.
+
+    The scratch is two flat arrays per parameter dtype, each as long as the
+    largest block of that dtype; ``scratch[name]`` is a pair of views of
+    them shaped like that block, so a step allocates nothing block-sized.
+    The arrays have their blocks' dtype: an ``out=`` of another dtype would
+    select another ufunc loop and change the update's bits.
+    """
 
     def __init__(self, params: dict[str, np.ndarray]):
         self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.t = 0
+        sizes: dict[np.dtype, int] = {}
+        for arr in params.values():
+            sizes[arr.dtype] = max(sizes.get(arr.dtype, 0), arr.size)
+        flat = {dtype: (np.empty(n, dtype), np.empty(n, dtype)) for dtype, n in sizes.items()}
+        self.scratch = {name: tuple(buf[:arr.size].reshape(arr.shape) for buf in flat[arr.dtype])
+                        for name, arr in params.items()}
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
-    """Bias-corrected Adam update, in place; one step-counter tick per call."""
-    if set(params) != set(state.m):
+    """Bias-corrected Adam update, in place; one step-counter tick per call.
+
+    Every block is checked first: its gradient must have the parameter's
+    shape and dtype and be finite. A rejected step writes nothing, not even
+    the counter. Then each block is updated in place, its temporaries held
+    in ``state.scratch``, in a fixed order of operations that rounds exactly
+    as ``theta -= lr * m_hat / (sqrt(v_hat) + EPS)`` does with a fresh
+    temporary per operation. ``lr`` acts as a Python float, whatever its type.
+    """
+    if set(params) != set(state.m) or any(
+            (state.m[name].shape, state.m[name].dtype) != (theta.shape, theta.dtype)
+            for name, theta in params.items()):
         raise ValueError("optimizer state does not mirror the parameters")
-    state.t += 1
-    t = state.t
     for name, theta in params.items():
         g = grads[name]
         if g.shape != theta.shape:
             raise ValueError(f"gradient shape mismatch for {name}: {g.shape} vs {theta.shape}")
-        if not np.all(np.isfinite(g)):
+        if g.dtype != theta.dtype:
+            raise ValueError(f"gradient dtype mismatch for {name}: {g.dtype} vs {theta.dtype}")
+        if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient in {name}")
+    state.t += 1
+    t = state.t
+    lr = float(lr)
+    for name, theta in params.items():
+        g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        a, b = state.scratch[name]
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        np.multiply(1.0 - BETA1, g, out=a)
+        m += a
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1 ** t)
-        v_hat = v / (1.0 - BETA2 ** t)
-        theta -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+        np.multiply(1.0 - BETA2, g, out=b)
+        b *= g
+        v += b
+        np.divide(m, 1.0 - BETA1 ** t, out=a)
+        np.divide(v, 1.0 - BETA2 ** t, out=b)
+        a *= lr
+        np.sqrt(b, out=b)
+        b += EPS
+        a /= b
+        theta -= a
 
 
 def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``,
-    which must be positive."""
+    which must be positive. Each block's squares are summed in float64,
+    where a float32 square is exact."""
     if not max_norm > 0:
         raise ValueError(f"max_norm must be positive, got {max_norm!r}")
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(g.astype(np.float64) ** 2))
+        total += float(np.square(g, dtype=np.float64).sum())
     norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / norm

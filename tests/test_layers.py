@@ -154,6 +154,39 @@ class TestLSTMCell:
         assert max_rel_error(dh_prev, numeric_gradient(loss, h_prev)) < GRAD_TOL
         assert max_rel_error(dc_prev, numeric_gradient(loss, c_prev)) < GRAD_TOL
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 3, 10])
+    def test_backward_matches_the_column_slice_cell_bit_for_bit(self, batch, dtype):
+        def column_slice_backward(cache, dh, dc_in):
+            # the cell backward written on strided column slices of gates
+            p, x, h_prev, c_prev, gates, c, tanh_c = cache
+            H = p.hidden_size
+            i, f, g, o = (gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:3 * H],
+                          gates[:, 3 * H:])
+            dz = np.empty_like(gates)
+            dz[:, 3 * H:] = dh * tanh_c * o * (1.0 - o)
+            dc = dc_in + dh * o * (1.0 - tanh_c * tanh_c) + dz[:, 3 * H:] @ p.w_c[:, 2 * H:].T
+            dz[:, :H] = dc * g * i * (1.0 - i)
+            dz[:, H:2 * H] = dc * c_prev * f * (1.0 - f)
+            dz[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
+            dc_prev = dc * f + dz[:, :2 * H] @ p.w_c[:, :2 * H].T
+            dh_prev = dz @ p.w_h.T
+            return dz, dh_prev, dc_prev
+
+        rng = Rng(batch)
+        k, hidden = 64, 50  # the paper's sizes
+        p = LSTMParams(k, hidden, dtype)
+        init_weights(rng, p)
+        p.b[:] = rng.uniform(-0.5, 0.5, p.b.shape)
+        x, h_prev, c_prev, dh, dc = (rng.uniform(-1, 1, (batch, n)).astype(dtype)
+                                     for n in (k, hidden, hidden, hidden, hidden))
+        _, _, cache = lstm_cell_forward(x, h_prev, c_prev, p)
+        for got, expected in zip(lstm_cell_backward(cache, dh, dc),
+                                 column_slice_backward(cache, dh, dc)):
+            assert got.dtype == expected.dtype == dtype
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
 
 class TestBiLSTM:
     def test_single_position_equals_one_cell_step(self):

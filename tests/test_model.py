@@ -286,6 +286,35 @@ class TestTraining:
         for name, arr in model_a.parameters().items():
             npt.assert_array_equal(arr, model_b.parameters()[name])
 
+    def test_trained_bytes_are_pinned(self, monkeypatch):
+        # the paper's layer sizes, so that at two BLAS threads the weight-
+        # gradient products are large enough to be split between threads
+        config = TrainConfig(seed=3, max_epochs=3, clip_norm=1.3)
+        norms = []
+        clip = model_module.optim.clip_by_global_norm
+
+        def recorded(grads, max_norm):
+            norms.append(clip(grads, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(model_module.optim, "clip_by_global_norm", recorded)
+        model, history = train(config, tiny_corpus())
+        assert min(norms) < config.clip_norm < max(norms)  # some steps clip, some do not
+        params = hashlib.sha256()
+        for name, arr in model.parameters().items():
+            params.update(name.encode())
+            params.update(np.ascontiguousarray(arr).tobytes())
+        # the digests the Adam step with a fresh temporary per operation and
+        # the cell backward on strided gate columns gave, at one and at two
+        # OpenBLAS threads; they hold for the BLAS kernels that rounded them
+        # (OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU), and another kernel may
+        # round the products differently
+        assert params.hexdigest() == (
+            "7827c0ee896b822918acd569d8d387c55e0dfaee1cf15babeca76b30338543d5")
+        records = repr([dataclasses.astuple(record) for record in history]).encode()
+        assert hashlib.sha256(records).hexdigest() == (
+            "4399e03e48ac433d0ae0db288733b53dd3ed5c691e6212daf833ae9946dbf51c")
+
     def test_record_order_does_not_matter(self):
         corpus = tiny_corpus()
         shuffled = {

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from intentnet import optim
 from intentnet.errors import NumericError
+from intentnet.layers import LSTMParams
 from intentnet.model import down_scaled_model, random_check_sample
 from intentnet.optim import (
     AdamState,
@@ -19,6 +22,40 @@ from intentnet.optim import (
 def record(epoch, val_loss=1.0, val_f1=0.5, lr=0.001, train_loss=1.0):
     return EpochRecord(epoch=epoch, train_loss=train_loss, val_loss=val_loss,
                        val_f1=val_f1, lr=lr)
+
+
+def textbook_adam(params, grads, m, v, t, lr):
+    """The Adam update as plain expressions, one fresh temporary per
+    operation: the reference ``adam_step`` must match bit for bit."""
+    for name, theta in params.items():
+        g = grads[name]
+        m[name] *= optim.BETA1
+        m[name] += (1.0 - optim.BETA1) * g
+        v[name] *= optim.BETA2
+        v[name] += (1.0 - optim.BETA2) * g * g
+        m_hat = m[name] / (1.0 - optim.BETA1 ** t)
+        v_hat = v[name] / (1.0 - optim.BETA2 ** t)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + optim.EPS)
+
+
+def mixed_blocks(rng):
+    """float32 and float64 blocks, and the strided per-gate column views of a
+    float32 gate stack, as the model's parameters are."""
+    stack = LSTMParams(5, 4, np.float32)
+    for view in stack.blocks().values():
+        view[...] = rng.standard_normal(view.shape)
+    return {"emb": rng.standard_normal((9, 5)).astype(np.float32),
+            "head": rng.standard_normal((4, 3)),
+            **{f"fwd.{name}": view for name, view in stack.blocks().items()}}
+
+
+def random_grads(rng):
+    """Gradients shaped like ``mixed_blocks``, strided views included."""
+    grads = mixed_blocks(rng)
+    for g in grads.values():
+        # magnitudes from 1e-6 to 10, so that both sqrt(v_hat) and EPS matter
+        g *= 10.0 ** int(rng.integers(-6, 2))
+    return grads
 
 
 class TestAdam:
@@ -65,6 +102,65 @@ class TestAdam:
         with pytest.raises(NumericError):
             adam_step(params, {"w": np.array([1.0, np.nan])}, AdamState(params), lr=0.01)
 
+    def test_dtype_mismatch_rejected(self):
+        params = {"w": np.zeros(3, dtype=np.float32)}
+        with pytest.raises(ValueError, match="dtype mismatch for w"):
+            adam_step(params, {"w": np.zeros(3)}, AdamState(params), lr=0.01)
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (np.array([1.0, np.nan]), NumericError, "non-finite gradient in z"),
+        (np.zeros(3), ValueError, "gradient shape mismatch for z"),
+    ])
+    def test_rejected_step_changes_nothing(self, bad, error, message):
+        # a check failing in the last block used to leave every earlier
+        # block stepped and the counter ticked
+        params = {"a": np.array([1.0, -2.0]), "b": np.array([[0.5]]), "z": np.array([3.0, 4.0])}
+        state = AdamState(params)
+        for _ in range(2):
+            adam_step(params, {name: np.full_like(arr, 0.25) for name, arr in params.items()},
+                      state, lr=0.1)
+        before = [{name: arr.copy() for name, arr in d.items()}
+                  for d in (params, state.m, state.v)]
+        grads = {"a": np.array([1.0, 1.0]), "b": np.array([[1.0]]), "z": bad}
+        with pytest.raises(error, match=message):
+            adam_step(params, grads, state, lr=0.1)
+        assert state.t == 2
+        for now, then in zip((params, state.m, state.v), before):
+            for name in params:
+                npt.assert_array_equal(now[name], then[name])
+
+    def test_matches_the_textbook_expression_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        params = mixed_blocks(rng)
+        assert not params["fwd.w_xi"].flags.c_contiguous
+        assert not random_grads(rng)["fwd.w_xi"].flags.c_contiguous
+        ref = {name: theta.copy() for name, theta in params.items()}
+        m = {name: np.zeros_like(theta) for name, theta in ref.items()}
+        v = {name: np.zeros_like(theta) for name, theta in ref.items()}
+        state = AdamState(params)
+        for t in range(1, 7):
+            grads = random_grads(rng)
+            lr = 0.001 * t
+            adam_step(params, grads, state, lr)
+            textbook_adam(ref, grads, m, v, t, lr)
+            for name, theta in params.items():
+                assert theta.dtype == ref[name].dtype
+                assert theta.tobytes() == ref[name].tobytes(), name
+                assert state.m[name].tobytes() == m[name].tobytes(), name
+                assert state.v[name].tobytes() == v[name].tobytes(), name
+
+    def test_step_allocates_no_block_sized_temporary(self):
+        params = {"emb": np.ones(1_000_000, dtype=np.float32)}
+        grads = {"emb": np.full(1_000_000, 0.5, dtype=np.float32)}
+        state = AdamState(params)
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state, lr=0.001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params["emb"].nbytes / 2
+
     def test_second_moment_nonnegative(self):
         params = {"w": np.array([0.5])}
         state = AdamState(params)
@@ -91,6 +187,18 @@ class TestClip:
         assert norm == pytest.approx(5.0)
         npt.assert_allclose(grads["a"], [0.6])
         npt.assert_allclose(grads["b"], [0.8])
+
+    def test_norm_and_scaling_match_a_float64_copy_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        grads = random_grads(rng)
+        total = 0.0
+        for g in grads.values():
+            total += float(np.sum(g.astype(np.float64) ** 2))
+        expected = float(np.sqrt(total))
+        scaled = {name: g * (0.5 / expected) for name, g in grads.items()}
+        assert clip_by_global_norm(grads, 0.5) == expected
+        for name, g in grads.items():
+            assert g.tobytes() == scaled[name].tobytes(), name
 
     @pytest.mark.parametrize("max_norm", [-1.0, 0.0, float("nan")])
     def test_non_positive_max_norm_rejected(self, max_norm):

@@ -16,7 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import CorpusError
 
@@ -136,17 +136,6 @@ def load_corpus(corpus_dir, split: str) -> list[Utterance]:
         if raw.strip():
             records.append(_parse_line(raw, line_no, path))
     return records
-
-
-def write_corpus(corpus_dir, split: str, records: Iterable[Utterance]) -> Path:
-    """Write one split as JSON Lines; used by tools and test fixtures."""
-    path = Path(corpus_dir) / f"{split}.jsonl"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt in records:
-            fh.write(json.dumps({"id": utt.id, "text": utt.text, "label": utt.label},
-                                ensure_ascii=False) + "\n")
-    return path
 
 
 def build_vocab(train: Sequence[Utterance], min_count: int = 1) -> Vocab:

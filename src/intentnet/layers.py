@@ -32,8 +32,8 @@ them exactly. Each direction stores its weights gate-stacked, one matrix per
 operand (the fused-gate layout of Appleyard et al., arXiv 1604.01946), so a
 cell step makes one product per operand for the whole batch and a chain's
 weight gradients come from one product per stack over all its B * T rows.
-The 15 per-gate blocks that the model file and the optimizer name are
-column views of those stacks.
+The 15 per-gate blocks that the model file names are column views of
+those stacks.
 """
 from __future__ import annotations
 
@@ -65,14 +65,27 @@ class LSTMParams:
     columns i, f, g, o (input, forget, candidate, output) of width H; ``w_c``
     (H, 3H) acts on the cell state, gate columns i, f, o. ``blocks()`` gives
     the 15 per-gate column views ``w_xi`` ... ``b_o``, in a fixed order;
-    writing into a view writes into its stack. A new instance holds zeros.
+    writing into a view writes into its stack. A new instance holds zeros;
+    ``over`` wraps stacks that live elsewhere, such as in a model's vector.
     """
 
     def __init__(self, input_size: int, hidden: int, dtype=np.float32):
-        self.w_x = np.zeros((input_size, 4 * hidden), dtype=dtype)
-        self.w_h = np.zeros((hidden, 4 * hidden), dtype=dtype)
-        self.w_c = np.zeros((hidden, 3 * hidden), dtype=dtype)
-        self.b = np.zeros(4 * hidden, dtype=dtype)
+        self.w_x, self.w_h, self.w_c, self.b = (
+            np.zeros(shape, dtype) for shape in self.stack_shapes(input_size, hidden))
+
+    @staticmethod
+    def stack_shapes(input_size: int, hidden: int) -> list[tuple[int, ...]]:
+        """The shapes of ``w_x``, ``w_h``, ``w_c`` and ``b``, in that order."""
+        return [(input_size, 4 * hidden), (hidden, 4 * hidden), (hidden, 3 * hidden),
+                (4 * hidden,)]
+
+    @classmethod
+    def over(cls, w_x: np.ndarray, w_h: np.ndarray, w_c: np.ndarray,
+             b: np.ndarray) -> "LSTMParams":
+        """Parameters held in the given stacks themselves, not in copies."""
+        params = cls.__new__(cls)
+        params.w_x, params.w_h, params.w_c, params.b = w_x, w_h, w_c, b
+        return params
 
     @property
     def hidden_size(self) -> int:

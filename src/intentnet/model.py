@@ -13,11 +13,16 @@ of ``train``) goes through ``HybridModel._infer``, which runs the utterances
 of each effective length together as a stack of batches of one (see
 ``layers``): each gets the products, and so the bits, of its own batch of
 one, and all four give bit-identical logits for the same utterance.
+
+A model's parameters live in one vector, ``HybridModel.flat``, and the
+gradients of a training step in another, so that the step's batch mean and
+Adam update each run once over a whole vector.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import operator
@@ -113,7 +118,14 @@ def _cut(seq, n: int):
 
 
 class HybridModel:
-    """Embedding + bidirectional recurrence + convolution + dense head."""
+    """Embedding + bidirectional recurrence + convolution + dense head.
+
+    ``flat`` is the one vector, of the model's dtype, that holds every
+    parameter. The embedding, each direction's gate stacks ``w_x``, ``w_h``,
+    ``w_c`` and ``b``, the convolution's filters and bias and the dense
+    weight and bias are reshaped views of consecutive slices of it, in that
+    order; the named blocks of ``parameters()`` are views of those.
+    """
 
     def __init__(self, vocab: Vocab, labels: Sequence[str], embed_dim: int,
                  hidden: int, filters: int, max_len: int, rng: Rng | None,
@@ -136,14 +148,18 @@ class HybridModel:
         self.dropout_rate = dropout_rate
         self.dtype = dtype
 
-        self.embedding = np.zeros((len(vocab), embed_dim), dtype=dtype)
-        self.fwd = layers.LSTMParams(embed_dim, hidden, dtype)
-        self.bwd = layers.LSTMParams(embed_dim, hidden, dtype)
-        self.conv = layers.ConvParams(np.zeros((filters, layers.CONV_WIDTH, embed_dim), dtype),
-                                      np.zeros(filters, dtype))
-        fused_dim = 2 * hidden + filters
-        self.dense = layers.DenseParams(np.zeros((fused_dim, self.num_classes), dtype),
-                                        np.zeros(self.num_classes, dtype))
+        stacks = layers.LSTMParams.stack_shapes(embed_dim, hidden)
+        shapes = [(len(vocab), embed_dim), *stacks, *stacks,
+                  (filters, layers.CONV_WIDTH, embed_dim), (filters,),
+                  (2 * hidden + filters, self.num_classes), (self.num_classes,)]
+        ends = [0, *itertools.accumulate(map(math.prod, shapes))]
+        self.flat = np.zeros(ends[-1], dtype=dtype)
+        views = [self.flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
+        self.embedding = views[0]
+        self.fwd = layers.LSTMParams.over(*views[1:5])
+        self.bwd = layers.LSTMParams.over(*views[5:9])
+        self.conv = layers.ConvParams(*views[9:11])
+        self.dense = layers.DenseParams(*views[11:])
         if rng is not None:
             limit = layers.glorot_limit(len(vocab), embed_dim)
             self.embedding[...] = uniform_init(rng, self.embedding.shape, limit, dtype)
@@ -248,7 +264,9 @@ class HybridModel:
 
     def loss_and_gradients(self, samples, rng: Rng | None = None):
         """Per-sample losses of a batch of encoded samples, and the batch's
-        summed parameter gradients. One batched forward and one batched backward."""
+        summed parameter gradients, named like ``parameters()`` and views of
+        a fresh zero model's vector. One batched forward and one batched
+        backward."""
         indices, true_len, gold = zip(*samples)
         logits, caches = self.forward(indices, true_len, rng=rng)
         losses, d_logits = cross_entropy(logits, gold)
@@ -332,7 +350,12 @@ def _canonical(records: Sequence[Utterance]) -> list[Utterance]:
 
 def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
           log: Callable[[optim.EpochRecord], None] | None = None):
-    """Train a fresh model; returns (best-validation model, history)."""
+    """Train a fresh model; returns (best-validation model, history).
+
+    A step's batch mean and Adam update each run once over the whole
+    gradient and parameter vectors (see ``_step``), and the best epoch is
+    kept as one copy of the parameter vector.
+    """
     config.validate()
     train_records = _canonical(corpus.get("train", []))
     dev_records = _canonical(corpus.get("dev", []))
@@ -350,8 +373,7 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
     train_set = encode_dataset(train_records, vocab, config.max_len, model.label_index)
     dev_set = encode_dataset(dev_records, vocab, config.max_len, model.label_index)
 
-    params = model.parameters()
-    state = optim.AdamState(params)
+    state = optim.AdamState({"flat": model.flat})
     dropout_rng = root.spawn(_STREAM_DROPOUT)
     history: list[optim.EpochRecord] = []
     lr = config.lr
@@ -368,14 +390,13 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
                     raise NumericError(f"non-finite loss at epoch {epoch}, "
                                        f"utterance id {train_records[sample_idx].id}")
                 loss_sum += loss
-            for name in grads:
-                grads[name] /= len(batch)
-            optim.clip_by_global_norm(grads, config.clip_norm)
             try:
-                optim.adam_step(params, grads, state, lr)
+                _step(model, grads, len(batch), state, lr, config.clip_norm)
             except NumericError as exc:
+                name = next(name for name, g in grads.items() if not np.isfinite(g).all())
                 ids = [train_records[i].id for i in batch]
-                raise NumericError(f"{exc} at epoch {epoch}, utterance ids {ids}") from exc
+                raise NumericError(f"non-finite gradient in {name} at epoch {epoch}, "
+                                   f"utterance ids {ids}") from exc
 
         val_loss, val_f1 = _validate(model, dev_set)
         record = optim.EpochRecord(epoch=epoch, train_loss=loss_sum / len(train_set),
@@ -384,15 +405,37 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
         if log is not None:
             log(record)
         if not optim.should_stop(history, patience=1):  # val_f1 improved; always at epoch 1
-            best_params = {name: arr.copy() for name, arr in params.items()}
+            best = model.flat.copy()
         lr = optim.reduce_lr_on_plateau(history, factor=config.lr_factor,
                                         patience=config.plateau_patience,
                                         min_lr=config.min_lr)
         if optim.should_stop(history, patience=config.stop_patience):
             break
 
-    model.set_parameters(best_params)
+    model.flat[...] = best
     return model, history
+
+
+def _step(model: HybridModel, grads: Mapping[str, np.ndarray], batch_size: int,
+          state: optim.AdamState, lr: float, clip_norm: float) -> None:
+    """The tail of a training step on the batch's summed gradients ``grads``,
+    as ``loss_and_gradients`` returns them: batch mean, clipping (its norm
+    summed over the named blocks), then Adam over the whole vectors."""
+    flat_grad = _gradient_vector(grads)
+    flat_grad /= batch_size
+    optim.clip_by_global_norm(grads, clip_norm)
+    optim.adam_step({"flat": model.flat}, {"flat": flat_grad}, state, lr)
+
+
+def _gradient_vector(grads: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The one vector that every block of ``grads`` is a view of, as in the
+    dict ``loss_and_gradients`` returns; a block that is not raises
+    ``ValueError`` naming it."""
+    flat = next(iter(grads.values())).base
+    for name, g in grads.items():
+        if flat is None or g.base is not flat:
+            raise ValueError(f"gradient block {name} is not a view of the gradient vector")
+    return flat
 
 
 def _validate(model: HybridModel, dev_set) -> tuple[float, float]:

@@ -37,22 +37,18 @@ class AdamState:
     """First/second moment estimates mirroring a named parameter dict, and
     the scratch memory ``adam_step`` computes in.
 
-    The scratch is two flat arrays per parameter dtype, each as long as the
-    largest block of that dtype; ``scratch[name]`` is a pair of views of
-    them shaped like that block, so a step allocates nothing block-sized.
-    The arrays have their blocks' dtype: an ``out=`` of another dtype would
-    select another ufunc loop and change the update's bits.
+    ``scratch[name]`` is a pair of arrays shaped like that block, so a step
+    allocates nothing block-sized. They have the block's dtype: an ``out=``
+    of another dtype would select another ufunc loop and change the
+    update's bits. Training passes one block, the model's whole parameter
+    vector, so the pair is two vectors of that size.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
         self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.t = 0
-        sizes: dict[np.dtype, int] = {}
-        for arr in params.values():
-            sizes[arr.dtype] = max(sizes.get(arr.dtype, 0), arr.size)
-        flat = {dtype: (np.empty(n, dtype), np.empty(n, dtype)) for dtype, n in sizes.items()}
-        self.scratch = {name: tuple(buf[:arr.size].reshape(arr.shape) for buf in flat[arr.dtype])
+        self.scratch = {name: (np.empty_like(arr), np.empty_like(arr))
                         for name, arr in params.items()}
 
 

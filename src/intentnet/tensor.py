@@ -126,7 +126,8 @@ class Rng:
             prev = row
         states = states.reshape(-1)[:n]
         self._state = int(states[-1])
-        return states * _ARRAY_MULTIPLIER
+        states *= _ARRAY_MULTIPLIER
+        return states
 
     def random(self) -> float:
         """Uniform float64 in [0, 1) with 53 random bits."""
@@ -141,8 +142,14 @@ class Rng:
     def uniform(self, low: float, high: float, shape, dtype=np.float64):
         """Uniform samples in [low, high) of the given shape: the floats of
         ``random()`` drawn once per element, in row-major order."""
-        draws = (self.next_u64_array(int(np.prod(shape))) >> _SHIFT[11]) * (2.0 ** -53)
-        out = low + (high - low) * draws
+        # in place where the dtype allows: for the embedding these are the
+        # largest arrays a model's initialisation makes
+        draws = self.next_u64_array(int(np.prod(shape)))
+        draws >>= _SHIFT[11]
+        out = draws * (2.0 ** -53)
+        del draws
+        out *= high - low
+        out += low
         return out.reshape(shape).astype(dtype)
 
     def permutation(self, n: int) -> np.ndarray:

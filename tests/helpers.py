@@ -1,18 +1,21 @@
-"""Shared oracles for gradient and forward verification.
+"""Shared oracles for gradient and forward verification, and test corpora.
 
 Everything here recomputes results through an independent path (pure Python
 scalar loops, central finite differences) so the production code never
 checks itself against itself. The helpers after ``scalar_lstm_cell`` are
-small utilities the tests share.
+small utilities the tests share; the synthetic corpora come last.
 """
 
+import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
 from intentnet import container
-from intentnet.data import PAD_INDEX
+from intentnet.data import LABELS, PAD_INDEX, Utterance
+from intentnet.tensor import Rng
 
 
 def numeric_gradient(loss_fn, arr, eps=1e-5):
@@ -89,3 +92,71 @@ def write_raw_header(path, header_bytes):
     payload = b"".join([container.MAGIC, struct.pack("<I", len(header_bytes)),
                         header_bytes, struct.pack("<I", 0)])
     path.write_bytes(payload + struct.pack("<Q", container.fnv1a64(payload)))
+
+
+def write_corpus(corpus_dir, split, records):
+    """Write one split as JSON Lines, the corpus format ``load_corpus`` reads."""
+    path = Path(corpus_dir) / f"{split}.jsonl"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for utt in records:
+            fh.write(json.dumps({"id": utt.id, "text": utt.text, "label": utt.label},
+                                ensure_ascii=False) + "\n")
+    return path
+
+
+# Synthetic corpora. Each class owns a disjoint set of indicative characters;
+# utterances are random strings over those plus shared label-neutral noise
+# characters, so the task is separable by construction while still exercising
+# variable lengths and out-of-class noise.
+
+NOISE_CHARS = "0123456789"
+_ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_CHARS_PER_CLASS = 3
+
+
+def _class_chars(class_idx):
+    start = class_idx * _CHARS_PER_CLASS
+    if start + _CHARS_PER_CLASS > len(_ALPHABET):
+        raise ValueError("too many classes for disjoint character sets")
+    return _ALPHABET[start:start + _CHARS_PER_CLASS]
+
+
+def _make_utterance(rng, class_idx, uid, min_len, max_len, noise_frac):
+    chars = _class_chars(class_idx)
+    length = min_len + rng.integer(max_len - min_len + 1)
+    text = "".join(
+        NOISE_CHARS[rng.integer(len(NOISE_CHARS))]
+        if rng.random() < noise_frac else chars[rng.integer(len(chars))]
+        for _ in range(length)
+    )
+    return Utterance(id=uid, text=text, label=LABELS[class_idx])
+
+
+def separable_corpus(n_classes=8, per_class=8, seed=0, min_len=5, max_len=10):
+    """Noise-free corpus where any single character identifies the class."""
+    rng = Rng(seed).spawn(11)
+    records = []
+    uid = 0
+    for class_idx in range(n_classes):
+        for _ in range(per_class):
+            records.append(_make_utterance(rng, class_idx, uid, min_len, max_len,
+                                           noise_frac=0.0))
+            uid += 1
+    return records
+
+
+def noisy_splits(n_total=500, n_classes=10, seed=0, noise_frac=0.2, min_len=8, max_len=16):
+    """Train/dev/test splits (70/15/15) with label-neutral noise characters."""
+    rng = Rng(seed).spawn(13)
+    records = [
+        _make_utterance(rng, uid % n_classes, uid, min_len, max_len, noise_frac)
+        for uid in range(n_total)
+    ]
+    n_train = int(n_total * 0.7)
+    n_dev = int(n_total * 0.15)
+    return {
+        "train": records[:n_train],
+        "dev": records[n_train:n_train + n_dev],
+        "test": records[n_train + n_dev:],
+    }

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from intentnet import data, synthetic
+from intentnet import data
 from intentnet.baseline import predict_nb, train_nb
 from intentnet.cli import main
 from intentnet.data import LABELS, Vocab, build_vocab, encode
@@ -28,6 +28,8 @@ from intentnet.model import (
     train,
 )
 from intentnet.tensor import Rng, softmax
+
+from helpers import noisy_splits, separable_corpus, write_corpus
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -47,7 +49,7 @@ def random_texts(count: int, seed: int, min_len=1, max_len=24) -> list[str]:
 
 
 def fresh_model(seed=11, num_classes=8) -> HybridModel:
-    records = synthetic.separable_corpus(n_classes=num_classes, per_class=4, seed=seed)
+    records = separable_corpus(n_classes=num_classes, per_class=4, seed=seed)
     vocab = build_vocab(records)
     labels = sorted({u.label for u in records})
     return HybridModel(vocab, labels, embed_dim=8, hidden=6, filters=5,
@@ -101,7 +103,7 @@ def test_criterion_3_padding_invariance(capsys):
 
 
 def test_criterion_4_overfit_capability(capsys):
-    records = synthetic.separable_corpus(n_classes=8, per_class=8, seed=0)
+    records = separable_corpus(n_classes=8, per_class=8, seed=0)
     corpus = {"train": records, "dev": records}
     # batch size 10, lr 0.001, and the factor-0.1 plateau schedule are pinned;
     # the stop patience is widened so early stopping cannot cut the budget
@@ -120,7 +122,7 @@ def test_criterion_4_overfit_capability(capsys):
 
 
 def test_criterion_5_baseline_ladder(capsys):
-    splits = synthetic.noisy_splits(n_total=500, n_classes=10, seed=0, noise_frac=0.2)
+    splits = noisy_splits(n_total=500, n_classes=10, seed=0, noise_frac=0.2)
     config = TrainConfig(batch_size=10, lr=0.001, lr_factor=0.1, seed=0, max_epochs=60)
     start = time.monotonic()
     model, _ = train(config, splits)
@@ -142,9 +144,9 @@ def test_criterion_5_baseline_ladder(capsys):
 
 def test_criterion_6_training_determinism(tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"
-    records = synthetic.separable_corpus(n_classes=4, per_class=5, seed=5)
+    records = separable_corpus(n_classes=4, per_class=5, seed=5)
     for split in ("train", "dev"):
-        data.write_corpus(corpus_dir, split, records)
+        write_corpus(corpus_dir, split, records)
     artifacts = []
     for run in ("a", "b"):
         out = tmp_path / f"model_{run}.bin"

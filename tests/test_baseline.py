@@ -4,11 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from intentnet import synthetic
 from intentnet.baseline import predict_nb, train_nb
 from intentnet.data import LABELS, Utterance, Vocab, build_vocab
 from intentnet.errors import CorpusError
 from intentnet.model import report_from_pairs
+
+from helpers import noisy_splits
 
 
 def utt(text, label, id=0):
@@ -87,7 +88,7 @@ class TestPredictNB:
 
 class TestSeparableAccuracy:
     def test_high_f1_on_separable_corpus(self):
-        splits = synthetic.noisy_splits(n_total=300, n_classes=6, seed=2, noise_frac=0.0)
+        splits = noisy_splits(n_total=300, n_classes=6, seed=2, noise_frac=0.0)
         vocab = build_vocab(splits["train"])
         model = train_nb(splits["train"], vocab)
         gold, pred = [], []

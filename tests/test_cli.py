@@ -5,11 +5,11 @@ import time
 import numpy as np
 import pytest
 
-from intentnet import container, data, synthetic
+from intentnet import container, data
 from intentnet.cli import main
 from intentnet.model import HybridModel, evaluate
 
-from helpers import rewrite_container
+from helpers import noisy_splits, rewrite_container, separable_corpus, write_corpus
 
 FAST_TRAIN = ["--epochs", "3", "--hidden", "6", "--filters", "4",
               "--embed-dim", "6", "--max-len", "12", "--seed", "9"]
@@ -17,13 +17,13 @@ FAST_TRAIN = ["--epochs", "3", "--hidden", "6", "--filters", "4",
 
 def write_splits(corpus_dir, splits):
     for split, records in splits.items():
-        data.write_corpus(corpus_dir, split, records)
+        write_corpus(corpus_dir, split, records)
 
 
 @pytest.fixture(scope="module")
 def toy_corpus_dir(tmp_path_factory):
     corpus_dir = tmp_path_factory.mktemp("corpus")
-    records = synthetic.separable_corpus(n_classes=3, per_class=6, seed=0)
+    records = separable_corpus(n_classes=3, per_class=6, seed=0)
     write_splits(corpus_dir, {"train": records, "dev": records, "test": records})
     return corpus_dir
 
@@ -82,7 +82,7 @@ class TestTrainCommand:
 
     def test_missing_dev_split_names_file(self, tmp_path, capsys):
         corpus_dir = tmp_path / "incomplete"
-        write_splits(corpus_dir, {"train": synthetic.separable_corpus(3, 2, seed=1)})
+        write_splits(corpus_dir, {"train": separable_corpus(3, 2, seed=1)})
         rc = main(["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "m.bin"),
                    *FAST_TRAIN])
         assert rc == 2
@@ -167,7 +167,7 @@ class TestTrainCommand:
 
     def test_numeric_failure_is_one_line(self, tmp_path, capsys):
         corpus_dir = tmp_path / "c"
-        write_splits(corpus_dir, synthetic.noisy_splits(n_total=60, n_classes=3, seed=0))
+        write_splits(corpus_dir, noisy_splits(n_total=60, n_classes=3, seed=0))
         rc = main(["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "m.bin"),
                    "--lr", "1e30", "--hidden", "4", "--filters", "3", "--embed-dim", "5"])
         err = capsys.readouterr().err
@@ -334,7 +334,7 @@ class TestGradcheckCommand:
 class TestStatsCommand:
     def test_prints_zero_counts_for_empty_split(self, tmp_path, capsys):
         corpus_dir = tmp_path / "c"
-        records = synthetic.separable_corpus(n_classes=2, per_class=2, seed=3)
+        records = separable_corpus(n_classes=2, per_class=2, seed=3)
         write_splits(corpus_dir, {"train": records, "dev": records})
         (corpus_dir / "test.jsonl").write_text("")
         rc = main(["stats", "--corpus", str(corpus_dir)])
@@ -345,13 +345,13 @@ class TestStatsCommand:
 
     def test_missing_split_is_data_error(self, tmp_path, capsys):
         corpus_dir = tmp_path / "c"
-        write_splits(corpus_dir, {"train": synthetic.separable_corpus(2, 2, seed=3)})
+        write_splits(corpus_dir, {"train": separable_corpus(2, 2, seed=3)})
         rc = main(["stats", "--corpus", str(corpus_dir)])
         assert rc == 2
 
     def test_expect_reference_flags_first_mismatch(self, tmp_path, capsys):
         corpus_dir = tmp_path / "c"
-        records = synthetic.separable_corpus(n_classes=2, per_class=2, seed=3)
+        records = separable_corpus(n_classes=2, per_class=2, seed=3)
         write_splits(corpus_dir, {"train": records, "dev": records, "test": records})
         rc = main(["stats", "--corpus", str(corpus_dir), "--expect-reference"])
         captured = capsys.readouterr()
@@ -369,7 +369,7 @@ class TestStatsCommand:
                 for _ in range(data.REFERENCE_COUNTS[label][split_idx]):
                     records.append(data.Utterance(id=uid, text="xyz", label=label))
                     uid += 1
-            data.write_corpus(corpus_dir, split, records)
+            write_corpus(corpus_dir, split, records)
         rc = main(["stats", "--corpus", str(corpus_dir), "--expect-reference"])
         captured = capsys.readouterr()
         assert rc == 2

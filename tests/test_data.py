@@ -15,11 +15,10 @@ from intentnet.data import (
     compute_stats,
     encode,
     load_corpus,
-    write_corpus,
 )
 from intentnet.errors import CorpusError
 
-from helpers import decode
+from helpers import decode, write_corpus
 
 
 def utt(text, label="chat", id=0):

@@ -9,9 +9,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from intentnet import container, synthetic
+from intentnet import container, optim
 from intentnet import model as model_module
-from intentnet.data import LABELS, Utterance, Vocab, encode
+from intentnet.data import LABELS, Utterance, Vocab, build_vocab, encode
 from intentnet.errors import ContainerError, CorpusError, NumericError
 from intentnet.model import (
     HybridModel,
@@ -20,12 +20,14 @@ from intentnet.model import (
     down_scaled_model,
     encode_dataset,
     evaluate,
+    random_check_sample,
     report_from_pairs,
     train,
 )
 from intentnet.tensor import Rng, softmax
 
-from helpers import max_rel_error, numeric_gradient, rewrite_container, write_raw_header
+from helpers import (max_rel_error, numeric_gradient, rewrite_container, separable_corpus,
+                     write_raw_header)
 
 GRAD_TOL = 1e-4
 
@@ -46,7 +48,7 @@ def zero_all(model):
 
 def tiny_corpus(seed=0):
     """Three-class corpus, big enough to train a couple of epochs quickly."""
-    records = synthetic.separable_corpus(n_classes=3, per_class=6, seed=seed)
+    records = separable_corpus(n_classes=3, per_class=6, seed=seed)
     return {"train": records, "dev": records}
 
 
@@ -161,6 +163,132 @@ class TestGradientBuffer:
                                   model.label_index)
         carried = [sample for _, samples, _ in calls for sample in samples]
         assert sorted(map(repr, carried)) == sorted(map(repr, expected))
+
+
+def zero_twin(model, blocks=None):
+    """A zero model of ``model``'s sizes and dtype, holding copies of the
+    named ``blocks`` if given."""
+    twin = HybridModel(model.vocab, model.labels, model.embed_dim, model.hidden, model.filters,
+                       model.max_len, rng=None, dropout_rate=model.dropout_rate,
+                       dtype=model.dtype)
+    if blocks is not None:
+        twin.set_parameters(blocks)
+    return twin
+
+
+def named(model, vector):
+    """Copies of ``vector``'s elements as ``model``'s named blocks."""
+    twin = zero_twin(model)
+    twin.flat[...] = vector
+    return twin.parameters()
+
+
+def assert_tiles(blocks, flat):
+    """Every block is a view of the vector ``flat``, and together the blocks
+    hold each of its elements exactly once."""
+    assert flat.ndim == 1
+    assert all(np.shares_memory(arr, flat) for arr in blocks.values())
+    assert sum(arr.size for arr in blocks.values()) == flat.size
+    saved = flat.copy()
+    flat[...] = 0
+    for arr in blocks.values():
+        arr += 1
+    assert np.all(flat == 1)  # no element in two blocks, none in no block
+    flat[...] = saved
+
+
+def assert_model_arena(model):
+    assert_tiles(model.parameters(), model.flat)
+    # the stacks are consecutive slices, in this order
+    stacks = [model.embedding,
+              *(getattr(direction, stack) for direction in (model.fwd, model.bwd)
+                for stack in ("w_x", "w_h", "w_c", "b")),
+              model.conv.filters, model.conv.bias, model.dense.weight, model.dense.bias]
+    offset = 0
+    for arr in stacks:
+        assert arr.flags.c_contiguous
+        assert arr.ctypes.data - model.flat.ctypes.data == offset * model.flat.itemsize
+        offset += arr.size
+    assert offset == model.flat.size
+    # a write through set_parameters lands in the vector: block k holds k + 1
+    params = model.parameters()
+    model.set_parameters({name: np.full(arr.shape, k + 1)
+                          for k, (name, arr) in enumerate(params.items())})
+    counts = np.bincount(model.flat.astype(np.intp))
+    assert counts.tolist() == [0, *(arr.size for arr in params.values())]
+
+
+def per_block_tail(params, grads, batch_size, state, lr, clip_norm):
+    """The tail of a training step block by block, as ``train`` ran it
+    before the parameter vector: batch mean, clipping, Adam. Returns the
+    gradient norm."""
+    for name in grads:
+        grads[name] /= batch_size
+    norm = optim.clip_by_global_norm(grads, clip_norm)
+    optim.adam_step(params, grads, state, lr)
+    return norm
+
+
+def paper_size_model():
+    """The default TrainConfig's layer sizes and float32, on ``tiny_corpus``'s vocabulary."""
+    records = tiny_corpus()["train"]
+    config = TrainConfig()
+    return HybridModel(build_vocab(records), sorted({utt.label for utt in records}),
+                       config.embed_dim, config.hidden, config.filters, config.max_len,
+                       rng=Rng(4))
+
+
+class TestParameterArena:
+    def test_fresh_model(self):
+        assert_model_arena(tiny_model())
+
+    def test_loaded_model(self, tmp_path):
+        tiny_model().save(tmp_path / "m.bin")
+        assert_model_arena(HybridModel.load(tmp_path / "m.bin"))
+
+    def test_trained_model(self):
+        model, _ = train(fast_config(max_epochs=2), tiny_corpus())
+        assert_model_arena(model)
+
+    def test_gradient_dict(self):
+        model = down_scaled_model(seed=6)
+        _, grads = model.loss_and_gradients(mixed_batch(model))
+        assert list(grads) == list(model.parameters())
+        flat = model_module._gradient_vector(grads)
+        assert (flat.shape, flat.dtype) == (model.flat.shape, model.flat.dtype)
+        assert not np.shares_memory(flat, model.flat)
+        assert_tiles(grads, flat)
+
+    @pytest.mark.parametrize("build, clip_norm, lr", [
+        (paper_size_model, 3.0, 0.01),
+        (lambda: down_scaled_model(seed=3), 0.95, 0.05),
+    ], ids=["paper-size-float32", "down-scaled-float64"])
+    def test_one_vector_step_matches_the_per_block_step_bit_for_bit(self, build, clip_norm, lr):
+        model = build()
+        ref = zero_twin(model, model.parameters())
+        ref_params = ref.parameters()
+        state = optim.AdamState({"flat": model.flat})
+        ref_state = optim.AdamState(ref_params)
+        if model.dtype == np.float32:
+            samples = encode_dataset(tiny_corpus()["train"], model.vocab, model.max_len,
+                                     model.label_index)
+        else:
+            samples = [random_check_sample(seed, model) for seed in range(18)]
+        dropout_rng = Rng(9)
+        norms = []
+        for k in range(6):
+            batch = samples[3 * k:3 * k + 3]
+            _, grads = model.loss_and_gradients(batch, rng=dropout_rng)
+            ref_grads = zero_twin(model, grads).parameters()  # strided gate views, as before
+            norms.append(per_block_tail(ref_params, ref_grads, len(batch), ref_state, lr,
+                                        clip_norm))
+            model_module._step(model, grads, len(batch), state, lr, clip_norm)
+            for mine, theirs in ((model.parameters(), ref_params),
+                                 (named(model, state.m["flat"]), ref_state.m),
+                                 (named(model, state.v["flat"]), ref_state.v)):
+                for name, arr in theirs.items():
+                    assert mine[name].tobytes() == arr.tobytes(), (k, name)
+        assert min(norms) < clip_norm < max(norms)  # some steps clip, some do not
 
 
 def mixed_batch(model):
@@ -326,7 +454,7 @@ class TestTraining:
         assert hist_a == hist_b
 
     def test_first_epoch_loss_near_log_num_classes(self):
-        records = synthetic.separable_corpus(n_classes=8, per_class=4, seed=1)
+        records = separable_corpus(n_classes=8, per_class=4, seed=1)
         _, history = train(fast_config(max_epochs=1), {"train": records, "dev": records})
         assert history[0].train_loss == pytest.approx(math.log(8), abs=0.5)
 
@@ -406,6 +534,42 @@ class TestTraining:
         message = f"non-finite gradient in out.weight at epoch 1, utterance ids {ids}"
         with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
             train(config, corpus)
+
+    def test_non_finite_gradient_in_a_gate_view_names_that_block(self, monkeypatch):
+        original = HybridModel.loss_and_gradients
+        batches = []
+
+        def poisoned(self, samples, rng=None):
+            losses, grads = original(self, samples, rng)
+            batches.append(samples)
+            if len(batches) == 2:
+                grads["fwd.w_hf"][0, 0] = np.nan
+            return losses, grads
+
+        monkeypatch.setattr(HybridModel, "loss_and_gradients", poisoned)
+        config = fast_config(max_epochs=2, batch_size=4)
+        corpus = renumbered_corpus()
+        records = model_module._canonical(corpus["train"])
+        order = Rng(config.seed).spawn(model_module._STREAM_SHUFFLE_BASE + 1).permutation(18)
+        ids = [records[i].id for i in order[4:8]]
+        message = f"non-finite gradient in fwd.w_hf at epoch 1, utterance ids {ids}"
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            train(config, corpus)
+
+    @pytest.mark.parametrize("name", ["embedding", "fwd.w_hf", "out.bias"])
+    def test_gradient_block_outside_the_vector_rejected(self, monkeypatch, name):
+        # a step on the vector would otherwise miss the block's gradient
+        original = HybridModel.loss_and_gradients
+
+        def detached(self, samples, rng=None):
+            losses, grads = original(self, samples, rng)
+            grads[name] = grads[name].copy()
+            return losses, grads
+
+        monkeypatch.setattr(HybridModel, "loss_and_gradients", detached)
+        message = f"gradient block {name} is not a view of the gradient vector"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train(fast_config(max_epochs=1), tiny_corpus())
 
     def test_dev_label_missing_from_train_rejected(self):
         corpus = tiny_corpus()

@@ -1,20 +1,25 @@
-"""Shared oracles for gradient and forward verification, and test corpora.
+"""Shared oracles for gradient, forward and checksum verification, the Naive
+Bayes baseline, and test corpora.
 
 Everything here recomputes results through an independent path (pure Python
-scalar loops, central finite differences) so the production code never
-checks itself against itself. The helpers after ``scalar_lstm_cell`` are
-small utilities the tests share; the synthetic corpora come last.
+scalar loops, central finite differences, the byte-at-a-time checksum) so
+the production code never checks itself against itself. The helpers after
+``fnv1a64_bytewise`` are small utilities the tests share; the baseline and
+the synthetic corpora come last.
 """
 
 import json
 import math
 import struct
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from intentnet import container
-from intentnet.data import LABELS, PAD_INDEX, Utterance
+from intentnet.data import LABELS, PAD_INDEX, Utterance, Vocab, tokenize
+from intentnet.errors import CorpusError
 from intentnet.tensor import Rng
 
 
@@ -75,6 +80,15 @@ def scalar_lstm_cell(x, h_prev, c_prev, p):
     return np.array(h), np.array(c)
 
 
+def fnv1a64_bytewise(data):
+    """FNV-1a 64 one byte at a time, as Fowler, Noll and Vo specify it."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
 def decode(indices, vocab):
     """Inverse of ``data.encode`` for in-vocabulary text (padding dropped)."""
     return "".join(vocab.tokens[i] for i in indices if i != PAD_INDEX)
@@ -103,6 +117,62 @@ def write_corpus(corpus_dir, split, records):
             fh.write(json.dumps({"id": utt.id, "text": utt.text, "label": utt.label},
                                 ensure_ascii=False) + "\n")
     return path
+
+
+# Multinomial Naive Bayes over character counts: the sanity floor the neural
+# model must stay above. It lives in memory only; no model file holds it.
+
+NB_ALPHA = 1.0  # add-one smoothing
+
+
+@dataclass
+class NBModel:
+    labels: list[str]
+    vocab: Vocab
+    log_prior: np.ndarray       # (num_classes,)
+    log_likelihood: np.ndarray  # (num_classes, vocab_size)
+
+    @property
+    def label_index(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
+
+def train_nb(records: Sequence[Utterance], vocab: Vocab) -> NBModel:
+    """Class-frequency priors and add-one-smoothed token likelihoods.
+
+    Tokens outside the vocabulary are skipped, mirroring prediction.
+    """
+    if not records:
+        raise CorpusError("training split is empty")
+    labels = sorted({utt.label for utt in records})
+    label_index = {lab: i for i, lab in enumerate(labels)}
+    vocab_size = len(vocab)
+    counts = np.zeros((len(labels), vocab_size), dtype=np.float64)
+    class_counts = np.zeros(len(labels), dtype=np.float64)
+    for utt in records:
+        row = label_index[utt.label]
+        class_counts[row] += 1
+        for token in tokenize(utt.text):
+            idx = vocab.index.get(token)
+            if idx is not None:
+                counts[row, idx] += 1
+    totals = counts.sum(axis=1, keepdims=True)
+    log_likelihood = np.log(counts + NB_ALPHA) - np.log(totals + NB_ALPHA * vocab_size)
+    log_prior = np.log(class_counts) - np.log(class_counts.sum())
+    return NBModel(labels=labels, vocab=vocab, log_prior=log_prior,
+                   log_likelihood=log_likelihood)
+
+
+def predict_nb(model: NBModel, text: str) -> tuple[str, np.ndarray]:
+    """Most probable label (lowest index on ties) and the log-posteriors."""
+    if not text:
+        raise ValueError("cannot classify empty text")
+    scores = model.log_prior.copy()
+    for token in tokenize(text):
+        idx = model.vocab.index.get(token)
+        if idx is not None:
+            scores += model.log_likelihood[:, idx]
+    return model.labels[int(np.argmax(scores))], scores
 
 
 # Synthetic corpora. Each class owns a disjoint set of indicative characters;

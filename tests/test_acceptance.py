@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from intentnet import data
-from intentnet.baseline import predict_nb, train_nb
 from intentnet.cli import main
 from intentnet.data import LABELS, Vocab, build_vocab, encode
 from intentnet.layers import LSTMParams, lstm_cell_forward
@@ -29,7 +28,7 @@ from intentnet.model import (
 )
 from intentnet.tensor import Rng, softmax
 
-from helpers import noisy_splits, separable_corpus, write_corpus
+from helpers import noisy_splits, predict_nb, separable_corpus, train_nb, write_corpus
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

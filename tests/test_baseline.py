@@ -4,12 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from intentnet.baseline import predict_nb, train_nb
 from intentnet.data import LABELS, Utterance, Vocab, build_vocab
 from intentnet.errors import CorpusError
 from intentnet.model import report_from_pairs
 
-from helpers import noisy_splits
+from helpers import noisy_splits, predict_nb, train_nb
 
 
 def utt(text, label, id=0):

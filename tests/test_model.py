@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -759,6 +760,45 @@ class TestSerialization:
         path.write_bytes(bytes(raw))
         with pytest.raises(ContainerError, match="checksum"):
             HybridModel.load(path)
+
+    def test_a_flipped_byte_at_any_chunk_edge_fails_the_checksum(self, tmp_path):
+        path = tmp_path / "model.bin"
+        paper_size_model().save(path)
+        raw = path.read_bytes()
+        payload_len = len(raw) - 8
+        saved = container.fnv1a64(raw[:-8])
+        chunk = container._CHUNK
+        edges = {0, payload_len - 1}
+        for start in range(chunk, payload_len, chunk):
+            edges |= {start - 1, start, start + 1}
+        edges = sorted(pos for pos in edges if pos < payload_len)
+        assert len(edges) > 10  # the file spans several chunks
+        for pos in edges:
+            flipped = bytearray(raw)
+            flipped[pos] ^= 0xFF
+            assert container.fnv1a64(memoryview(flipped)[:-8]) != saved
+            path.write_bytes(flipped)
+            # the magic is read before the checksum
+            with pytest.raises(ContainerError,
+                               match="not a model container" if pos < 4 else "checksum"):
+                HybridModel.load(path)
+
+    def test_read_blocks_are_read_only_views_of_the_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        tiny_model().save(path)
+        _, blocks = container.read_container(path)
+        for name, arr in blocks.items():
+            assert not arr.flags.writeable and not arr.flags.owndata, name
+
+    def test_checksum_scratch_is_bounded_by_the_chunk(self):
+        payload = np.random.default_rng(0).bytes(1 << 20)
+        tracemalloc.start()
+        try:
+            container.fnv1a64(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(payload)
 
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
         draws = []

@@ -1,6 +1,7 @@
-"""Property tests: container fuzzing, encoding invariants, schedule replays,
-the batch contract."""
+"""Property tests: the checksum against its byte-loop oracle, container
+fuzzing, encoding invariants, schedule replays, the batch contract."""
 
+import random
 import struct
 
 import numpy.testing as npt
@@ -15,7 +16,55 @@ from intentnet.model import HybridModel, down_scaled_model
 from intentnet.optim import EpochRecord, reduce_lr_on_plateau, should_stop
 from intentnet.tensor import Rng
 
+from helpers import fnv1a64_bytewise
+
 PROPERTY = settings(max_examples=200, deadline=None)
+
+_CHUNK = container._CHUNK
+_EDGE_LENGTHS = [0, 1, 7, 8, 9,
+                 *(k * _CHUNK + e for k in (1, 2, 3) for e in (-1, 0, 1))]
+
+
+@st.composite
+def _payloads(draw):
+    """Random or periodic bytes of any length up to three chunks and a byte,
+    drawn often at the word and chunk edges."""
+    n = draw(st.one_of(st.sampled_from(_EDGE_LENGTHS), st.integers(0, 3 * _CHUNK + 1)),
+             label="length")
+    if draw(st.booleans(), label="periodic"):
+        pattern = draw(st.binary(min_size=1, max_size=16), label="pattern")
+        return (pattern * (n // len(pattern) + 1))[:n]
+    return random.Random(draw(st.integers(0, 2**32 - 1), label="seed")).randbytes(n)
+
+
+@PROPERTY
+@given(data=_payloads())
+def test_checksum_equals_the_byte_loop(data):
+    assert container.fnv1a64(data) == fnv1a64_bytewise(data)
+
+
+@pytest.mark.parametrize("as_buffer", [bytes, bytearray, memoryview])
+def test_checksum_takes_any_bytes_like_input(as_buffer):
+    data = random.Random(7).randbytes(2 * _CHUNK + 9)
+    assert container.fnv1a64(as_buffer(data)) == fnv1a64_bytewise(data)
+
+
+@pytest.mark.parametrize("fill", [0x00, 0xFF])
+def test_checksum_of_constant_runs_across_chunk_boundaries(fill):
+    run = bytes([fill]) * (2 * _CHUNK + 11)
+    noise = random.Random(fill).randbytes(_CHUNK)
+    for data in (run, noise[:_CHUNK - 5] + run + noise[:13]):
+        assert container.fnv1a64(data) == fnv1a64_bytewise(data)
+
+
+@pytest.mark.parametrize("data, expected", [
+    (b"", 0xCBF29CE484222325),
+    (b"a", 0xAF63DC4C8601EC8C),
+    (b"foobar", 0x85944171F73967E8),
+])
+def test_checksum_published_vectors(data, expected):
+    assert container.fnv1a64(data) == expected
+    assert fnv1a64_bytewise(data) == expected
 
 
 # parametrized so the test id names the model kind it fuzzes

@@ -111,9 +111,8 @@ def write_container(path, header: dict, blocks: dict[str, np.ndarray]) -> None:
         name_bytes = name.encode("utf-8")
         parts.append(struct.pack("<H", len(name_bytes)))
         parts.append(name_bytes)
-        parts.append(struct.pack("<B", data.ndim))
-        parts.append(struct.pack(f"<{data.ndim}I", *data.shape))
-        parts.append(data.tobytes())
+        parts.append(struct.pack(f"<B{data.ndim}I", data.ndim, *data.shape))
+        parts.append(data)
     payload = b"".join(parts)
     with open(path, "wb") as fh:
         fh.write(payload)

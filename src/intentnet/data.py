@@ -90,9 +90,10 @@ class Vocab:
 
 
 def label_list(labels: Sequence[str]) -> list[str]:
-    """``labels`` as a list, checked to hold distinct strings."""
-    if len(set(labels)) != len(labels) or not all(isinstance(lab, str) for lab in labels):
-        raise ValueError("labels must be distinct strings")
+    """``labels`` as a list, checked to hold one or more distinct strings."""
+    if (not labels or len(set(labels)) != len(labels)
+            or not all(isinstance(lab, str) for lab in labels)):
+        raise ValueError("labels must be one or more distinct strings")
     return list(labels)
 
 

@@ -57,6 +57,7 @@ def glorot_limit(fan_in: int, fan_out: int) -> float:
 _STACK_GATES = {"w_x": "ifgo", "w_h": "ifgo", "w_c": "ifo", "b": "ifgo"}
 
 
+@dataclass(eq=False)
 class LSTMParams:
     """Weights and biases of one recurrence direction, stored gate-stacked.
 
@@ -65,27 +66,18 @@ class LSTMParams:
     columns i, f, g, o (input, forget, candidate, output) of width H; ``w_c``
     (H, 3H) acts on the cell state, gate columns i, f, o. ``blocks()`` gives
     the 15 per-gate column views ``w_xi`` ... ``b_o``, in a fixed order;
-    writing into a view writes into its stack. A new instance holds zeros;
-    ``over`` wraps stacks that live elsewhere, such as in a model's vector.
+    writing into a view writes into its stack.
     """
-
-    def __init__(self, input_size: int, hidden: int, dtype=np.float32):
-        self.w_x, self.w_h, self.w_c, self.b = (
-            np.zeros(shape, dtype) for shape in self.stack_shapes(input_size, hidden))
+    w_x: np.ndarray
+    w_h: np.ndarray
+    w_c: np.ndarray
+    b: np.ndarray
 
     @staticmethod
     def stack_shapes(input_size: int, hidden: int) -> list[tuple[int, ...]]:
         """The shapes of ``w_x``, ``w_h``, ``w_c`` and ``b``, in that order."""
         return [(input_size, 4 * hidden), (hidden, 4 * hidden), (hidden, 3 * hidden),
                 (4 * hidden,)]
-
-    @classmethod
-    def over(cls, w_x: np.ndarray, w_h: np.ndarray, w_c: np.ndarray,
-             b: np.ndarray) -> "LSTMParams":
-        """Parameters held in the given stacks themselves, not in copies."""
-        params = cls.__new__(cls)
-        params.w_x, params.w_h, params.w_c, params.b = w_x, w_h, w_c, b
-        return params
 
     @property
     def hidden_size(self) -> int:

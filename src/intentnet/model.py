@@ -156,8 +156,8 @@ class HybridModel:
         self.flat = np.zeros(ends[-1], dtype=dtype)
         views = [self.flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
         self.embedding = views[0]
-        self.fwd = layers.LSTMParams.over(*views[1:5])
-        self.bwd = layers.LSTMParams.over(*views[5:9])
+        self.fwd = layers.LSTMParams(*views[1:5])
+        self.bwd = layers.LSTMParams(*views[5:9])
         self.conv = layers.ConvParams(*views[9:11])
         self.dense = layers.DenseParams(*views[11:])
         if rng is not None:
@@ -240,7 +240,7 @@ class HybridModel:
 
     def _infer(self, samples) -> np.ndarray:
         """Inference logits (N, C) of encoded samples, each starting (indices,
-        true_len), rows in input order; ``samples`` may be a generator.
+        true_len), rows in input order.
 
         The samples of each effective length L run together as a stack of S
         batches of one, ids (S, 1, L): every layer then makes, for each
@@ -513,13 +513,9 @@ def report_from_pairs(gold: Sequence[int], predicted: Sequence[int],
 def evaluate(model: HybridModel, records: Sequence[Utterance]) -> EvalReport:
     if not records:
         raise CorpusError("cannot evaluate an empty split")
-    unknown = {utt.label for utt in records} - set(model.labels)
-    if unknown:
-        raise CorpusError(f"labels absent from the model: {sorted(unknown)}")
-    # all utterances are encoded first: ``_infer`` groups them by length
-    logits = model._infer(encode(utt.text, model.vocab, model.max_len) for utt in records)
-    gold = [model.label_index[utt.label] for utt in records]
-    return report_from_pairs(gold, logits.argmax(axis=1).tolist(), model.labels)
+    samples = encode_dataset(records, model.vocab, model.max_len, model.label_index)
+    predicted = model._infer(samples).argmax(axis=1).tolist()
+    return report_from_pairs([gold for *_, gold in samples], predicted, model.labels)
 
 
 # ---------------------------------------------------------------------------

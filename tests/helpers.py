@@ -20,6 +20,7 @@ import numpy as np
 from intentnet import container
 from intentnet.data import LABELS, PAD_INDEX, Utterance, Vocab, tokenize
 from intentnet.errors import CorpusError
+from intentnet.layers import LSTMParams
 from intentnet.tensor import Rng
 
 
@@ -87,6 +88,12 @@ def fnv1a64_bytewise(data):
         h ^= byte
         h = (h * 0x100000001B3) & ((1 << 64) - 1)
     return h
+
+
+def zero_lstm_params(input_size, hidden, dtype=np.float32):
+    """One recurrence direction's parameters, every stack zero."""
+    return LSTMParams(*(np.zeros(shape, dtype)
+                        for shape in LSTMParams.stack_shapes(input_size, hidden)))
 
 
 def decode(indices, vocab):

@@ -17,7 +17,7 @@ import pytest
 from intentnet import data
 from intentnet.cli import main
 from intentnet.data import LABELS, Vocab, build_vocab, encode
-from intentnet.layers import LSTMParams, lstm_cell_forward
+from intentnet.layers import lstm_cell_forward
 from intentnet.model import (
     HybridModel,
     TrainConfig,
@@ -28,7 +28,14 @@ from intentnet.model import (
 )
 from intentnet.tensor import Rng, softmax
 
-from helpers import noisy_splits, predict_nb, separable_corpus, train_nb, write_corpus
+from helpers import (
+    noisy_splits,
+    predict_nb,
+    separable_corpus,
+    train_nb,
+    write_corpus,
+    zero_lstm_params,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -68,7 +75,7 @@ def test_criterion_1_gradient_integrity(capsys):
 
 
 def test_criterion_2_closed_form_layers(capsys):
-    cell = LSTMParams(2, 1, np.float64)
+    cell = zero_lstm_params(2, 1, np.float64)
     h, c, _ = lstm_cell_forward(np.zeros((1, 2)), np.zeros((1, 1)), np.ones((1, 1)), cell)
     c, h = float(c[0, 0]), float(h[0, 0])
     cell_ok = abs(c - 0.5) < 1e-5 and abs(h - 0.23106) < 1e-5

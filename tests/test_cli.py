@@ -151,6 +151,16 @@ class TestTrainCommand:
         assert capsys.readouterr().err == "usage error: seed must be in [0, 2**64)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", ["1.0", "nan"])
+    def test_dropout_outside_unit_interval_is_usage_error(self, toy_corpus_dir, tmp_path,
+                                                         capsys, rate):
+        out = tmp_path / "m.bin"
+        rc = main(["train", "--corpus", str(toy_corpus_dir), "--out", str(out),
+                   "--dropout", rate])
+        assert rc == 1
+        assert capsys.readouterr().err == "usage error: dropout must be in [0, 1)\n"
+        assert not out.exists()
+
     def test_largest_seed_trains(self, toy_corpus_dir, tmp_path):
         out = tmp_path / "m.bin"
         rc = main(["train", "--corpus", str(toy_corpus_dir), "--out", str(out),
@@ -397,6 +407,8 @@ class TestUsageErrors:
         pytest.param(lambda h, b: b.pop("out.bias"), id="missing-block"),
         pytest.param(lambda h, b: b.update({"out.bias": b["out.bias"][:1]}), id="short-bias"),
         pytest.param(lambda h, b: h.update(dropout="x"), id="string-dropout"),
+        pytest.param(lambda h, b: h.update(labels=[], num_classes=0) or b.update(
+            {"out.weight": b["out.weight"][:, :0], "out.bias": b["out.bias"][:0]}), id="no-labels"),
         pytest.param(lambda h, b: b.update({"out.bias": b["out.bias"] * np.nan}), id="nan-weight"),
         pytest.param(lambda h, b: b.update({"conv.filters": b["conv.filters"] + np.inf}),
                      id="inf-weight"),
@@ -411,6 +423,15 @@ class TestUsageErrors:
         assert main(["predict", "--model", str(path), "--text", "abc"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "edited.bin" in err
+
+    def test_repeated_vocab_token_is_data_error(self, trained_model_path, tmp_path, capsys):
+        path = tmp_path / "edited.bin"
+        path.write_bytes(trained_model_path.read_bytes())
+        rewrite_container(path, lambda h, b: h["vocab"].__setitem__(-1, h["vocab"][-2]))
+        assert main(["predict", "--model", str(path), "--text", "abc"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "edited.bin" in err
+        assert "duplicate tokens in vocab" in err and err.count("\n") == 1
 
     def test_trailing_bytes_in_model_are_data_error(self, trained_model_path, tmp_path,
                                                     capsys):

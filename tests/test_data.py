@@ -34,6 +34,10 @@ class TestLoadCorpus:
         records = load_corpus(tmp_path, "train")
         assert records == [Utterance(id=1, text="Hello, nice to meet you!", label="chat")]
 
+    def test_unknown_split_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown split 'val'"):
+            load_corpus(tmp_path, "val")
+
     def test_empty_file(self, tmp_path):
         (tmp_path / "dev.jsonl").write_text("", encoding="utf-8")
         assert load_corpus(tmp_path, "dev") == []
@@ -104,6 +108,10 @@ class TestBuildVocab:
         assert len(vocab) == 2
         assert vocab.lookup("a") == UNK_INDEX
 
+    def test_min_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="min_count must be >= 1"):
+            build_vocab([utt("ab")], min_count=0)
+
     def test_frequency_then_codepoint_order(self):
         # 'z' occurs 3x, 'a' and 'm' occur 2x each -> z first, then a before m
         vocab = build_vocab([utt("zam"), utt("zma"), utt("z")])
@@ -160,6 +168,10 @@ class TestStats:
         stats = compute_stats({"train": [], "dev": [], "test": []})
         assert stats.total("train") == 0
         assert stats.grand_total == 0
+
+    def test_unknown_split_rejected(self):
+        with pytest.raises(ValueError, match="unknown split 'val'"):
+            compute_stats({"train": [], "val": []})
 
     def test_counts_and_totals(self):
         splits = {

@@ -7,7 +7,6 @@ from intentnet.layers import (
     CONV_WIDTH,
     ConvParams,
     DenseParams,
-    LSTMParams,
     bilstm_backward,
     bilstm_forward,
     conv_backward,
@@ -26,14 +25,14 @@ from intentnet.layers import (
 )
 from intentnet.tensor import Rng
 
-from helpers import max_rel_error, numeric_gradient, scalar_lstm_cell
+from helpers import max_rel_error, numeric_gradient, scalar_lstm_cell, zero_lstm_params
 
 GRAD_TOL = 1e-4
 N_SEEDS = 20
 
 
 def random_lstm_params(rng, k, hidden):
-    p = LSTMParams(k, hidden, np.float64)
+    p = zero_lstm_params(k, hidden, np.float64)
     init_weights(rng, p)
     # randomize biases too so the check does not run at a special point
     blocks = p.blocks()
@@ -81,14 +80,14 @@ class TestEmbedding:
 
 class TestLSTMCell:
     def test_zero_params_zero_cell(self):
-        p = LSTMParams(2, 1, np.float64)
+        p = zero_lstm_params(2, 1, np.float64)
         h, c, _ = lstm_cell_forward(np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 1)), p)
         npt.assert_array_equal(h, [[0.0]])
         npt.assert_array_equal(c, [[0.0]])
 
     def test_zero_params_unit_cell_state(self):
         # gates collapse to 1/2: new cell = 0.5, hidden = 0.5*tanh(0.5)
-        p = LSTMParams(2, 1, np.float64)
+        p = zero_lstm_params(2, 1, np.float64)
         h, c, _ = lstm_cell_forward(np.zeros((1, 2)), np.zeros((1, 1)), np.ones((1, 1)), p)
         npt.assert_allclose(c, [[0.5]], atol=1e-12)
         npt.assert_allclose(h, [[0.23105857863000487]], atol=1e-12)
@@ -107,7 +106,7 @@ class TestLSTMCell:
                 npt.assert_allclose(c[b], c_ref, atol=1e-6)
 
     def test_shape_mismatch_rejected(self):
-        p = LSTMParams(2, 3, np.float64)
+        p = zero_lstm_params(2, 3, np.float64)
         with pytest.raises(ValueError):
             lstm_cell_forward(np.zeros((1, 4)), np.zeros((1, 3)), np.zeros((1, 3)), p)
         with pytest.raises(ValueError):  # batch sizes disagree
@@ -175,7 +174,7 @@ class TestLSTMCell:
 
         rng = Rng(batch)
         k, hidden = 64, 50  # the paper's sizes
-        p = LSTMParams(k, hidden, dtype)
+        p = zero_lstm_params(k, hidden, dtype)
         init_weights(rng, p)
         p.b[:] = rng.uniform(-0.5, 0.5, p.b.shape)
         x, h_prev, c_prev, dh, dc = (rng.uniform(-1, 1, (batch, n)).astype(dtype)
@@ -230,7 +229,7 @@ class TestBiLSTM:
             npt.assert_array_equal(out_clean[1], out_padded[1])
 
     def test_true_len_out_of_range(self):
-        p = LSTMParams(2, 2, np.float64)
+        p = zero_lstm_params(2, 2, np.float64)
         with pytest.raises(ValueError):
             bilstm_forward(np.zeros((1, 3, 2)), [4], p, p)
         with pytest.raises(ValueError):
@@ -259,8 +258,8 @@ class TestBiLSTM:
             return float(np.sum(gf * h_fwd + gb * h_bwd))
 
         _, _, cache = bilstm_forward(X, lengths, p_fwd, p_bwd)
-        grads_fwd = LSTMParams(k, hidden, np.float64)
-        grads_bwd = LSTMParams(k, hidden, np.float64)
+        grads_fwd = zero_lstm_params(k, hidden, np.float64)
+        grads_bwd = zero_lstm_params(k, hidden, np.float64)
         dX = bilstm_backward(cache, gf.copy(), gb.copy(), grads_fwd, grads_bwd)
         grads_fwd, grads_bwd = grads_fwd.blocks(), grads_bwd.blocks()
 
@@ -427,8 +426,8 @@ class TestLeadingStackAxes:
     def test_each_slice_equals_its_own_call(self):
         rng = Rng(9)
         E, H, F, C, T = 5, 4, 3, 2, 6
-        p_fwd = LSTMParams(E, H)
-        p_bwd = LSTMParams(E, H)
+        p_fwd = zero_lstm_params(E, H)
+        p_bwd = zero_lstm_params(E, H)
         conv = ConvParams(np.zeros((F, CONV_WIDTH, E), np.float32), np.zeros(F, np.float32))
         dense = DenseParams(np.zeros((2 * H + F, C), np.float32), np.zeros(C, np.float32))
         init_weights(rng, p_fwd, p_bwd, conv, dense)

@@ -139,6 +139,10 @@ class TestForward:
         with pytest.raises(ValueError):  # a length past the sequence
             model._infer([([2, 3, 4], 4)])
 
+    def test_lengths_must_match_sequences(self):
+        with pytest.raises(ValueError, match="1 sequences but 2 lengths"):
+            tiny_model().forward([[2, 3, 4]], [3, 3])
+
 
 class TestGradientBuffer:
     def test_train_passes_one_buffer_per_batch(self, monkeypatch):
@@ -800,6 +804,23 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < len(payload)
 
+    def test_save_holds_one_copy_of_the_blocks(self, tmp_path):
+        # the paper's layer sizes on a 2692-token vocabulary: a 1.01 MB file
+        config = TrainConfig()
+        vocab = Vocab(["<pad>", "<unk>", *map(chr, range(0x4E00, 0x4E00 + 2690))])
+        model = HybridModel(vocab, list(LABELS), config.embed_dim, config.hidden,
+                            config.filters, config.max_len, rng=None)
+        path = tmp_path / "model.bin"
+        tracemalloc.start()
+        try:
+            model.save(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the payload, the checksum's scratch (below the payload's size) and
+        # the copies of the strided per-gate views; not a second payload
+        assert peak < 2.4 * path.stat().st_size
+
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
         draws = []
         next_u64, next_u64_array = Rng.next_u64, Rng.next_u64_array
@@ -842,6 +863,9 @@ class TestSerialization:
         pytest.param(lambda h, b: h.update(vocab=h["vocab"][::-1]), id="vocab-order"),
         pytest.param(lambda h, b: h.update(labels=5), id="labels-not-a-list"),
         pytest.param(lambda h, b: h["labels"].__setitem__(0, None), id="label-not-a-string"),
+        # every shape check passes: the output layer has no column either
+        pytest.param(lambda h, b: h.update(labels=[], num_classes=0) or b.update(
+            {"out.weight": b["out.weight"][:, :0], "out.bias": b["out.bias"][:0]}), id="no-labels"),
         pytest.param(lambda h, b: h.pop("dropout"), id="missing-dropout"),
         pytest.param(lambda h, b: h.update(dropout="x"), id="string-dropout"),
         pytest.param(lambda h, b: h.update(dropout=2.0), id="dropout-out-of-range"),

@@ -6,7 +6,6 @@ import pytest
 
 from intentnet import optim
 from intentnet.errors import NumericError
-from intentnet.layers import LSTMParams
 from intentnet.model import down_scaled_model, random_check_sample
 from intentnet.optim import (
     AdamState,
@@ -17,6 +16,8 @@ from intentnet.optim import (
     reduce_lr_on_plateau,
     should_stop,
 )
+
+from helpers import zero_lstm_params
 
 
 def record(epoch, val_loss=1.0, val_f1=0.5, lr=0.001, train_loss=1.0):
@@ -41,7 +42,7 @@ def textbook_adam(params, grads, m, v, t, lr):
 def mixed_blocks(rng):
     """float32 and float64 blocks, and the strided per-gate column views of a
     float32 gate stack, as the model's parameters are."""
-    stack = LSTMParams(5, 4, np.float32)
+    stack = zero_lstm_params(5, 4, np.float32)
     for view in stack.blocks().values():
         view[...] = rng.standard_normal(view.shape)
     return {"emb": rng.standard_normal((9, 5)).astype(np.float32),
@@ -96,6 +97,16 @@ class TestAdam:
         params = {"w": np.zeros(3)}
         with pytest.raises(ValueError):
             adam_step(params, {"w": np.zeros(2)}, AdamState(params), lr=0.01)
+
+    @pytest.mark.parametrize("other", [{"v": np.zeros(3)}, {"w": np.zeros(3, np.float32)}],
+                             ids=["other-name", "other-dtype"])
+    def test_state_of_other_parameters_rejected(self, other):
+        params = {"w": np.ones(3)}
+        state = AdamState(other)
+        with pytest.raises(ValueError, match="does not mirror the parameters"):
+            adam_step(params, {"w": np.ones(3)}, state, lr=0.01)
+        npt.assert_array_equal(params["w"], np.ones(3))
+        assert state.t == 0
 
     def test_non_finite_gradient_rejected(self):
         params = {"w": np.zeros(2)}
@@ -279,6 +290,10 @@ class TestShouldStop:
         ]
         assert should_stop(history, patience=3)
 
+    def test_empty_history_rejected(self):
+        with pytest.raises(ValueError, match="history is empty"):
+            should_stop([])
+
 
 class TestGradientCheck:
     def test_full_model_passes(self):
@@ -332,6 +347,14 @@ class TestGradientCheck:
         assert result.per_block["out.weight"] == np.inf
         assert result.max_error == np.inf
         assert not result.passed
+
+    def test_non_finite_loss_is_numeric_error(self):
+        class NaNLoss:
+            def loss_and_gradients(self, samples):
+                return [float("nan")], {}
+
+        with pytest.raises(NumericError, match="non-finite loss at the check point"):
+            gradient_check(NaNLoss(), ([2, 3, 4], 3, 0))
 
     def test_pad_embedding_row_has_zero_gradient_both_ways(self):
         model = down_scaled_model(seed=2)

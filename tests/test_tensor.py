@@ -118,6 +118,10 @@ class TestRng:
         xs = [r.random() for _ in range(1000)]
         assert all(0.0 <= x < 1.0 for x in xs)
 
+    def test_integer_of_zero_rejected(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            Rng(8).integer(0)
+
 
 class TestRngStream:
     """The stream is pinned on its own, not only through seeded model bytes."""

@@ -74,6 +74,8 @@ class Vocab:
     def __init__(self, tokens: Sequence[str]):
         if tokens[PAD_INDEX] != PAD_TOKEN or tokens[UNK_INDEX] != UNK_TOKEN:
             raise ValueError("vocab must start with the PAD and UNK tokens")
+        if not all(isinstance(tok, str) for tok in tokens):
+            raise ValueError("vocab tokens must be strings")
         self.tokens = list(tokens)
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
@@ -90,10 +92,11 @@ class Vocab:
 
 
 def label_list(labels: Sequence[str]) -> list[str]:
-    """``labels`` as a list, checked to hold one or more distinct strings."""
-    if (not labels or len(set(labels)) != len(labels)
+    """``labels`` as a list, checked to be a list or tuple of one or more
+    distinct strings."""
+    if (not isinstance(labels, (list, tuple)) or not labels or len(set(labels)) != len(labels)
             or not all(isinstance(lab, str) for lab in labels)):
-        raise ValueError("labels must be one or more distinct strings")
+        raise ValueError("labels must be a list of one or more distinct strings")
     return list(labels)
 
 

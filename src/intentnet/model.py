@@ -264,9 +264,9 @@ class HybridModel:
 
     def loss_and_gradients(self, samples, rng: Rng | None = None):
         """Per-sample losses of a batch of encoded samples, and the batch's
-        summed parameter gradients, named like ``parameters()`` and views of
-        a fresh zero model's vector. One batched forward and one batched
-        backward."""
+        summed parameter gradients as a fresh model of the same sizes:
+        its ``flat`` is the gradient vector and its ``parameters()`` the
+        gradient blocks. One batched forward and one batched backward."""
         indices, true_len, gold = zip(*samples)
         logits, caches = self.forward(indices, true_len, rng=rng)
         losses, d_logits = cross_entropy(logits, gold)
@@ -274,7 +274,7 @@ class HybridModel:
                             self.filters, self.max_len, rng=None,
                             dropout_rate=self.dropout_rate, dtype=self.dtype)
         self._backward(caches, d_logits, grads)
-        return losses.tolist(), grads.parameters()
+        return losses.tolist(), grads
 
     def predict(self, text: str):
         """Top label (lowest index on ties) and the full probability vector."""
@@ -306,9 +306,10 @@ class HybridModel:
             raise CorpusError(f"{path}: expected a hybrid model, found {header.get('kind')!r}")
         try:
             # sizes the blocks do not hold would allocate more than the file has
-            held = (*blocks["embedding"].shape[1:], *blocks["fwd.w_hi"].shape[:1],
-                    *blocks["conv.bias"].shape)
-            sizes = tuple(header[key] for key in ("embed_dim", "hidden", "filters"))
+            held = (*blocks["embedding"].shape, *blocks["fwd.w_hi"].shape[:1],
+                    *blocks["conv.bias"].shape, *blocks["out.bias"].shape)
+            sizes = tuple(header[key] for key in
+                          ("vocab_size", "embed_dim", "hidden", "filters", "num_classes"))
             if sizes != held:
                 raise ValueError(f"header sizes {sizes} differ from the blocks' {held}")
             model = cls(
@@ -393,7 +394,8 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
             try:
                 _step(model, grads, len(batch), state, lr, config.clip_norm)
             except NumericError as exc:
-                name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+                name = next(name for name, g in grads.parameters().items()
+                            if not np.isfinite(g).all())
                 ids = [train_records[i].id for i in batch]
                 raise NumericError(f"non-finite gradient in {name} at epoch {epoch}, "
                                    f"utterance ids {ids}") from exc
@@ -416,26 +418,14 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
     return model, history
 
 
-def _step(model: HybridModel, grads: Mapping[str, np.ndarray], batch_size: int,
+def _step(model: HybridModel, grads: HybridModel, batch_size: int,
           state: optim.AdamState, lr: float, clip_norm: float) -> None:
     """The tail of a training step on the batch's summed gradients ``grads``,
     as ``loss_and_gradients`` returns them: batch mean, clipping (its norm
     summed over the named blocks), then Adam over the whole vectors."""
-    flat_grad = _gradient_vector(grads)
-    flat_grad /= batch_size
-    optim.clip_by_global_norm(grads, clip_norm)
-    optim.adam_step({"flat": model.flat}, {"flat": flat_grad}, state, lr)
-
-
-def _gradient_vector(grads: Mapping[str, np.ndarray]) -> np.ndarray:
-    """The one vector that every block of ``grads`` is a view of, as in the
-    dict ``loss_and_gradients`` returns; a block that is not raises
-    ``ValueError`` naming it."""
-    flat = next(iter(grads.values())).base
-    for name, g in grads.items():
-        if flat is None or g.base is not flat:
-            raise ValueError(f"gradient block {name} is not a view of the gradient vector")
-    return flat
+    grads.flat /= batch_size
+    optim.clip_by_global_norm(grads.parameters(), clip_norm)
+    optim.adam_step({"flat": model.flat}, {"flat": grads.flat}, state, lr)
 
 
 def _validate(model: HybridModel, dev_set) -> tuple[float, float]:

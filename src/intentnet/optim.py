@@ -175,14 +175,16 @@ def gradient_check(model, sample, eps: float = 1e-5) -> GradCheckResult:
     """Compare analytic gradients against central finite differences.
 
     ``model`` must expose ``parameters() -> dict[str, ndarray]``,
-    ``loss(sample) -> float`` and ``loss_and_gradients(samples)``, which
-    is given a batch of one; the parameter arrays are perturbed in place and
-    restored. Run in float64 with dropout disabled, on small shapes. A
-    non-finite error (a NaN or infinite gradient or loss) counts as infinite.
+    ``loss(sample) -> float`` and ``loss_and_gradients(samples)``, given a
+    batch of one, whose returned gradients have ``parameters()`` too; the
+    parameter arrays are perturbed in place and restored. Run in float64 with
+    dropout disabled, on small shapes. A non-finite error (a NaN or infinite
+    gradient or loss) counts as infinite.
     """
-    (base_loss,), analytic = model.loss_and_gradients([sample])
+    (base_loss,), grads = model.loss_and_gradients([sample])
     if not np.isfinite(base_loss):
         raise NumericError("non-finite loss at the check point")
+    analytic = grads.parameters()
     per_block: dict[str, float] = {}
     for name, theta in model.parameters().items():
         worst = 0.0

@@ -318,7 +318,7 @@ class TestGradcheckCommand:
 
         def nan_out_weight(self, samples, rng=None):
             losses, grads = original(self, samples, rng)
-            grads["out.weight"][...] = np.nan
+            grads.parameters()["out.weight"][...] = np.nan
             return losses, grads
 
         monkeypatch.setattr(HybridModel, "loss_and_gradients", nan_out_weight)
@@ -414,6 +414,14 @@ class TestUsageErrors:
                      id="inf-weight"),
         pytest.param(lambda h, b: h.update(embed_dim=2**45), id="huge-embed-dim"),
         pytest.param(lambda h, b: h.update(hidden=2**45), id="huge-hidden"),
+        # one distinct letter per class, so only the type is wrong
+        pytest.param(lambda h, b: h.update(labels="wxyzuvts"[:len(h["labels"])]),
+                     id="labels-a-string"),
+        pytest.param(lambda h, b: h.update(labels=dict.fromkeys(h["labels"])),
+                     id="labels-an-object"),
+        pytest.param(lambda h, b: h["vocab"].__setitem__(-1, 5), id="vocab-token-not-a-string"),
+        pytest.param(lambda h, b: h.update(num_classes=999), id="wrong-num-classes"),
+        pytest.param(lambda h, b: h.update(vocab_size=999), id="wrong-vocab-size"),
     ])
     def test_hand_edited_model_is_data_error(self, trained_model_path, tmp_path, capsys,
                                              edit):

@@ -158,6 +158,6 @@ def test_a_batch_is_the_sum_of_its_batches_of_one(samples):
     losses, batched = _CHECK_MODEL.loss_and_gradients(samples)
     singles = [_CHECK_MODEL.loss_and_gradients([sample]) for sample in samples]
     npt.assert_allclose(losses, [loss for (loss,), _ in singles], rtol=1e-12)
-    for name, grad in batched.items():
-        npt.assert_allclose(grad, sum(grads[name] for _, grads in singles),
+    for name, grad in batched.parameters().items():
+        npt.assert_allclose(grad, sum(grads.parameters()[name] for _, grads in singles),
                             rtol=1e-6, atol=1e-12, err_msg=name)

@@ -2,7 +2,9 @@
 
 Layout, all little-endian:
   - 4-byte magic ``INTC``
-  - uint32 header length, then UTF-8 JSON header
+  - uint32 header length, then the header as ``header_bytes`` encodes it
+    (JSON, sorted keys, UTF-8, nothing ASCII-escaped); ``read_container``
+    returns these bytes beside the header they parse to
   - uint32 block count, then per block: uint16 name length, name bytes,
     uint8 ndim, uint32 dims, raw float32 data
   - 8-byte FNV-1a 64 checksum over every preceding byte
@@ -100,11 +102,16 @@ def _xor_with_low_bytes(chunk: np.ndarray, low: int) -> np.ndarray:
     return x
 
 
+def header_bytes(header: dict) -> bytes:
+    """The one encoding of a header that ``write_container`` writes."""
+    return json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
+
+
 def write_container(path, header: dict, blocks: dict[str, np.ndarray]) -> None:
     parts = [MAGIC]
-    header_bytes = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    parts.append(struct.pack("<I", len(header_bytes)))
-    parts.append(header_bytes)
+    encoded = header_bytes(header)
+    parts.append(struct.pack("<I", len(encoded)))
+    parts.append(encoded)
     parts.append(struct.pack("<I", len(blocks)))
     for name, arr in blocks.items():
         data = np.ascontiguousarray(arr, dtype="<f4")
@@ -119,8 +126,8 @@ def write_container(path, header: dict, blocks: dict[str, np.ndarray]) -> None:
         fh.write(struct.pack("<Q", fnv1a64(payload)))
 
 
-def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """The header and the named blocks, as read-only views of the file's bytes."""
+def read_container(path) -> tuple[bytes, dict, dict[str, np.ndarray]]:
+    """The header's bytes, the header, and the named blocks as read-only views, in file order."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16 or raw[:4] != MAGIC:
@@ -146,14 +153,13 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise ContainerError(f"{path}: {what} is not valid UTF-8") from exc
 
     header_len = struct.unpack("<I", take(4))[0]
+    raw_header = bytes(payload[offset:offset + header_len])  # ``text`` checks the length
     try:
         header = json.loads(text(header_len, "header"))
     except json.JSONDecodeError as exc:
         raise ContainerError(f"{path}: header is not valid JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise ContainerError(f"{path}: header is not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ContainerError(f"{path}: unsupported format version")
     n_blocks = struct.unpack("<I", take(4))[0]
     blocks: dict[str, np.ndarray] = {}
     for _ in range(n_blocks):
@@ -168,4 +174,4 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         blocks[name] = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
     if offset != len(payload):
         raise ContainerError(f"{path}: trailing bytes in container")
-    return header, blocks
+    return raw_header, header, blocks

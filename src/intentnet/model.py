@@ -87,6 +87,8 @@ class TrainConfig:
             raise ValueError("min_lr must not be negative")
         if not self.lr >= self.min_lr:
             raise ValueError("lr must not be below min_lr")
+        if not math.isfinite(self.lr):
+            raise ValueError("lr must be finite")
 
 
 def _is_integer(value) -> bool:
@@ -182,9 +184,8 @@ class HybridModel:
 
     def set_parameters(self, values: Mapping[str, np.ndarray]) -> None:
         own = self.parameters()
-        if set(values) != set(own):
-            raise ValueError(f"missing blocks {sorted(set(own) - set(values))}, "
-                             f"unexpected blocks {sorted(set(values) - set(own))}")
+        if list(values) != list(own):
+            raise ValueError(f"blocks {list(values)} are not {list(own)}, in that order")
         for name, arr in own.items():
             if np.shape(values[name]) != arr.shape:
                 raise ValueError(f"block {name} is {np.shape(values[name])}, not {arr.shape}")
@@ -283,8 +284,8 @@ class HybridModel:
 
     # -- persistence --------------------------------------------------------
 
-    def save(self, path) -> None:
-        header = {
+    def _header(self) -> dict:
+        return {
             "format_version": container.FORMAT_VERSION,
             "kind": "hybrid",
             "embed_dim": self.embed_dim,
@@ -297,27 +298,25 @@ class HybridModel:
             "labels": self.labels,
             "vocab": self.vocab.tokens,
         }
-        container.write_container(path, header, self.parameters())
+
+    def save(self, path) -> None:
+        container.write_container(path, self._header(), self.parameters())
 
     @classmethod
     def load(cls, path) -> "HybridModel":
-        header, blocks = container.read_container(path)
-        if header.get("kind") != "hybrid":
-            raise CorpusError(f"{path}: expected a hybrid model, found {header.get('kind')!r}")
+        """The model saved at ``path``. A file loads only if ``save`` would
+        write exactly its bytes: its header must be the one ``save`` writes
+        for the model its blocks hold, and its blocks come in
+        ``parameters()`` order. Anything else is a ``ContainerError``."""
+        raw_header, header, blocks = container.read_container(path)
         try:
-            # sizes the blocks do not hold would allocate more than the file has
-            held = (*blocks["embedding"].shape, *blocks["fwd.w_hi"].shape[:1],
-                    *blocks["conv.bias"].shape, *blocks["out.bias"].shape)
-            sizes = tuple(header[key] for key in
-                          ("vocab_size", "embed_dim", "hidden", "filters", "num_classes"))
-            if sizes != held:
-                raise ValueError(f"header sizes {sizes} differ from the blocks' {held}")
+            # the blocks' shapes, not the header, size the arrays
             model = cls(
                 vocab=Vocab(header["vocab"]),
                 labels=header["labels"],
-                embed_dim=operator.index(header["embed_dim"]),
-                hidden=operator.index(header["hidden"]),
-                filters=operator.index(header["filters"]),
+                embed_dim=blocks["embedding"].shape[1],
+                hidden=blocks["fwd.w_hi"].shape[0],
+                filters=blocks["conv.bias"].shape[0],
                 max_len=operator.index(header["max_len"]),
                 rng=None,
                 dropout_rate=header["dropout"],
@@ -327,6 +326,12 @@ class HybridModel:
         except (LookupError, TypeError, ValueError) as exc:
             raise ContainerError(
                 f"{path}: cannot build a model: {type(exc).__name__}: {exc}") from exc
+        expected = model._header()
+        if raw_header != container.header_bytes(expected):
+            # ``...`` stands for a missing key; repr tells 4 from 4.0 and from True
+            keys = [key for key in sorted(header.keys() | expected.keys())
+                    if repr(header.get(key, ...)) != repr(expected.get(key, ...))]
+            raise ContainerError(f"{path}: header {keys or 'spacing or key order'} is not as saved")
         return model
 
 

@@ -103,15 +103,20 @@ def decode(indices, vocab):
 
 def rewrite_container(path, edit):
     """Apply ``edit(header, blocks)`` to a saved model; the checksum stays valid."""
-    header, blocks = container.read_container(path)
+    _, header, blocks = container.read_container(path)
     edit(header, blocks)
     container.write_container(path, header, blocks)
 
 
 def write_raw_header(path, header_bytes):
-    """A container holding ``header_bytes`` as its header, no blocks, a valid checksum."""
+    """Give the container at ``path`` the header ``header_bytes`` and a valid
+    checksum, keeping the blocks it holds (none if there is no file)."""
+    blocks = struct.pack("<I", 0)
+    if path.exists():
+        payload = path.read_bytes()[:-8]
+        blocks = payload[8 + struct.unpack_from("<I", payload, 4)[0]:]
     payload = b"".join([container.MAGIC, struct.pack("<I", len(header_bytes)),
-                        header_bytes, struct.pack("<I", 0)])
+                        header_bytes, blocks])
     path.write_bytes(payload + struct.pack("<Q", container.fnv1a64(payload)))
 
 

@@ -9,7 +9,8 @@ from intentnet import container, data
 from intentnet.cli import main
 from intentnet.model import HybridModel, evaluate
 
-from helpers import noisy_splits, rewrite_container, separable_corpus, write_corpus
+from helpers import (noisy_splits, rewrite_container, separable_corpus, write_corpus,
+                     write_raw_header)
 
 FAST_TRAIN = ["--epochs", "3", "--hidden", "6", "--filters", "4",
               "--embed-dim", "6", "--max-len", "12", "--seed", "9"]
@@ -159,6 +160,15 @@ class TestTrainCommand:
                    "--dropout", rate])
         assert rc == 1
         assert capsys.readouterr().err == "usage error: dropout must be in [0, 1)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["inf", "1e309"])
+    def test_infinite_learning_rate_is_usage_error(self, toy_corpus_dir, tmp_path, capsys,
+                                                   rate):
+        out = tmp_path / "m.bin"
+        rc = main(["train", "--corpus", str(toy_corpus_dir), "--out", str(out), "--lr", rate])
+        assert rc == 1
+        assert capsys.readouterr().err == "usage error: lr must be finite\n"
         assert not out.exists()
 
     def test_largest_seed_trains(self, toy_corpus_dir, tmp_path):
@@ -422,12 +432,24 @@ class TestUsageErrors:
         pytest.param(lambda h, b: h["vocab"].__setitem__(-1, 5), id="vocab-token-not-a-string"),
         pytest.param(lambda h, b: h.update(num_classes=999), id="wrong-num-classes"),
         pytest.param(lambda h, b: h.update(vocab_size=999), id="wrong-vocab-size"),
+        # save writes the model each of these holds in other bytes
+        pytest.param(lambda h, b: h.update(num_classes=float(h["num_classes"])),
+                     id="num-classes-a-float"),
+        pytest.param(lambda h, b: h.update(format_version=1.0), id="format-version-a-float"),
+        pytest.param(lambda h, b: h.update(note="edited"), id="extra-header-key"),
+        pytest.param(lambda h, b: [b.__setitem__(k, b.pop(k)) for k in reversed(list(b))],
+                     id="blocks-reordered"),
+        pytest.param(None, id="header-respelled"),
     ])
     def test_hand_edited_model_is_data_error(self, trained_model_path, tmp_path, capsys,
                                              edit):
         path = tmp_path / "edited.bin"
         path.write_bytes(trained_model_path.read_bytes())
-        rewrite_container(path, edit)
+        if edit is None:  # bytes no edit of the parsed header can give
+            raw_header, _, _ = container.read_container(path)
+            write_raw_header(path, raw_header.replace(b": ", b":  ", 1))
+        else:
+            rewrite_container(path, edit)
         assert main(["predict", "--model", str(path), "--text", "abc"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "edited.bin" in err

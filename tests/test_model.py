@@ -589,10 +589,11 @@ class TestTrainConfig:
         ({"clip_norm": float("nan")}, "clip_norm must be positive"),
         ({"seed": 2 ** 64}, r"seed must be in \[0, 2\*\*64\)"),
         ({"seed": -1}, r"seed must be in \[0, 2\*\*64\)"),
+        ({"lr": float("inf")}, "lr must be finite"),
     ], ids=["lr-below-min-lr", "negative-min-lr", "zero-lr-factor", "lr-factor-above-one",
             "str-int", "float-int", "bool-int", "str-float", "bool-float", "nan-lr",
             "nan-min-lr", "zero-clip-norm", "negative-clip-norm", "nan-clip-norm",
-            "seed-2**64", "negative-seed"])
+            "seed-2**64", "negative-seed", "inf-lr"])
     def test_rejected(self, override, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**override).validate()
@@ -671,7 +672,7 @@ V1_MODEL = Path(__file__).parent / "data" / "hybrid_v1.bin"
 
 class TestModelFileContract:
     def test_v1_file_loads_with_the_same_parameter_bytes(self, tmp_path):
-        _, blocks = container.read_container(V1_MODEL)
+        _, _, blocks = container.read_container(V1_MODEL)
         params = HybridModel.load(V1_MODEL).parameters()
         assert list(params) == list(blocks)
         for name, arr in blocks.items():
@@ -775,7 +776,7 @@ class TestSerialization:
     def test_read_blocks_are_read_only_views_of_the_file(self, tmp_path):
         path = tmp_path / "model.bin"
         tiny_model().save(path)
-        _, blocks = container.read_container(path)
+        _, _, blocks = container.read_container(path)
         for name, arr in blocks.items():
             assert not arr.flags.writeable and not arr.flags.owndata, name
 
@@ -867,11 +868,23 @@ class TestSerialization:
         # sizes that fail to allocate unless the blocks are checked first
         pytest.param(lambda h, b: h.update(embed_dim=2**45), id="huge-embed-dim"),
         pytest.param(lambda h, b: h.update(hidden=2**45), id="huge-hidden"),
+        # save writes the model each of these holds in other bytes
+        pytest.param(lambda h, b: h.update(num_classes=float(h["num_classes"])),
+                     id="num-classes-a-float"),
+        pytest.param(lambda h, b: h.update(format_version=1.0), id="format-version-a-float"),
+        pytest.param(lambda h, b: h.update(note="edited"), id="extra-header-key"),
+        pytest.param(lambda h, b: [b.__setitem__(k, b.pop(k)) for k in reversed(list(b))],
+                     id="blocks-reordered"),
+        pytest.param(None, id="header-respelled"),
     ])
     def test_unbuildable_file_is_container_error(self, tmp_path, edit):
         path = tmp_path / "model.bin"
         tiny_model().save(path)
-        rewrite_container(path, edit)
+        if edit is None:  # bytes no edit of the parsed header can give
+            raw_header, _, _ = container.read_container(path)
+            write_raw_header(path, raw_header.replace(b": ", b":  ", 1))
+        else:
+            rewrite_container(path, edit)
         with pytest.raises(ContainerError, match="model.bin"):
             HybridModel.load(path)
 
@@ -894,7 +907,7 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         tiny_model().save(path)
         rewrite_container(path, lambda h, b: h.update(kind="naive_bayes"))
-        with pytest.raises(CorpusError, match="hybrid"):
+        with pytest.raises(ContainerError, match=r"model\.bin: header \['kind'\] is not as saved"):
             HybridModel.load(path)
 
     @pytest.mark.parametrize("header", [b"\xff\xfe", b"{not json", b"[1, 2]"],

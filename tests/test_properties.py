@@ -1,6 +1,7 @@
 """Property tests: the checksum against its byte-loop oracle, container
 fuzzing, encoding invariants, schedule replays, the batch contract."""
 
+import json
 import random
 import struct
 
@@ -11,12 +12,12 @@ from hypothesis import strategies as st
 
 from intentnet import container
 from intentnet.data import MIN_ENCODED_LEN, PAD_INDEX, Vocab, encode
-from intentnet.errors import ContainerError, CorpusError
+from intentnet.errors import ContainerError
 from intentnet.model import HybridModel, down_scaled_model
 from intentnet.optim import EpochRecord, reduce_lr_on_plateau, should_stop
 from intentnet.tensor import Rng
 
-from helpers import fnv1a64_bytewise
+from helpers import fnv1a64_bytewise, write_raw_header
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -86,10 +87,70 @@ def test_one_changed_byte_loads_or_raises_a_file_error(saved, data):
     payload[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != payload[pos]),
                              label="byte")
     path.write_bytes(bytes(payload) + struct.pack("<Q", container.fnv1a64(bytes(payload))))
+    _assert_loads_only_as_saved(path)
+
+
+def _assert_loads_only_as_saved(path):
+    """``load`` raises ``ContainerError``, or ``save`` writes the file's bytes again."""
+    edited = path.read_bytes()
     try:
-        HybridModel.load(path)
-    except (ContainerError, CorpusError):
-        pass
+        model = HybridModel.load(path)
+    except ContainerError:
+        return
+    model.save(path)
+    assert path.read_bytes() == edited
+
+
+@pytest.fixture(scope="module")
+def saved_non_ascii(tmp_path_factory):
+    path = tmp_path_factory.mktemp("edits") / "model.bin"
+    vocab = Vocab(["<pad>", "<unk>", "a", "订", "c"])
+    HybridModel(vocab, ["chat", "app"], embed_dim=3, hidden=2, filters=2, max_len=5,
+                rng=Rng(4)).save(path)
+    _, header, blocks = container.read_container(path)
+    return path, header, blocks
+
+
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-9, 9), st.text(max_size=3))
+
+
+def _edit_header_or_blocks(data, header, blocks):
+    """One hand edit a reader of the file could make, drawn from ``data``."""
+    kind = data.draw(st.sampled_from(["int-to-float", "int-to-bool", "extra-key", "drop-key",
+                                      "permute-blocks"]), label="edit")
+    if kind in ("int-to-float", "int-to-bool"):
+        ints = sorted(key for key, value in header.items() if type(value) is int)
+        key = data.draw(st.sampled_from(ints), label="key")
+        header[key] = (float if kind == "int-to-float" else bool)(header[key])
+    elif kind == "extra-key":
+        key = data.draw(st.text(min_size=1, max_size=4).filter(lambda k: k not in header),
+                        label="key")
+        header[key] = data.draw(_JSON_VALUES, label="value")
+    elif kind == "drop-key":
+        del header[data.draw(st.sampled_from(sorted(header)), label="key")]
+    else:
+        order = data.draw(st.permutations(list(blocks)), label="order")
+        blocks.update({name: blocks.pop(name) for name in order})
+
+
+@PROPERTY
+@given(data=st.data())
+def test_an_edited_file_loads_only_if_save_writes_its_bytes(saved_non_ascii, data):
+    path, header, blocks = saved_non_ascii
+    header, blocks = json.loads(json.dumps(header)), dict(blocks)
+    for _ in range(data.draw(st.integers(0, 2), label="edits")):
+        _edit_header_or_blocks(data, header, blocks)
+    container.write_container(path, header, blocks)
+    # the same header in the encoding save writes, or in another
+    encoding = data.draw(st.one_of(st.just({"ensure_ascii": False, "sort_keys": True}),
+                                   st.fixed_dictionaries({
+                                       "ensure_ascii": st.booleans(),
+                                       "sort_keys": st.booleans(),
+                                       "indent": st.sampled_from([None, 0, 1]),
+                                       "separators": st.sampled_from([None, (",", ":")])})),
+                         label="encoding")
+    write_raw_header(path, json.dumps(header, **encoding).encode("utf-8"))
+    _assert_loads_only_as_saved(path)
 
 
 _VOCAB = Vocab(["<pad>", "<unk>", "a", "b", "c"])

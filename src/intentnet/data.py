@@ -164,13 +164,13 @@ def build_vocab(train: Sequence[Utterance], min_count: int = 1) -> Vocab:
     return Vocab([PAD_TOKEN, UNK_TOKEN, *kept])
 
 
-def encode(text: str, vocab: Vocab, max_len: int) -> tuple[list[int], int]:
-    """Index sequence plus its length, the effective length.
+def encode(text: str, vocab: Vocab, max_len: int) -> list[int]:
+    """Index sequence of ``text``; its length is the utterance's length.
 
     Out-of-vocabulary characters map to UNK; the sequence is truncated at
     ``max_len`` and right-padded with PAD up to MIN_ENCODED_LEN, so
     downstream convolution windows always exist: those floor positions are
-    PAD and stay inside the effective length on purpose.
+    PAD and part of the sequence on purpose.
     """
     if max_len < MIN_ENCODED_LEN:
         raise ValueError(f"max_len must be >= {MIN_ENCODED_LEN}")
@@ -178,7 +178,7 @@ def encode(text: str, vocab: Vocab, max_len: int) -> tuple[list[int], int]:
         raise ValueError("cannot encode empty text")
     indices = [vocab.lookup(tok) for tok in tokenize(text)[:max_len]]
     indices.extend([PAD_INDEX] * (MIN_ENCODED_LEN - len(indices)))
-    return indices, len(indices)
+    return indices
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Network layers with explicit forward and backward passes.
 
 The model hands the layers a batch of B utterances padded to its longest
-effective length T: indices (B, T), embeddings (B, T, E); sample b's own
+length T: indices (B, T), embeddings (B, T, E); sample b's own
 positions are 0 .. L_b - 1, ``true_len[b]``, and a batch of one is the same
 code. Each layer computes over the X it is given, and only two read lengths:
 the recurrence reads sample b's final state after its own L_b steps (its

@@ -4,13 +4,13 @@ An utterance flows embedding -> {bidirectional recurrence, width-3
 convolution + max-over-time pooling} -> concatenation -> dropout -> dense
 softmax head. Both subnetworks read the same embedding table.
 
-The network runs on batches: ``forward`` takes B encoded utterances, cuts
-each at its effective length and pads the batch to the longest one, T, so
-the layers see (B, T) indices and (B, T, E) embeddings (see ``layers``).
+The network runs on batches: ``forward`` takes B encoded utterances, each
+an index sequence, and pads the batch to the longest one, T, so the layers
+see (B, T) indices and (B, T, E) embeddings (see ``layers``).
 A training step is one batched forward and one batched backward over the
 minibatch. Inference (``predict``, ``loss``, ``evaluate`` and the dev pass
 of ``train``) goes through ``HybridModel._infer``, which runs the utterances
-of each effective length together as a stack of batches of one (see
+of each length together as a stack of batches of one (see
 ``layers``): each gets the products, and so the bits, of its own batch of
 one, and all four give bit-identical logits for the same utterance.
 
@@ -111,14 +111,6 @@ def cross_entropy(logits: np.ndarray, gold):
     return loss, softmax(logits) - onehot
 
 
-def _cut(seq, n: int):
-    """The first ``n`` indices of ``seq``, after checking that ``n`` is an
-    effective length it can have."""
-    if not MIN_ENCODED_LEN <= n <= len(seq):
-        raise ValueError(f"true_len {n} not in [{MIN_ENCODED_LEN}, {len(seq)}]")
-    return seq[:n]
-
-
 class HybridModel:
     """Embedding + bidirectional recurrence + convolution + dense head.
 
@@ -150,10 +142,7 @@ class HybridModel:
         self.dropout_rate = dropout_rate
         self.dtype = dtype
 
-        stacks = layers.LSTMParams.stack_shapes(embed_dim, hidden)
-        shapes = [(len(vocab), embed_dim), *stacks, *stacks,
-                  (filters, layers.CONV_WIDTH, embed_dim), (filters,),
-                  (2 * hidden + filters, self.num_classes), (self.num_classes,)]
+        shapes = self._shapes(len(vocab), self.num_classes, embed_dim, hidden, filters)
         ends = [0, *itertools.accumulate(map(math.prod, shapes))]
         self.flat = np.zeros(ends[-1], dtype=dtype)
         views = [self.flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
@@ -169,6 +158,15 @@ class HybridModel:
             layers.init_weights(rng, self.fwd, self.bwd, self.conv, self.dense)
             for direction in (self.fwd, self.bwd):
                 direction.blocks()["b_f"][...] = 1
+
+    @staticmethod
+    def _shapes(vocab_size: int, num_classes: int, embed_dim: int, hidden: int,
+                filters: int) -> list[tuple[int, ...]]:
+        """The shapes of the stacks ``flat`` holds, in order."""
+        stacks = layers.LSTMParams.stack_shapes(embed_dim, hidden)
+        return [(vocab_size, embed_dim), *stacks, *stacks,
+                (filters, layers.CONV_WIDTH, embed_dim), (filters,),
+                (2 * hidden + filters, num_classes), (num_classes,)]
 
     @property
     def num_classes(self) -> int:
@@ -194,27 +192,25 @@ class HybridModel:
         for name, arr in own.items():
             arr[...] = values[name]
 
-    def forward(self, indices: Sequence[Sequence[int]], true_len: Sequence[int],
-                rng: Rng | None = None):
+    def forward(self, indices: Sequence[Sequence[int]], rng: Rng | None = None):
         """Class logits (B, C) of B encoded utterances, plus the caches the
         backward pass consumes.
 
-        ``indices`` holds the B index sequences and ``true_len`` their
-        effective lengths, at least ``MIN_ENCODED_LEN``. Each sequence is cut
-        at its length and the batch padded with PAD to the longest, T, so what
-        lies past a length never reaches the logits. Dropout draws its masks
-        from ``rng``, and is off without one.
+        ``indices`` holds the B index sequences, each at least
+        ``MIN_ENCODED_LEN`` long. The batch is padded with PAD to the
+        longest, T, and each sample's length is its sequence's, so the
+        padding never reaches the logits. Dropout draws its masks from
+        ``rng``, and is off without one.
         """
-        if len(indices) != len(true_len):
-            raise ValueError(f"{len(indices)} sequences but {len(true_len)} lengths")
-        ids = np.zeros((len(true_len), max(true_len)), dtype=np.intp)
-        for row, seq, n in zip(ids, indices, true_len):
-            row[:n] = _cut(seq, n)
-        return self._run_layers(ids, np.asarray(true_len, dtype=np.intp), rng)
+        lengths = np.array([len(seq) for seq in indices], dtype=np.intp)
+        ids = np.zeros((len(lengths), lengths.max()), dtype=np.intp)
+        for row, seq in zip(ids, indices):
+            row[:len(seq)] = seq
+        return self._run_layers(ids, lengths, rng)
 
     def _run_layers(self, ids: np.ndarray, lengths: np.ndarray, rng: Rng | None):
         """Logits (..., B, C) and caches of index sequences ``ids``
-        (..., B, T) with effective lengths ``lengths`` (..., B): the layer
+        (..., B, T) with their own lengths ``lengths`` (..., B): the layer
         sequence, over whatever leading axes ``ids`` has."""
         X = layers.embedding_forward(ids, self.embedding)
         h_fwd, h_bwd, bi_cache = layers.bilstm_forward(X, lengths, self.fwd, self.bwd)
@@ -239,37 +235,38 @@ class HybridModel:
         dX += layers.bilstm_backward(bi_cache, d_h_fwd, d_h_bwd, grads.fwd, grads.bwd)
         layers.embedding_backward(ids, dX, grads.embedding)
 
-    def _infer(self, samples) -> np.ndarray:
-        """Inference logits (N, C) of encoded samples, each starting (indices,
-        true_len), rows in input order.
+    def _infer(self, sequences) -> np.ndarray:
+        """Inference logits (N, C) of an iterable of encoded utterances, each
+        an index sequence, rows in input order.
 
-        The samples of each effective length L run together as a stack of S
-        batches of one, ids (S, 1, L): every layer then makes, for each
-        sample, the very products a batch of one makes (a (1, K) row times
-        a weight matrix, one (L - 2)-row convolution product), so a row's
-        bits never depend on the other samples or on how many there are.
+        The sequences of each length L run together as a stack of S batches
+        of one, ids (S, 1, L): every layer then makes, for each sequence,
+        the very products a batch of one makes (a (1, K) row times a weight
+        matrix, one (L - 2)-row convolution product), so a row's bits never
+        depend on the other sequences or on how many there are.
         """
-        cut = [_cut(s[0], s[1]) for s in samples]
+        seqs = list(sequences)
         groups: dict[int, list[int]] = {}
-        for k, seq in enumerate(cut):
+        for k, seq in enumerate(seqs):
             groups.setdefault(len(seq), []).append(k)
-        logits = np.empty((len(cut), self.num_classes), dtype=self.dtype)
+        logits = np.empty((len(seqs), self.num_classes), dtype=self.dtype)
         for n, rows in groups.items():
-            ids = np.array([cut[k] for k in rows], dtype=np.intp)[:, None]
+            ids = np.array([seqs[k] for k in rows], dtype=np.intp)[:, None]
             lengths = np.full((len(rows), 1), n, dtype=np.intp)
             logits[rows] = self._run_layers(ids, lengths, None)[0][:, 0]
         return logits
 
     def loss(self, sample) -> float:
-        return float(cross_entropy(self._infer([sample]), [sample[2]])[0][0])
+        indices, gold = sample
+        return float(cross_entropy(self._infer([indices]), [gold])[0][0])
 
     def loss_and_gradients(self, samples, rng: Rng | None = None):
         """Per-sample losses of a batch of encoded samples, and the batch's
         summed parameter gradients as a fresh model of the same sizes:
         its ``flat`` is the gradient vector and its ``parameters()`` the
         gradient blocks. One batched forward and one batched backward."""
-        indices, true_len, gold = zip(*samples)
-        logits, caches = self.forward(indices, true_len, rng=rng)
+        indices, gold = zip(*samples)
+        logits, caches = self.forward(indices, rng=rng)
         losses, d_logits = cross_entropy(logits, gold)
         grads = HybridModel(self.vocab, self.labels, self.embed_dim, self.hidden,
                             self.filters, self.max_len, rng=None,
@@ -310,13 +307,24 @@ class HybridModel:
         ``parameters()`` order. Anything else is a ``ContainerError``."""
         raw_header, header, blocks = container.read_container(path)
         try:
-            # the blocks' shapes, not the header, size the arrays
+            # the blocks' shapes, not the header, size the arrays, and only
+            # once those sizes need exactly the values the file's blocks hold
+            vocab = Vocab(header["vocab"])
+            labels = header["labels"]
+            embed_dim = blocks["embedding"].shape[1]
+            hidden = blocks["fwd.w_hi"].shape[0]
+            filters = blocks["conv.bias"].shape[0]
+            shapes = cls._shapes(len(vocab), len(labels), embed_dim, hidden, filters)
+            need = sum(map(math.prod, shapes))
+            have = sum(arr.size for arr in blocks.values())
+            if need != have:
+                raise ValueError(f"its sizes need {need} values, its blocks hold {have}")
             model = cls(
-                vocab=Vocab(header["vocab"]),
-                labels=header["labels"],
-                embed_dim=blocks["embedding"].shape[1],
-                hidden=blocks["fwd.w_hi"].shape[0],
-                filters=blocks["conv.bias"].shape[0],
+                vocab=vocab,
+                labels=labels,
+                embed_dim=embed_dim,
+                hidden=hidden,
+                filters=filters,
                 max_len=operator.index(header["max_len"]),
                 rng=None,
                 dropout_rate=header["dropout"],
@@ -344,8 +352,7 @@ def encode_dataset(records: Sequence[Utterance], vocab: Vocab, max_len: int,
     for utt in records:
         if utt.label not in label_index:
             raise CorpusError(f"label {utt.label!r} absent from the training label set")
-        indices, true_len = encode(utt.text, vocab, max_len)
-        samples.append((indices, true_len, label_index[utt.label]))
+        samples.append((encode(utt.text, vocab, max_len), label_index[utt.label]))
     return samples
 
 
@@ -435,8 +442,8 @@ def _step(model: HybridModel, grads: HybridModel, batch_size: int,
 
 def _validate(model: HybridModel, dev_set) -> tuple[float, float]:
     """Mean loss, summed in ``dev_set`` order, and accuracy over the dev set."""
-    gold = np.array([sample[2] for sample in dev_set])
-    logits = model._infer(dev_set)
+    gold = np.array([gold for _, gold in dev_set])
+    logits = model._infer(indices for indices, _ in dev_set)
     loss_sum = functools.reduce(operator.add, cross_entropy(logits, gold)[0].tolist(), 0.0)
     correct = int(np.sum(logits.argmax(axis=1) == gold))
     return loss_sum / len(dev_set), correct / len(dev_set)
@@ -481,9 +488,8 @@ def report_from_pairs(gold: Sequence[int], predicted: Sequence[int],
                       labels: Sequence[str]) -> EvalReport:
     """Build the evaluation report from (gold, predicted) index pairs."""
     n_classes = len(labels)
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for g, p in zip(gold, predicted):
-        confusion[g, p] += 1
+    cells = np.asarray(gold, dtype=np.int64) * n_classes + np.asarray(predicted, dtype=np.int64)
+    confusion = np.bincount(cells, minlength=n_classes ** 2).reshape(n_classes, n_classes)
     tp = np.diag(confusion).astype(np.float64)
     support = confusion.sum(axis=1)
     predicted_counts = confusion.sum(axis=0)
@@ -509,8 +515,8 @@ def evaluate(model: HybridModel, records: Sequence[Utterance]) -> EvalReport:
     if not records:
         raise CorpusError("cannot evaluate an empty split")
     samples = encode_dataset(records, model.vocab, model.max_len, model.label_index)
-    predicted = model._infer(samples).argmax(axis=1).tolist()
-    return report_from_pairs([gold for *_, gold in samples], predicted, model.labels)
+    predicted = model._infer(indices for indices, _ in samples).argmax(axis=1).tolist()
+    return report_from_pairs([gold for _, gold in samples], predicted, model.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +532,8 @@ def down_scaled_model(seed: int) -> HybridModel:
 
 
 def random_check_sample(seed: int, model: HybridModel):
-    """A full-length encoded sample (``model.max_len`` letters) and a gold class."""
+    """A full-length encoded sample: ``model.max_len`` letters and a gold class."""
     rng = Rng(seed).spawn(77)
     indices = [2 + rng.integer(len(model.vocab) - 2) for _ in range(model.max_len)]
     gold = rng.integer(model.num_classes)
-    return indices, model.max_len, gold
+    return indices, gold

@@ -424,6 +424,10 @@ class TestUsageErrors:
                      id="inf-weight"),
         pytest.param(lambda h, b: h.update(embed_dim=2**45), id="huge-embed-dim"),
         pytest.param(lambda h, b: h.update(hidden=2**45), id="huge-hidden"),
+        pytest.param(lambda h, b: b.update(embedding=np.zeros((0, 2**32 - 1), np.float32)),
+                     id="empty-embedding-of-huge-width"),
+        pytest.param(lambda h, b: b.update(embedding=np.zeros((1, 60_000), np.float32)),
+                     id="one-wide-embedding-row"),
         # one distinct letter per class, so only the type is wrong
         pytest.param(lambda h, b: h.update(labels="wxyzuvts"[:len(h["labels"])]),
                      id="labels-a-string"),

@@ -134,20 +134,17 @@ class TestEncode:
         return build_vocab([utt("abcde")])
 
     def test_short_text_floors_length_at_three(self, vocab):
-        indices, true_len = encode("ab", vocab, max_len=5)
+        indices = encode("ab", vocab, max_len=5)
         assert indices == [vocab.lookup("a"), vocab.lookup("b"), PAD_INDEX]
-        assert true_len == 3
 
     def test_truncation(self, vocab):
-        indices, true_len = encode("abcde", vocab, max_len=3)
-        assert true_len == 3
+        indices = encode("abcde", vocab, max_len=3)
         assert len(indices) == 3
         assert indices == [vocab.lookup(c) for c in "abc"]
 
     def test_all_unknown(self, vocab):
-        indices, true_len = encode("xyz", vocab, max_len=4)
+        indices = encode("xyz", vocab, max_len=4)
         assert indices == [UNK_INDEX, UNK_INDEX, UNK_INDEX]
-        assert true_len == 3
 
     def test_empty_text_rejected(self, vocab):
         with pytest.raises(ValueError):
@@ -159,7 +156,7 @@ class TestEncode:
 
     def test_roundtrip_for_in_vocab_text(self, vocab):
         for text in ("abc", "edcba", "aaa", "de"):
-            indices, _ = encode(text, vocab, max_len=10)
+            indices = encode(text, vocab, max_len=10)
             assert decode(indices, vocab) == text
 
 

@@ -97,7 +97,7 @@ class TestCrossEntropy:
 class TestForward:
     def test_zero_params_give_uniform_probs(self):
         model = zero_all(tiny_model(num_classes=31))
-        logits, _ = model.forward([[2, 3, 4]], [3])
+        logits, _ = model.forward([[2, 3, 4]])
         npt.assert_allclose(softmax(logits), np.full((1, 31), 1.0 / 31.0), atol=1e-7)
 
     def test_probs_form_a_distribution(self):
@@ -105,43 +105,29 @@ class TestForward:
         for seed in range(5):
             rng = Rng(seed)
             indices = [2 + rng.integer(7) for _ in range(5)]
-            logits, _ = model.forward([indices], [5])
+            logits, _ = model.forward([indices])
             probs = softmax(logits[0])
             assert abs(float(probs.sum()) - 1.0) < 1e-6
             assert np.all(probs > 0)
 
     def test_inference_is_deterministic(self):
         model = tiny_model()
-        a, _ = model.forward([[2, 3, 4, 5]], [4])
-        b, _ = model.forward([[2, 3, 4, 5]], [4])
+        a, _ = model.forward([[2, 3, 4, 5]])
+        b, _ = model.forward([[2, 3, 4, 5]])
         npt.assert_array_equal(a, b)
 
     def test_fused_width_for_reference_sizes(self):
         model = tiny_model(hidden=50, filters=50, embed_dim=8)
         assert model.dense.weight.shape[0] == 150
 
-    def test_padding_beyond_true_len_is_ignored_exactly(self):
-        model = tiny_model()
-        short = [2, 5, 3]
-        padded = short + [0] * 10
-        a, _ = model.forward([short], [3])
-        b, _ = model.forward([padded], [3])
-        npt.assert_array_equal(a, b)
-
     def test_sample_shorter_than_one_window_rejected(self):
         model = tiny_model()
         with pytest.raises(ValueError):
-            model.forward([[2, 3]], [2])
+            model.forward([[2, 3]])
         with pytest.raises(ValueError):
-            model.forward([[2, 3, 4, 5], [2, 3]], [4, 2])
+            model.forward([[2, 3, 4, 5], [2, 3]])
         with pytest.raises(ValueError):
-            model._infer([([2, 3, 4, 5], 4), ([2, 3], 2)])
-        with pytest.raises(ValueError):  # a length past the sequence
-            model._infer([([2, 3, 4], 4)])
-
-    def test_lengths_must_match_sequences(self):
-        with pytest.raises(ValueError, match="1 sequences but 2 lengths"):
-            tiny_model().forward([[2, 3, 4]], [3, 3])
+            model._infer([[2, 3, 4, 5], [2, 3]])
 
 
 class TestGradientBuffer:
@@ -300,7 +286,7 @@ def mixed_batch(model):
     """Encoded samples of lengths 3 (floored from one character), 4, 5 (cut at
     ``max_len``) and 3, in that order."""
     texts = ["a", "bcde", "fgabcde", "gfe"]
-    return [(*encode(text, model.vocab, model.max_len), k % model.num_classes)
+    return [(encode(text, model.vocab, model.max_len), k % model.num_classes)
             for k, text in enumerate(texts)]
 
 
@@ -310,7 +296,7 @@ class TestBatch:
     def test_gradient_equals_sum_of_batch_of_one_gradients(self):
         model = down_scaled_model(seed=6)
         samples = mixed_batch(model)
-        assert [n for _, n, _ in samples] == [3, 4, model.max_len, 3]
+        assert [len(indices) for indices, _ in samples] == [3, 4, model.max_len, 3]
         losses, batched = model.loss_and_gradients(samples)
         singles = [model.loss_and_gradients([sample]) for sample in samples]
         npt.assert_allclose(losses, [loss for (loss,), _ in singles], rtol=1e-12)
@@ -321,14 +307,14 @@ class TestBatch:
     def test_logits_match_batch_of_one_and_ignore_batchmates(self):
         model = down_scaled_model(seed=7)
         samples = mixed_batch(model)
-        logits, _ = model.forward([s[0] for s in samples], [s[1] for s in samples])
-        for row, (indices, true_len, _) in zip(logits, samples):
-            npt.assert_allclose(row, model._infer([(indices, true_len)])[0], rtol=1e-12,
+        logits, _ = model.forward([s[0] for s in samples])
+        for row, (indices, _) in zip(logits, samples):
+            npt.assert_allclose(row, model._infer([indices])[0], rtol=1e-12,
                                 atol=1e-15)
         # the same utterance beside batchmates of other lengths
         first = samples[0]
         for mate in samples[1:]:
-            pair, _ = model.forward([first[0], mate[0]], [first[1], mate[1]])
+            pair, _ = model.forward([first[0], mate[0]])
             npt.assert_allclose(pair[0], logits[0], rtol=1e-12, atol=1e-15)
 
     def test_backward_matches_finite_differences(self):
@@ -336,10 +322,10 @@ class TestBatch:
         # the path of every gradient
         model = down_scaled_model(seed=8)
         samples = mixed_batch(model)
-        indices, true_len, gold = zip(*samples)
+        indices, gold = zip(*samples)
 
         def loss():
-            logits, _ = model.forward(indices, true_len)
+            logits, _ = model.forward(indices)
             return float(np.sum(cross_entropy(logits, gold)[0]))
 
         analytic = model.loss_and_gradients(samples)[1].parameters()
@@ -400,13 +386,12 @@ class TestInferenceAgreement:
                             max_len=30, rng=Rng(11))
         rng = Rng(12)
         lengths = [n for n in range(3, model.max_len + 1) for _ in range(3)]
-        samples = [([1 + rng.integer(len(vocab) - 1) for _ in range(lengths[k])], lengths[k])
+        samples = [[1 + rng.integer(len(vocab) - 1) for _ in range(lengths[k])]
                    for k in rng.permutation(len(lengths))]
         batched = model._infer(samples)
         assert batched.dtype == np.float32
         assert np.array_equal(batched, np.concatenate([model._infer([s]) for s in samples]))
-        assert np.array_equal(batched, np.concatenate([model.forward([seq], [n])[0]
-                                                       for seq, n in samples]))
+        assert np.array_equal(batched, np.concatenate([model.forward([s])[0] for s in samples]))
         assert np.array_equal(model._infer(s for s in samples), batched)
 
 
@@ -868,6 +853,11 @@ class TestSerialization:
         # sizes that fail to allocate unless the blocks are checked first
         pytest.param(lambda h, b: h.update(embed_dim=2**45), id="huge-embed-dim"),
         pytest.param(lambda h, b: h.update(hidden=2**45), id="huge-hidden"),
+        # block shapes that size a model far larger than the file
+        pytest.param(lambda h, b: b.update(embedding=np.zeros((0, 2**32 - 1), np.float32)),
+                     id="empty-embedding-of-huge-width"),
+        pytest.param(lambda h, b: b.update(embedding=np.zeros((1, 60_000), np.float32)),
+                     id="one-wide-embedding-row"),
         # save writes the model each of these holds in other bytes
         pytest.param(lambda h, b: h.update(num_classes=float(h["num_classes"])),
                      id="num-classes-a-float"),
@@ -887,6 +877,22 @@ class TestSerialization:
             rewrite_container(path, edit)
         with pytest.raises(ContainerError, match="model.bin"):
             HybridModel.load(path)
+
+    def test_load_allocates_no_more_than_the_file_holds(self, tmp_path):
+        # one embedding row of 60,000 floats: the sizes it implies need a
+        # 9.4 MB model, and the file holds 0.24 MB
+        path = tmp_path / "model.bin"
+        tiny_model().save(path)
+        rewrite_container(path, lambda h, b: b.update(embedding=np.zeros((1, 60_000), np.float32)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContainerError, match="model.bin"):
+                HybridModel.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the file's bytes and the checksum's scratch (under 1 MB), no model
+        assert peak < path.stat().st_size + 1_000_000
 
     def test_duplicated_block_is_container_error(self, tmp_path):
         path = tmp_path / "model.bin"

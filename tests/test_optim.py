@@ -354,11 +354,11 @@ class TestGradientCheck:
                 return [float("nan")], {}
 
         with pytest.raises(NumericError, match="non-finite loss at the check point"):
-            gradient_check(NaNLoss(), ([2, 3, 4], 3, 0))
+            gradient_check(NaNLoss(), ([2, 3, 4], 0))
 
     def test_pad_embedding_row_has_zero_gradient_both_ways(self):
         model = down_scaled_model(seed=2)
-        sample = ([0, 2, 3, 0, 4], 5, 1)  # PAD inside the effective length
+        sample = ([0, 2, 3, 0, 4], 1)  # PAD inside the sequence
         analytic = model.loss_and_gradients([sample])[1].parameters()
         npt.assert_array_equal(analytic["embedding"][0], np.zeros(model.embed_dim))
         eps = 1e-5

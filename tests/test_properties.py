@@ -1,10 +1,12 @@
 """Property tests: the checksum against its byte-loop oracle, container
-fuzzing, encoding invariants, schedule replays, the batch contract."""
+fuzzing, encoding invariants, schedule replays, the batch contract, the
+confusion matrix against its pair-loop count."""
 
 import json
 import random
 import struct
 
+import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from intentnet import container
 from intentnet.data import MIN_ENCODED_LEN, PAD_INDEX, Vocab, encode
 from intentnet.errors import ContainerError
-from intentnet.model import HybridModel, down_scaled_model
+from intentnet.model import HybridModel, down_scaled_model, report_from_pairs
 from intentnet.optim import EpochRecord, reduce_lr_on_plateau, should_stop
 from intentnet.tensor import Rng
 
@@ -158,12 +160,11 @@ _VOCAB = Vocab(["<pad>", "<unk>", "a", "b", "c"])
 
 @given(text=st.text(min_size=1, max_size=50), max_len=st.integers(MIN_ENCODED_LEN, 40))
 def test_encode_pads_after_the_text_to_the_floor(text, max_len):
-    indices, true_len = encode(text, _VOCAB, max_len)
+    indices = encode(text, _VOCAB, max_len)
     kept = min(len(text), max_len)
-    assert len(indices) == true_len
-    assert true_len == min(max(len(text), MIN_ENCODED_LEN), max_len)
+    assert len(indices) == min(max(len(text), MIN_ENCODED_LEN), max_len)
     assert PAD_INDEX not in indices[:kept]
-    assert indices[kept:] == [PAD_INDEX] * (true_len - kept)
+    assert indices[kept:] == [PAD_INDEX] * (len(indices) - kept)
 
 
 _metric = st.floats(0.0, 1.0, allow_nan=False)
@@ -206,11 +207,10 @@ _CHECK_MODEL = down_scaled_model(seed=3)
 
 @st.composite
 def _samples(draw):
-    """An encoded sample of length 3 to 5 with any indices past its length."""
-    true_len = draw(st.integers(MIN_ENCODED_LEN, _CHECK_MODEL.max_len))
+    """An encoded sample: a sequence of 3 to 5 indices and a gold class."""
     index = st.integers(0, len(_CHECK_MODEL.vocab) - 1)
-    indices = draw(st.lists(index, min_size=true_len, max_size=true_len + 3))
-    return indices, true_len, draw(st.integers(0, _CHECK_MODEL.num_classes - 1))
+    indices = draw(st.lists(index, min_size=MIN_ENCODED_LEN, max_size=_CHECK_MODEL.max_len))
+    return indices, draw(st.integers(0, _CHECK_MODEL.num_classes - 1))
 
 
 @settings(max_examples=50, deadline=None)
@@ -222,3 +222,24 @@ def test_a_batch_is_the_sum_of_its_batches_of_one(samples):
     for name, grad in batched.parameters().items():
         npt.assert_allclose(grad, sum(grads.parameters()[name] for _, grads in singles),
                             rtol=1e-6, atol=1e-12, err_msg=name)
+
+
+@st.composite
+def _pairs(draw):
+    """A class count and (gold, predicted) index pairs below it."""
+    n_classes = draw(st.integers(1, 6))
+    index = st.integers(0, n_classes - 1)
+    return n_classes, draw(st.lists(st.tuples(index, index), max_size=40))
+
+
+@PROPERTY
+@given(case=_pairs())
+def test_confusion_counts_each_pair_once(case):
+    n_classes, pairs = case
+    expected = [[0] * n_classes for _ in range(n_classes)]
+    for g, p in pairs:
+        expected[g][p] += 1
+    gold, predicted = [g for g, _ in pairs], [p for _, p in pairs]
+    confusion = report_from_pairs(gold, predicted, list("abcdef"[:n_classes])).confusion
+    assert confusion.dtype == np.int64
+    assert confusion.tolist() == expected

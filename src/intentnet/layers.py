@@ -3,20 +3,21 @@
 The model hands the layers a batch of B utterances padded to its longest
 length T: indices (B, T), embeddings (B, T, E); sample b's own
 positions are 0 .. L_b - 1, ``true_len[b]``, and a batch of one is the same
-code. Each layer computes over the X it is given, and only two read lengths:
-the recurrence reads sample b's final state after its own L_b steps (its
-backward direction runs over each sample reversed within its length), and
-max pooling counts only the sample's own L_b - 2 windows. Positions past L_b
-are thus computed over but reach no output, and get exactly zero gradient.
+code. Only two layers read lengths: the recurrence runs packed, its step t
+computing only the samples longer than t (its backward direction runs over
+each sample reversed within its length), and max pooling counts only the
+sample's own L_b - 2 windows. Positions past L_b thus reach no output, and
+get exactly zero gradient.
 
 The forward layers also take leading stack axes in front of these: indices
-(..., B, T), embeddings (..., B, T, E), lengths (..., B). They index from the
-right, time being axis -2 of the embeddings and batch axis -3, so each
-(B, T, E) slice is computed as a call on that slice alone would compute it,
-with one numpy call per layer (per step, in the recurrence) for the whole
-stack. A matrix product over a stack makes one product per slice: a stack
-of S batches of one, (S, 1, T, E), gives each sample the very bits its own
-batch of one gives. The backward passes take the (B, T, E) layout only.
+(..., B, T) and embeddings (..., B, T, E), with one length per batch
+position, (B,), shared by every slice. They index from the right, time
+being axis -2 of the embeddings and batch axis -3, so each (B, T, E) slice
+is computed as a call on that slice alone would compute it, with one numpy
+call per layer (per step, in the recurrence) for the whole stack. A matrix
+product over a stack makes one product per slice: a stack of S batches of
+one, (S, 1, T, E), gives each sample the very bits its own batch of one
+gives. The backward passes take the (B, T, E) layout only.
 
 Each forward returns the values the matching backward needs (a cache);
 each backward accumulates parameter gradients into a parameter object of
@@ -30,8 +31,10 @@ of common variants, and the output gate reads the freshly updated cell
 state. Both choices are deliberate and the backward pass differentiates
 them exactly. Each direction stores its weights gate-stacked, one matrix per
 operand (the fused-gate layout of Appleyard et al., arXiv 1604.01946), so a
-cell step makes one product per operand for the whole batch and a chain's
-weight gradients come from one product per stack over all its B * T rows.
+chain forms its input projection for every step before its first, a cell
+step makes one product per remaining operand for its live rows, and a
+chain's weight gradients come from one product per stack over the batch's
+sum of L_b live rows.
 The 15 per-gate blocks that the model file names are column views of
 those stacks.
 """
@@ -153,7 +156,7 @@ def embedding_backward(indices, d_out: np.ndarray, grad_table: np.ndarray) -> No
 
 class CellCache(NamedTuple):
     params: LSTMParams
-    x: np.ndarray
+    x: np.ndarray       # the step's input projection; the cell wrote ``gates`` into it
     h_prev: np.ndarray
     c_prev: np.ndarray
     gates: np.ndarray   # activated i, f, g, o, stacked like ``LSTMParams.b``
@@ -161,23 +164,25 @@ class CellCache(NamedTuple):
     tanh_c: np.ndarray
 
 
-def lstm_cell_forward(x, h_prev, c_prev, p: LSTMParams):
-    """One memory-cell step for a batch: ``x`` (..., B, E), ``h_prev`` and
-    ``c_prev`` (..., B, H); returns the new (..., B, H) hidden and cell states.
+def lstm_cell_forward(xw, h_prev, c_prev, p: LSTMParams):
+    """One memory-cell step for a batch: ``xw`` (..., B, 4H) is the step's
+    input projection ``x @ p.w_x + p.b``, ``h_prev`` and ``c_prev``
+    (..., B, H); returns the new (..., B, H) hidden and cell states. The
+    gates are computed in place in ``xw``.
 
     Gate order: input and forget gates read (x, h_prev, c_prev); the
     candidate reads (x, h_prev); the output gate reads (x, h_prev, c_new).
     """
-    if (x.ndim < 2 or x.shape[-1] != p.input_size
-            or h_prev.shape != (*x.shape[:-1], p.hidden_size)):
-        raise ValueError(
-            f"cell shapes disagree: x {x.shape}, h {h_prev.shape}, "
-            f"params ({p.input_size}, {p.hidden_size})"
-        )
     H = p.hidden_size
+    if xw.ndim < 2 or xw.shape[-1] != 4 * H or h_prev.shape != (*xw.shape[:-1], H):
+        raise ValueError(
+            f"cell shapes disagree: xw {xw.shape}, h {h_prev.shape}, "
+            f"params ({p.input_size}, {H})"
+        )
     # The bias joins the input projection before the recurrent term: other
     # summation orders raise the gradient check's round-off past its bound.
-    z = (x @ p.w_x + p.b) + h_prev @ p.w_h
+    z = xw
+    z += h_prev @ p.w_h
     gates = z  # overwritten with the activations, gate by gate
     # The sigmoid gates are activated in the fresh contiguous product their
     # cell term lands in, not in their column slices of z: elementwise work
@@ -193,7 +198,7 @@ def lstm_cell_forward(x, h_prev, c_prev, p: LSTMParams):
     gates[..., 3 * H:] = sigmoid(o, out=o)
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    return h, c, CellCache(p, x, h_prev, c_prev, gates, c, tanh_c)
+    return h, c, CellCache(p, xw, h_prev, c_prev, gates, c, tanh_c)
 
 
 def lstm_cell_backward(cache: CellCache, dh, dc_in):
@@ -230,106 +235,106 @@ def lstm_cell_backward(cache: CellCache, dh, dc_in):
 # bidirectional unrolling
 
 class BiLSTMCache(NamedTuple):
-    fwd_steps: list        # CellCache per step 0..T-1 over X
-    bwd_steps: list        # CellCache per step 0..T-1 over X reversed per sample
-    true_len: np.ndarray   # (..., B)
+    X: np.ndarray          # (B, T, E)
+    lengths: np.ndarray    # (B,)
+    order: np.ndarray      # the batch positions by descending length
+    fwd_steps: list        # CellCache per step t over the first n_t sorted samples
+    bwd_steps: list        # the same, each sample reversed within its length
 
 
 def _lengths(true_len, X: np.ndarray) -> np.ndarray:
-    """Per-sample lengths as an int array shaped like X's axes before its
-    last two, each within [1, T], T being the length of X's axis -2."""
+    """The lengths as an int array (B,), one per position of X's batch axis
+    -3, each within [1, T], T being the length of X's axis -2."""
     lengths = np.asarray(true_len, dtype=np.intp)
     seq_len = X.shape[-2]
-    if (lengths.shape != X.shape[:-2] or not lengths.size
+    if (X.ndim < 3 or lengths.shape != X.shape[-3:-2] or not lengths.size
             or lengths.min() < 1 or lengths.max() > seq_len):
         raise ValueError(f"lengths {lengths.tolist()} out of range for "
-                         f"{X.shape[:-2]} sequences of {seq_len} rows")
+                         f"{X.shape[-3:-2]} sequences of {seq_len} rows")
     return lengths
 
 
-def _rows(X: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``out[..., b, j, :] = X[..., b, index[..., b, j], :]``: rows picked
-    from each sample's (T, F) block of X."""
-    blocks = X.reshape(-1, *X.shape[-2:])
-    picked = blocks[np.arange(len(blocks))[:, None], index.reshape(len(blocks), -1)]
-    return picked.reshape(*index.shape, X.shape[-1])
-
-
-def _reverse(X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Each sample's first L_b rows in reverse order, zeros after them:
-    ``out[..., b, t, :] = X[..., b, L_b - 1 - t, :]`` for t < L_b, over X's
-    rows. On those rows the gather is its own inverse."""
-    pos = lengths[..., None] - 1 - np.arange(X.shape[-2])
-    out = _rows(X, np.maximum(pos, 0))
-    out[pos < 0] = 0
-    return out
-
-
-def _run_chain(X, p: LSTMParams):
-    """All T steps over X (..., B, T, E); the hidden states (..., B, T, H)."""
-    h = np.zeros((*X.shape[:-2], p.hidden_size), dtype=X.dtype)
+def _run_chain(Xs, sizes, p: LSTMParams):
+    """Runs step t of the cell on the first ``sizes[t]`` rows of Xs (..., B,
+    T, E), its samples sorted by descending length; returns each sample's
+    final hidden state (..., B, H) and the step caches. Every step's input
+    projection is formed before the first, a B-row product, time-major; the
+    states are fresh each step, so rows cached as ``h_prev`` stay as read."""
+    XW = np.moveaxis(Xs, -2, 0) @ p.w_x + p.b  # (T, ..., B, 4H)
+    h = np.zeros((*Xs.shape[:-2], p.hidden_size), dtype=Xs.dtype)
     c = np.zeros_like(h)
-    states, caches = [], []
-    for t in range(X.shape[-2]):
-        h, c, cache = lstm_cell_forward(X[..., t, :], h, c, p)
-        states.append(h)
+    finals, caches = [], []
+    # ``ended`` is the next step's row count: the rows past it end here
+    for xw, n, ended in zip(XW, sizes, sizes[1:] + [0]):
+        h, c, cache = lstm_cell_forward(xw[..., :n, :], h[..., :n, :], c[..., :n, :], p)
         caches.append(cache)
-    return np.stack(states, axis=-2), caches
+        if ended < n:
+            finals.append(h[..., ended:, :])
+    return np.concatenate(finals[::-1], axis=-2), caches
 
 
 def bilstm_forward(X: np.ndarray, true_len, p_fwd: LSTMParams, p_bwd: LSTMParams):
     """Final (..., B, H) hidden states of both directions over X (..., B, T, E).
 
-    Both chains run T steps over the whole batch, and sample b's final state
-    is read after its own L_b steps. The backward chain reads each sample
-    reversed within its length, so in both directions a sample's positions
-    past L_b come after its final state and cannot change it.
+    The batch runs packed: sorted by descending length (a row permutation,
+    undone on the way out), step t computes only the n_t samples longer
+    than t, for max L_b steps, so sample b's final state is the state of its
+    own L_b-th step and no position past L_b is computed. The backward chain
+    reads each sample reversed within its length.
     """
     lengths = _lengths(true_len, X)
-    fwd_states, fwd_steps = _run_chain(X, p_fwd)
-    bwd_states, bwd_steps = _run_chain(_reverse(X, lengths), p_bwd)
-    last = lengths - 1
-    return (_rows(fwd_states, last[..., None])[..., 0, :],
-            _rows(bwd_states, last[..., None])[..., 0, :],
-            BiLSTMCache(fwd_steps, bwd_steps, lengths))
+    order = np.argsort(-lengths, kind="stable")
+    ordered = lengths[order]
+    t = np.arange(ordered[0])
+    sizes = np.count_nonzero(ordered[:, None] > t, axis=0).tolist()
+    back = np.maximum(ordered[:, None] - 1 - t, 0)  # (B, max L) positions read
+    h_fwd, fwd_steps = _run_chain(X[..., order, :ordered[0], :], sizes, p_fwd)
+    h_bwd, bwd_steps = _run_chain(X[..., order[:, None], back, :], sizes, p_bwd)
+    unsort = np.argsort(order)
+    return (h_fwd[..., unsort, :], h_bwd[..., unsort, :],
+            BiLSTMCache(X, lengths, order, fwd_steps, bwd_steps))
 
 
-def _chain_backward(caches, lengths, d_final, grads: LSTMParams):
-    """Backpropagation through time over one chain, ``d_final[b]`` entering
-    at step L_b - 1; then one product per gate-stack over all B * T rows
-    adds its weight gradients into ``grads`` and gives d(inputs), returned
-    as (B, T, E).
+def _chain_backward(caches, d_final, x, grads: LSTMParams):
+    """Backpropagation through time over one packed chain, ``d_final``
+    (B, H) in the chain's sorted order; then one product per gate-stack over
+    the chain's live rows, whose inputs ``x`` are ordered (step, sample),
+    adds its weight gradients into ``grads`` and gives d(x).
 
-    The steps after a sample's last one receive no gradient, so their dz
-    rows are exactly zero and add nothing to the products.
+    Step t updates the gradient rows of its n_t samples only, so a sample's
+    ``d_final`` row is untouched until its last step, where it enters.
     """
     p = caches[0].params
     H = p.hidden_size
-    ends = lengths == np.arange(1, len(caches) + 1)[:, None]  # (T, B)
-    dh = np.zeros_like(d_final)
+    dh = d_final
     dc = np.zeros_like(d_final)
     dz = [None] * len(caches)
     for step in range(len(caches) - 1, -1, -1):
-        dh[ends[step]] = d_final[ends[step]]
-        dz[step], dh, dc = lstm_cell_backward(caches[step], dh, dc)
+        n = len(caches[step].h_prev)
+        dz[step], dh[:n], dc[:n] = lstm_cell_backward(caches[step], dh[:n], dc[:n])
     dz = np.concatenate(dz)  # rows ordered (step, sample)
-    x, h_prev, c_prev, c = (np.concatenate([getattr(s, field) for s in caches])
-                            for field in ("x", "h_prev", "c_prev", "c"))
+    h_prev, c_prev, c = (np.concatenate([getattr(s, field) for s in caches])
+                         for field in ("h_prev", "c_prev", "c"))
     grads.w_x += x.T @ dz
     grads.w_h += h_prev.T @ dz
     grads.w_c[:, :2 * H] += c_prev.T @ dz[:, :2 * H]
     grads.w_c[:, 2 * H:] += c.T @ dz[:, 3 * H:]
     grads.b += dz.sum(axis=0)
-    return (dz @ p.w_x.T).reshape(len(caches), len(lengths), -1).transpose(1, 0, 2)
+    return dz @ p.w_x.T
 
 
 def bilstm_backward(cache: BiLSTMCache, d_fwd, d_bwd, grads_fwd: LSTMParams,
                     grads_bwd: LSTMParams) -> np.ndarray:
     """Backpropagation through time for both chains; returns d(embeddings),
-    (B, T, E)."""
-    lengths = cache.true_len
-    dX = _chain_backward(cache.fwd_steps, lengths, d_fwd, grads_fwd)
-    dX += _reverse(_chain_backward(cache.bwd_steps, lengths, d_bwd, grads_bwd), lengths)
+    (B, T, E), zero past each sample's length."""
+    X, lengths, order, fwd_steps, bwd_steps = cache
+    # the live (step, sorted sample) cells, in the order the steps ran them
+    step, k = np.nonzero(lengths[order] > np.arange(len(fwd_steps))[:, None])
+    rows = order[k]
+    back = lengths[rows] - 1 - step
+    dX = np.zeros_like(X)
+    dX[rows, step] = _chain_backward(fwd_steps, d_fwd[order], X[rows, step], grads_fwd)
+    dX[rows, back] += _chain_backward(bwd_steps, d_bwd[order], X[rows, back], grads_bwd)
     return dX
 
 
@@ -374,8 +379,9 @@ def conv_backward(cache: ConvCache, d_fmap: np.ndarray, grads: ConvParams) -> np
 
 
 def maxpool_over_time(fmap: np.ndarray, lengths):
-    """Per-sample, per-feature max over the first ``lengths[..., b]`` rows of
-    fmap (..., B, n, F); argmax rows (..., B, F) cached for the backward pass.
+    """Per-sample, per-feature max over the first ``lengths[b]`` rows of
+    fmap (..., B, n, F), one (B, n) mask for every leading slice; argmax
+    rows (..., B, F) cached for the backward pass.
     Rows past a sample's length are masked out, so its maximum and argmax
     (the first occurrence wins ties) are those of its own rows alone."""
     lengths = _lengths(lengths, fmap)

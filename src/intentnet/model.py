@@ -210,8 +210,9 @@ class HybridModel:
 
     def _run_layers(self, ids: np.ndarray, lengths: np.ndarray, rng: Rng | None):
         """Logits (..., B, C) and caches of index sequences ``ids``
-        (..., B, T) with their own lengths ``lengths`` (..., B): the layer
-        sequence, over whatever leading axes ``ids`` has."""
+        (..., B, T) with their lengths ``lengths`` (B,), one per batch
+        position, shared by every leading slice: the layer sequence, over
+        whatever leading axes ``ids`` has."""
         X = layers.embedding_forward(ids, self.embedding)
         h_fwd, h_bwd, bi_cache = layers.bilstm_forward(X, lengths, self.fwd, self.bwd)
         fmap, conv_cache = layers.conv_forward(X, self.conv)
@@ -240,10 +241,11 @@ class HybridModel:
         an index sequence, rows in input order.
 
         The sequences of each length L run together as a stack of S batches
-        of one, ids (S, 1, L): every layer then makes, for each sequence,
-        the very products a batch of one makes (a (1, K) row times a weight
-        matrix, one (L - 2)-row convolution product), so a row's bits never
-        depend on the other sequences or on how many there are.
+        of one, ids (S, 1, L) with lengths ``[L]``, shared by the stack:
+        every layer then makes, for each sequence, the very products a batch
+        of one makes (a (1, K) row times a weight matrix, one (L - 2)-row
+        convolution product), so a row's bits never depend on the other
+        sequences or on how many there are.
         """
         seqs = list(sequences)
         groups: dict[int, list[int]] = {}
@@ -252,8 +254,7 @@ class HybridModel:
         logits = np.empty((len(seqs), self.num_classes), dtype=self.dtype)
         for n, rows in groups.items():
             ids = np.array([seqs[k] for k in rows], dtype=np.intp)[:, None]
-            lengths = np.full((len(rows), 1), n, dtype=np.intp)
-            logits[rows] = self._run_layers(ids, lengths, None)[0][:, 0]
+            logits[rows] = self._run_layers(ids, np.array([n]), None)[0][:, 0]
         return logits
 
     def loss(self, sample) -> float:

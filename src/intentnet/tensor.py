@@ -161,6 +161,10 @@ class Rng:
         return order
 
 
+# 0-d halves: numpy converts a Python float operand anew on every ufunc call
+_HALF = {np.dtype(t): np.array(0.5, dtype=t) for t in (np.float32, np.float64)}
+
+
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + e^-x), computed as 0.5 * tanh(x / 2) + 0.5: tanh never
     overflows, and the steps run in place on one array, ``out`` if given
@@ -168,10 +172,11 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     x = np.asarray(x)
     if out is None:
         out = np.empty(x.shape, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
-    np.multiply(x, 0.5, out=out)
+    half = _HALF.get(out.dtype, 0.5)
+    np.multiply(x, half, out=out)
     np.tanh(out, out=out)
-    out *= 0.5
-    out += 0.5
+    out *= half
+    out += half
     return out
 
 

@@ -77,7 +77,8 @@ def test_criterion_1_gradient_integrity(capsys):
 
 def test_criterion_2_closed_form_layers(capsys):
     cell = zero_lstm_params(2, 1, np.float64)
-    h, c, _ = lstm_cell_forward(np.zeros((1, 2)), np.zeros((1, 1)), np.ones((1, 1)), cell)
+    h, c, _ = lstm_cell_forward(np.zeros((1, 2)) @ cell.w_x + cell.b, np.zeros((1, 1)),
+                                np.ones((1, 1)), cell)
     c, h = float(c[0, 0]), float(h[0, 0])
     cell_ok = abs(c - 0.5) < 1e-5 and abs(h - 0.23106) < 1e-5
 

@@ -81,14 +81,16 @@ class TestEmbedding:
 class TestLSTMCell:
     def test_zero_params_zero_cell(self):
         p = zero_lstm_params(2, 1, np.float64)
-        h, c, _ = lstm_cell_forward(np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 1)), p)
+        h, c, _ = lstm_cell_forward(np.zeros((1, 2)) @ p.w_x + p.b, np.zeros((1, 1)),
+                                    np.zeros((1, 1)), p)
         npt.assert_array_equal(h, [[0.0]])
         npt.assert_array_equal(c, [[0.0]])
 
     def test_zero_params_unit_cell_state(self):
         # gates collapse to 1/2: new cell = 0.5, hidden = 0.5*tanh(0.5)
         p = zero_lstm_params(2, 1, np.float64)
-        h, c, _ = lstm_cell_forward(np.zeros((1, 2)), np.zeros((1, 1)), np.ones((1, 1)), p)
+        h, c, _ = lstm_cell_forward(np.zeros((1, 2)) @ p.w_x + p.b, np.zeros((1, 1)),
+                                    np.ones((1, 1)), p)
         npt.assert_allclose(c, [[0.5]], atol=1e-12)
         npt.assert_allclose(h, [[0.23105857863000487]], atol=1e-12)
 
@@ -99,7 +101,7 @@ class TestLSTMCell:
             x = rng.uniform(-1, 1, (4, 3))
             h_prev = rng.uniform(-1, 1, (4, 3))
             c_prev = rng.uniform(-1, 1, (4, 3))
-            h, c, _ = lstm_cell_forward(x, h_prev, c_prev, p)
+            h, c, _ = lstm_cell_forward(x @ p.w_x + p.b, h_prev, c_prev, p)
             for b in range(4):
                 h_ref, c_ref = scalar_lstm_cell(x[b], h_prev[b], c_prev[b], p)
                 npt.assert_allclose(h[b], h_ref, atol=1e-6)
@@ -107,18 +109,20 @@ class TestLSTMCell:
 
     def test_shape_mismatch_rejected(self):
         p = zero_lstm_params(2, 3, np.float64)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError):  # not the 4H gate columns
             lstm_cell_forward(np.zeros((1, 4)), np.zeros((1, 3)), np.zeros((1, 3)), p)
         with pytest.raises(ValueError):  # batch sizes disagree
-            lstm_cell_forward(np.zeros((2, 2)), np.zeros((1, 3)), np.zeros((1, 3)), p)
+            lstm_cell_forward(np.zeros((2, 2)) @ p.w_x + p.b, np.zeros((1, 3)),
+                              np.zeros((1, 3)), p)
         with pytest.raises(ValueError):  # no batch axis
-            lstm_cell_forward(np.zeros(2), np.zeros(3), np.zeros(3), p)
+            lstm_cell_forward(np.zeros(2) @ p.w_x + p.b, np.zeros(3), np.zeros(3), p)
 
     def test_zero_upstream_gives_zero_param_grads(self):
         rng = Rng(1)
         p = random_lstm_params(rng, 2, 2)
         _, _, cache = lstm_cell_forward(
-            rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 2)), p
+            rng.uniform(-1, 1, (3, 2)) @ p.w_x + p.b, rng.uniform(-1, 1, (3, 2)),
+            rng.uniform(-1, 1, (3, 2)), p
         )
         # every weight and bias gradient is a product with dz
         for arr in lstm_cell_backward(cache, np.zeros((3, 2)), np.zeros((3, 2))):
@@ -138,10 +142,10 @@ class TestLSTMCell:
         gc = rng.uniform(-1, 1, (batch, hidden))
 
         def loss():
-            h, c, _ = lstm_cell_forward(x, h_prev, c_prev, p)
+            h, c, _ = lstm_cell_forward(x @ p.w_x + p.b, h_prev, c_prev, p)
             return float(np.sum(gh * h + gc * c))
 
-        _, _, cache = lstm_cell_forward(x, h_prev, c_prev, p)
+        _, _, cache = lstm_cell_forward(x @ p.w_x + p.b, h_prev, c_prev, p)
         dz, dh_prev, dc_prev = lstm_cell_backward(cache, gh.copy(), gc.copy())
 
         # the bias enters each row's pre-activations once, so the batch sum of
@@ -179,7 +183,7 @@ class TestLSTMCell:
         p.b[:] = rng.uniform(-0.5, 0.5, p.b.shape)
         x, h_prev, c_prev, dh, dc = (rng.uniform(-1, 1, (batch, n)).astype(dtype)
                                      for n in (k, hidden, hidden, hidden, hidden))
-        _, _, cache = lstm_cell_forward(x, h_prev, c_prev, p)
+        _, _, cache = lstm_cell_forward(x @ p.w_x + p.b, h_prev, c_prev, p)
         for got, expected in zip(lstm_cell_backward(cache, dh, dc),
                                  column_slice_backward(cache, dh, dc)):
             assert got.dtype == expected.dtype == dtype
@@ -194,8 +198,10 @@ class TestBiLSTM:
         p_bwd = random_lstm_params(rng, 2, 3)
         X = rng.uniform(-1, 1, (1, 1, 2))
         h_fwd, h_bwd, _ = bilstm_forward(X, [1], p_fwd, p_bwd)
-        expect_f, _, _ = lstm_cell_forward(X[:, 0], np.zeros((1, 3)), np.zeros((1, 3)), p_fwd)
-        expect_b, _, _ = lstm_cell_forward(X[:, 0], np.zeros((1, 3)), np.zeros((1, 3)), p_bwd)
+        expect_f, _, _ = lstm_cell_forward(X[:, 0] @ p_fwd.w_x + p_fwd.b, np.zeros((1, 3)),
+                                           np.zeros((1, 3)), p_fwd)
+        expect_b, _, _ = lstm_cell_forward(X[:, 0] @ p_bwd.w_x + p_bwd.b, np.zeros((1, 3)),
+                                           np.zeros((1, 3)), p_bwd)
         npt.assert_array_equal(h_fwd, expect_f)
         npt.assert_array_equal(h_bwd, expect_b)
 
@@ -227,6 +233,67 @@ class TestBiLSTM:
             out_padded = bilstm_forward(padded, lengths, p_fwd, p_bwd)[:2]
             npt.assert_array_equal(out_clean[0], out_padded[0])
             npt.assert_array_equal(out_clean[1], out_padded[1])
+
+    @pytest.mark.parametrize("lengths", [[3, 9, 5, 9, 4], [4, 2, 6], [5], [4, 4, 4],
+                                         [1, 3, 2, 1]])
+    def test_packed_equals_the_padded_recurrence(self, lengths):
+        def padded(X, lengths, p_fwd, p_bwd, d_fwd, d_bwd):
+            # every chain runs all T steps over the whole batch, reads each
+            # final state after the sample's own steps, and lets d_final enter
+            # at the step where the sample ends
+            B, T, _ = X.shape
+            pos = lengths[:, None] - 1 - np.arange(T)
+            X_rev = X[np.arange(B)[:, None], np.maximum(pos, 0)]
+            X_rev[pos < 0] = 0
+            finals, dXs, grads = [], [], []
+            for X_dir, p, d_final in ((X, p_fwd, d_fwd), (X_rev, p_bwd, d_bwd)):
+                h = c = np.zeros((B, p.hidden_size))
+                states, caches = [], []
+                for t in range(T):
+                    h, c, cache = lstm_cell_forward(X_dir[:, t] @ p.w_x + p.b, h, c, p)
+                    states.append(h)
+                    caches.append(cache)
+                finals.append(np.stack(states, axis=1)[np.arange(B), lengths - 1])
+                ends = lengths == np.arange(1, T + 1)[:, None]
+                dh, dc, dz = np.zeros_like(d_final), np.zeros_like(d_final), [None] * T
+                for t in range(T - 1, -1, -1):
+                    dh[ends[t]] = d_final[ends[t]]
+                    dz[t], dh, dc = lstm_cell_backward(caches[t], dh, dc)
+                dz = np.concatenate(dz)  # rows ordered (step, sample)
+                x = X_dir.transpose(1, 0, 2).reshape(T * B, -1)
+                h_prev, c_prev, c = (np.concatenate([getattr(s, field) for s in caches])
+                                     for field in ("h_prev", "c_prev", "c"))
+                H = p.hidden_size
+                g = zero_lstm_params(p.input_size, H, np.float64)
+                g.w_x += x.T @ dz
+                g.w_h += h_prev.T @ dz
+                g.w_c[:, :2 * H] += c_prev.T @ dz[:, :2 * H]
+                g.w_c[:, 2 * H:] += c.T @ dz[:, 3 * H:]
+                g.b += dz.sum(axis=0)
+                grads.append(g)
+                dXs.append((dz @ p.w_x.T).reshape(T, B, -1).transpose(1, 0, 2))
+            d_rev = dXs[1][np.arange(B)[:, None], np.maximum(pos, 0)]
+            d_rev[pos < 0] = 0
+            return finals, dXs[0] + d_rev, grads
+
+        rng = Rng(sum(lengths) + len(lengths))
+        E, H = 3, 4
+        p_fwd, p_bwd = random_lstm_params(rng, E, H), random_lstm_params(rng, E, H)
+        lengths = np.array(lengths)
+        # two more rows than the longest sample, so that every sample has padding
+        X = rng.uniform(-1, 1, (len(lengths), lengths.max() + 2, E))
+        d_fwd, d_bwd = rng.uniform(-1, 1, (2, len(lengths), H))
+        h_fwd, h_bwd, cache = bilstm_forward(X, lengths, p_fwd, p_bwd)
+        grads = [zero_lstm_params(E, H, np.float64) for _ in range(2)]
+        dX = bilstm_backward(cache, d_fwd.copy(), d_bwd.copy(), *grads)
+        finals, dX_ref, grads_ref = padded(X, lengths, p_fwd, p_bwd, d_fwd, d_bwd)
+        npt.assert_allclose(h_fwd, finals[0], rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(h_bwd, finals[1], rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(dX, dX_ref, rtol=1e-12, atol=1e-12)
+        for got, ref in zip(grads, grads_ref):
+            for stack in ("w_x", "w_h", "w_c", "b"):
+                npt.assert_allclose(getattr(got, stack), getattr(ref, stack),
+                                    rtol=1e-12, atol=1e-12, err_msg=stack)
 
     def test_true_len_out_of_range(self):
         p = zero_lstm_params(2, 2, np.float64)
@@ -432,7 +499,8 @@ class TestLeadingStackAxes:
         dense = DenseParams(np.zeros((2 * H + F, C), np.float32), np.zeros(C, np.float32))
         init_weights(rng, p_fwd, p_bwd, conv, dense)
         X = rng.uniform(-1, 1, (2, 3, 3, T, E), np.float32)
-        lengths = np.array([3 + rng.integer(T - 2) for _ in range(18)]).reshape(2, 3, 3)
+        # one length per batch position, shared by the stack's slices
+        lengths = np.array([3 + rng.integer(T - 2) for _ in range(3)])
 
         def layers_of(X, lengths):
             h_fwd, h_bwd, _ = bilstm_forward(X, lengths, p_fwd, p_bwd)
@@ -443,8 +511,10 @@ class TestLeadingStackAxes:
 
         stacked = layers_of(X, lengths)
         for index in np.ndindex(*X.shape[:2]):
-            for whole, part in zip(stacked, layers_of(X[index], lengths[index])):
+            for whole, part in zip(stacked, layers_of(X[index], lengths)):
                 assert np.array_equal(whole[index], part), index
+        with pytest.raises(ValueError):  # lengths shaped like the stack
+            layers_of(X, np.full((2, 3, 3), 3))
 
 
 class TestDropout:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from intentnet import container, optim
+from intentnet import container, layers, optim
 from intentnet import model as model_module
 from intentnet.data import LABELS, Utterance, Vocab, build_vocab, encode
 from intentnet.errors import ContainerError, CorpusError, NumericError
@@ -332,6 +333,29 @@ class TestBatch:
         for name, arr in model.parameters().items():
             assert max_rel_error(analytic[name], numeric_gradient(loss, arr)) < GRAD_TOL, name
 
+    def test_recurrence_computes_no_padding(self, monkeypatch):
+        # each direction's cell steps, forward and backward, make one row per
+        # (sample, position) inside a length: 30 here, not the padded 5 * 9
+        model = tiny_model(max_len=9)
+        rows = collections.Counter()
+        cell_forward, cell_backward = layers.lstm_cell_forward, layers.lstm_cell_backward
+
+        def counted_forward(xw, h_prev, c_prev, p):
+            rows["forward", id(p)] += len(h_prev)
+            return cell_forward(xw, h_prev, c_prev, p)
+
+        def counted_backward(cache, dh, dc):
+            rows["backward", id(cache.params)] += len(cache.h_prev)
+            return cell_backward(cache, dh, dc)
+
+        monkeypatch.setattr(layers, "lstm_cell_forward", counted_forward)
+        monkeypatch.setattr(layers, "lstm_cell_backward", counted_backward)
+        lengths = [3, 9, 5, 9, 4]
+        model.loss_and_gradients([([2 + (k + j) % 7 for j in range(n)], k % model.num_classes)
+                                  for k, n in enumerate(lengths)])
+        assert rows == {(pass_, id(p)): sum(lengths)
+                        for pass_ in ("forward", "backward") for p in (model.fwd, model.bwd)}
+
 
 class TestPredict:
     def test_label_matches_argmax(self):
@@ -422,16 +446,16 @@ class TestTraining:
         for name, arr in model.parameters().items():
             params.update(name.encode())
             params.update(np.ascontiguousarray(arr).tobytes())
-        # the digests the Adam step with a fresh temporary per operation and
-        # the cell backward on strided gate columns gave, at one and at two
-        # OpenBLAS threads; they hold for the BLAS kernels that rounded them
-        # (OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU), and another kernel may
-        # round the products differently
+        # the digests of the packed recurrence, whose cell products run over
+        # each step's live rows only, at one and at two OpenBLAS threads;
+        # they hold for the BLAS kernels that rounded them (OpenBLAS 0.3.31
+        # on an AVX-512 x86-64 CPU), and another kernel may round the
+        # products differently
         assert params.hexdigest() == (
-            "7827c0ee896b822918acd569d8d387c55e0dfaee1cf15babeca76b30338543d5")
+            "e0176380c40763fe1ee619afceee35cd94012433f8d29a33d1fb1bf2eae44891")
         records = repr([dataclasses.astuple(record) for record in history]).encode()
         assert hashlib.sha256(records).hexdigest() == (
-            "4399e03e48ac433d0ae0db288733b53dd3ed5c691e6212daf833ae9946dbf51c")
+            "808859859318302627ccc620c3e9d911a0c49b892255c7e4476335afe7073882")
 
     def test_record_order_does_not_matter(self):
         corpus = tiny_corpus()

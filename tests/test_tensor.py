@@ -38,6 +38,26 @@ class TestElementwise:
         assert sigmoid(view, out=view) is view
         npt.assert_array_equal(x[:, 2:7], expected[:, 2:7])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_has_the_bits_of_the_python_scalar_form(self, dtype):
+        def scalar_form(x):
+            out = np.multiply(x, 0.5)
+            np.tanh(out, out=out)
+            out *= 0.5
+            out += 0.5
+            return out
+
+        info = np.finfo(dtype)
+        special = np.array([0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                            info.smallest_normal / 3, 1e4, -1e4, np.inf, -np.inf, np.nan],
+                           dtype=dtype)
+        x = np.concatenate([special, (8 * np.random.default_rng(0).standard_normal(10_000))
+                            .astype(dtype)])
+        expected = scalar_form(x).tobytes()
+        assert sigmoid(x).tobytes() == expected
+        out = np.empty_like(x)
+        assert sigmoid(x, out=out).tobytes() == expected
+
 
 class TestSoftmax:
     def test_uniform_on_zeros(self):

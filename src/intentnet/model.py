@@ -245,7 +245,8 @@ class HybridModel:
         every layer then makes, for each sequence, the very products a batch
         of one makes (a (1, K) row times a weight matrix, one (L - 2)-row
         convolution product), so a row's bits never depend on the other
-        sequences or on how many there are.
+        sequences or on how many there are. Logits that overflow, as finite
+        weights can make them, are a ``NumericError``.
         """
         seqs = list(sequences)
         groups: dict[int, list[int]] = {}
@@ -255,6 +256,8 @@ class HybridModel:
         for n, rows in groups.items():
             ids = np.array([seqs[k] for k in rows], dtype=np.intp)[:, None]
             logits[rows] = self._run_layers(ids, np.array([n]), None)[0][:, 0]
+        if not np.isfinite(logits).all():
+            raise NumericError("non-finite inference logits")
         return logits
 
     def loss(self, sample) -> float:
@@ -434,10 +437,10 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
 def _step(model: HybridModel, grads: HybridModel, batch_size: int,
           state: optim.AdamState, lr: float, clip_norm: float) -> None:
     """The tail of a training step on the batch's summed gradients ``grads``,
-    as ``loss_and_gradients`` returns them: batch mean, clipping (its norm
-    summed over the named blocks), then Adam over the whole vectors."""
+    as ``loss_and_gradients`` returns them: batch mean, clipping on one norm
+    of the gradient vector, then Adam, each once over the whole vectors."""
     grads.flat /= batch_size
-    optim.clip_by_global_norm(grads.parameters(), clip_norm)
+    optim.clip_by_global_norm(grads.flat, clip_norm)
     optim.adam_step({"flat": model.flat}, {"flat": grads.flat}, state, lr)
 
 

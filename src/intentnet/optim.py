@@ -37,19 +37,18 @@ class AdamState:
     """First/second moment estimates mirroring a named parameter dict, and
     the scratch memory ``adam_step`` computes in.
 
-    ``scratch[name]`` is a pair of arrays shaped like that block, so a step
-    allocates nothing block-sized. They have the block's dtype: an ``out=``
-    of another dtype would select another ufunc loop and change the
-    update's bits. Training passes one block, the model's whole parameter
-    vector, so the pair is two vectors of that size.
+    ``scratch[name]`` is one array shaped like that block, so a step
+    allocates nothing block-sized. It has the block's dtype: an ``out=`` of
+    another dtype would select another ufunc loop and change the update's
+    bits. Training passes one block, the model's whole parameter vector, so
+    the scratch is one vector of that size.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
         self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.t = 0
-        self.scratch = {name: (np.empty_like(arr), np.empty_like(arr))
-                        for name, arr in params.items()}
+        self.scratch = {name: np.empty_like(arr) for name, arr in params.items()}
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -58,10 +57,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
     Every block is checked first: its gradient must have the parameter's
     shape and dtype and be finite. A rejected step writes nothing, not even
-    the counter. Then each block is updated in place, its temporaries held
-    in ``state.scratch``, in a fixed order of operations that rounds exactly
-    as ``theta -= lr * m_hat / (sqrt(v_hat) + EPS)`` does with a fresh
-    temporary per operation. ``lr`` acts as a Python float, whatever its type.
+    the counter. Then each block is updated in place as Kingma and Ba fold
+    it (arXiv 1412.6980, end of section 2), algebraically the bias-corrected
+    ``lr * m_hat / (sqrt(v_hat) + EPS)``: ``theta -= step / (sqrt(v) +
+    eps_t) * m``, in ``state.scratch``, rounded as with a fresh temporary
+    per operation. ``lr`` acts as a Python float, whatever its type.
     """
     if set(params) != set(state.m) or any(
             (state.m[name].shape, state.m[name].dtype) != (theta.shape, theta.dtype)
@@ -76,43 +76,37 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient in {name}")
     state.t += 1
-    t = state.t
-    lr = float(lr)
+    correction = math.sqrt(1.0 - BETA2 ** state.t)
+    step = float(lr) * correction / (1.0 - BETA1 ** state.t)
+    eps_t = EPS * correction
     for name, theta in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        a, b = state.scratch[name]
+        a = state.scratch[name]
         m *= BETA1
         np.multiply(1.0 - BETA1, g, out=a)
         m += a
         v *= BETA2
-        np.multiply(1.0 - BETA2, g, out=b)
-        b *= g
-        v += b
-        np.divide(m, 1.0 - BETA1 ** t, out=a)
-        np.divide(v, 1.0 - BETA2 ** t, out=b)
-        a *= lr
-        np.sqrt(b, out=b)
-        b += EPS
-        a /= b
+        np.multiply(1.0 - BETA2, g, out=a)
+        a *= g
+        v += a
+        np.sqrt(v, out=a)
+        a += eps_t
+        np.divide(step, a, out=a)
+        a *= m
         theta -= a
 
 
-def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``,
-    which must be positive. Each block's squares are summed in float64,
-    where a float32 square is exact."""
+def clip_by_global_norm(grads: np.ndarray, max_norm: float) -> float:
+    """Scale the gradient vector ``grads`` in place to an L2 norm of at most
+    ``max_norm``, which must be positive, and return its norm. One float64
+    ``einsum`` sums the squares, exact for float32, in small cast buffers."""
     if not max_norm > 0:
         raise ValueError(f"max_norm must be positive, got {max_norm!r}")
-    total = 0.0
-    for g in grads.values():
-        total += float(np.square(g, dtype=np.float64).sum())
-    norm = float(np.sqrt(total))
+    norm = math.sqrt(np.einsum("i,i->", grads, grads, dtype=np.float64))
     if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        grads *= max_norm / norm
     return norm
 
 

@@ -8,6 +8,7 @@ import pytest
 from intentnet import container, data
 from intentnet.cli import main
 from intentnet.model import HybridModel, evaluate
+from intentnet.tensor import Rng
 
 from helpers import (noisy_splits, rewrite_container, separable_corpus, write_corpus,
                      write_raw_header)
@@ -38,6 +39,18 @@ def trained_model_path(tmp_path_factory, toy_corpus_dir):
                "--dropout", "0.2", "--lr", "0.01", "--stop-patience", "30"])
     assert rc == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def overflowing_model_path(tmp_path_factory):
+    """A loadable model, every weight finite, whose logits overflow to inf."""
+    model = HybridModel(data.Vocab(["<pad>", "<unk>", "a", "b"]), data.LABELS[:3], 4, 3, 2, 8,
+                        rng=Rng(1))
+    for arr in (model.embedding, model.conv.filters, model.dense.weight):
+        arr[...] = 3e38
+    path = tmp_path_factory.mktemp("models") / "overflowing.bin"
+    model.save(path)
+    return path
 
 
 class TestTrainCommand:
@@ -278,6 +291,20 @@ class TestEvalCommand:
         assert "weather" in capsys.readouterr().err
 
 
+    def test_overflowing_logits_are_numeric_failure(self, overflowing_model_path, tmp_path,
+                                                    capsys):
+        corpus_dir = tmp_path / "c"
+        write_splits(corpus_dir, {"test": [data.Utterance(id=k, text=text, label=label)
+                                           for k, (text, label) in
+                                           enumerate(zip(["abab", "ba", "bbb"],
+                                                         data.LABELS[:3]))]})
+        rc = main(["eval", "--corpus", str(corpus_dir), "--model", str(overflowing_model_path)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == "numeric failure: non-finite inference logits\n"
+
+
 class TestPredictCommand:
     def test_label_matches_library_prediction(self, trained_model_path, capsys):
         model = HybridModel.load(trained_model_path)
@@ -301,6 +328,17 @@ class TestPredictCommand:
         assert lines[-1].startswith("sum:")
         assert float(lines[-1].split()[-1]) == pytest.approx(1.0, abs=1e-6)
         assert len(lines) == 1 + 3 + 1  # label, three classes, sum
+
+    def test_overflowing_logits_are_numeric_failure(self, overflowing_model_path, capsys):
+        # finite weights load, but their logits overflow: once every
+        # probability printed as nan and the command exited 0
+        HybridModel.load(overflowing_model_path)
+        rc = main(["predict", "--model", str(overflowing_model_path), "--text", "abab",
+                   "--all"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == "numeric failure: non-finite inference logits\n"
 
     def test_empty_text_is_usage_error(self, trained_model_path):
         assert main(["predict", "--model", str(trained_model_path), "--text", ""]) == 1

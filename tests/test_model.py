@@ -210,15 +210,19 @@ def assert_model_arena(model):
     assert counts.tolist() == [0, *(arr.size for arr in params.values())]
 
 
-def per_block_tail(params, grads, batch_size, state, lr, clip_norm):
-    """The tail of a training step block by block, as ``train`` ran it
-    before the parameter vector: batch mean, clipping, Adam. Returns the
-    gradient norm."""
+def per_block_tail(params, grads, batch_size, state, lr, clip_norm, norm):
+    """The tail of a training step block by block, over the named views:
+    batch mean, scaling by ``clip_norm / norm`` where ``norm``, the one-
+    vector step's gradient norm, exceeds ``clip_norm``, then Adam. ``norm``
+    must be the norm of all the blocks together."""
     for name in grads:
         grads[name] /= batch_size
-    norm = optim.clip_by_global_norm(grads, clip_norm)
+    total = math.fsum(float(np.square(g, dtype=np.float64).sum()) for g in grads.values())
+    assert norm == pytest.approx(math.sqrt(total), rel=1e-12)
+    if norm > clip_norm:
+        for g in grads.values():
+            g *= clip_norm / norm
     optim.adam_step(params, grads, state, lr)
-    return norm
 
 
 def paper_size_model():
@@ -254,7 +258,16 @@ class TestParameterArena:
         (paper_size_model, 3.0, 0.01),
         (lambda: down_scaled_model(seed=3), 0.95, 0.05),
     ], ids=["paper-size-float32", "down-scaled-float64"])
-    def test_one_vector_step_matches_the_per_block_step_bit_for_bit(self, build, clip_norm, lr):
+    def test_one_vector_step_matches_the_per_block_step_bit_for_bit(self, build, clip_norm, lr,
+                                                                    monkeypatch):
+        norms = []
+        clip = optim.clip_by_global_norm
+
+        def recorded(grads, max_norm):
+            norms.append(clip(grads, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(optim, "clip_by_global_norm", recorded)
         model = build()
         ref = zero_twin(model, model.parameters())
         ref_params = ref.parameters()
@@ -266,20 +279,20 @@ class TestParameterArena:
         else:
             samples = [random_check_sample(seed, model) for seed in range(18)]
         dropout_rng = Rng(9)
-        norms = []
         for k in range(6):
             batch = samples[3 * k:3 * k + 3]
             _, grads = model.loss_and_gradients(batch, rng=dropout_rng)
-            # strided gate views, as before
+            # the 35 named blocks, strided gate views included
             ref_grads = zero_twin(model, grads.parameters()).parameters()
-            norms.append(per_block_tail(ref_params, ref_grads, len(batch), ref_state, lr,
-                                        clip_norm))
             model_module._step(model, grads, len(batch), state, lr, clip_norm)
+            per_block_tail(ref_params, ref_grads, len(batch), ref_state, lr, clip_norm,
+                           norms[-1])
             for mine, theirs in ((model.parameters(), ref_params),
                                  (named(model, state.m["flat"]), ref_state.m),
                                  (named(model, state.v["flat"]), ref_state.v)):
                 for name, arr in theirs.items():
                     assert mine[name].tobytes() == arr.tobytes(), (k, name)
+        assert len(norms) == 6
         assert min(norms) < clip_norm < max(norms)  # some steps clip, some do not
 
 
@@ -446,16 +459,16 @@ class TestTraining:
         for name, arr in model.parameters().items():
             params.update(name.encode())
             params.update(np.ascontiguousarray(arr).tobytes())
-        # the digests of the packed recurrence, whose cell products run over
-        # each step's live rows only, at one and at two OpenBLAS threads;
-        # they hold for the BLAS kernels that rounded them (OpenBLAS 0.3.31
-        # on an AVX-512 x86-64 CPU), and another kernel may round the
-        # products differently
+        # the digests of Adam in Kingma and Ba's folded form, after the
+        # packed recurrence, at one and at two OpenBLAS threads; they hold
+        # for the BLAS kernels that rounded them (OpenBLAS 0.3.31 on an
+        # AVX-512 x86-64 CPU), and another kernel may round the products
+        # differently
         assert params.hexdigest() == (
-            "e0176380c40763fe1ee619afceee35cd94012433f8d29a33d1fb1bf2eae44891")
+            "2f9c9e6ed47697a4e01e2a753bd65b0c7030460b305bbed35f29259d75e07853")
         records = repr([dataclasses.astuple(record) for record in history]).encode()
         assert hashlib.sha256(records).hexdigest() == (
-            "808859859318302627ccc620c3e9d911a0c49b892255c7e4476335afe7073882")
+            "af520fb6def956539034356ca3b61d738e66940efc8138a70b63879a1ccfcfb6")
 
     def test_record_order_does_not_matter(self):
         corpus = tiny_corpus()

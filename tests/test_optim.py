@@ -1,8 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intentnet import optim
 from intentnet.errors import NumericError
@@ -26,17 +29,18 @@ def record(epoch, val_loss=1.0, val_f1=0.5, lr=0.001, train_loss=1.0):
 
 
 def textbook_adam(params, grads, m, v, t, lr):
-    """The Adam update as plain expressions, one fresh temporary per
-    operation: the reference ``adam_step`` must match bit for bit."""
+    """Adam in Kingma and Ba's folded form, as plain expressions with one
+    fresh temporary per operation: ``adam_step`` must match it bit for bit."""
+    correction = math.sqrt(1.0 - optim.BETA2 ** t)
+    step = lr * correction / (1.0 - optim.BETA1 ** t)
+    eps_t = optim.EPS * correction
     for name, theta in params.items():
         g = grads[name]
         m[name] *= optim.BETA1
         m[name] += (1.0 - optim.BETA1) * g
         v[name] *= optim.BETA2
         v[name] += (1.0 - optim.BETA2) * g * g
-        m_hat = m[name] / (1.0 - optim.BETA1 ** t)
-        v_hat = v[name] / (1.0 - optim.BETA2 ** t)
-        theta -= lr * m_hat / (np.sqrt(v_hat) + optim.EPS)
+        theta -= step / (np.sqrt(v[name]) + eps_t) * m[name]
 
 
 def mixed_blocks(rng):
@@ -160,10 +164,33 @@ class TestAdam:
                 assert state.m[name].tobytes() == m[name].tobytes(), name
                 assert state.v[name].tobytes() == v[name].tobytes(), name
 
+    def test_applies_the_bias_corrected_update(self):
+        # the folded form is the textbook update, not only the code's: the
+        # step from theta = 0 is -lr * m_hat / (sqrt(v_hat) + EPS)
+        rng = np.random.default_rng(11)
+        params = {"w": np.zeros(500)}
+        state = AdamState(params)
+        m = np.zeros(500)
+        v = np.zeros(500)
+        for t in range(1, 7):
+            # magnitudes from 1e-6 to 10, so that both sqrt(v_hat) and EPS matter
+            g = rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(-6, 1, 500)
+            lr = 0.001 * t
+            params["w"][...] = 0
+            adam_step(params, {"w": g}, state, lr)
+            m = optim.BETA1 * m + (1.0 - optim.BETA1) * g
+            v = optim.BETA2 * v + (1.0 - optim.BETA2) * g ** 2
+            m_hat = m / (1.0 - optim.BETA1 ** t)
+            v_hat = v / (1.0 - optim.BETA2 ** t)
+            npt.assert_allclose(-params["w"], lr * m_hat / (np.sqrt(v_hat) + optim.EPS),
+                                rtol=1e-12)
+
     def test_step_allocates_no_block_sized_temporary(self):
         params = {"emb": np.ones(1_000_000, dtype=np.float32)}
         grads = {"emb": np.full(1_000_000, 0.5, dtype=np.float32)}
         state = AdamState(params)
+        # one scratch array per block
+        assert state.scratch["emb"].shape == params["emb"].shape
         tracemalloc.start()
         try:
             adam_step(params, grads, state, lr=0.001)
@@ -180,44 +207,75 @@ class TestAdam:
         assert np.all(state.v["w"] >= 0)
 
 
+def reference_norm(g):
+    """The L2 norm of ``g`` from exactly rounded float64 sums of squares."""
+    return math.sqrt(math.fsum(float(x) ** 2 for x in g))
+
+
 class TestClip:
     def test_large_gradients_scaled_to_max_norm(self):
-        grads = {"a": np.array([3.0, 4.0])}  # norm 5
+        grads = np.array([3.0, 4.0])  # norm 5
         norm = clip_by_global_norm(grads, 1.0)
         assert norm == pytest.approx(5.0)
-        npt.assert_allclose(np.linalg.norm(grads["a"]), 1.0, rtol=1e-12)
+        npt.assert_allclose(np.linalg.norm(grads), 1.0, rtol=1e-12)
 
     def test_small_gradients_untouched(self):
-        grads = {"a": np.array([0.3, 0.4])}
+        grads = np.array([0.3, 0.4])
         clip_by_global_norm(grads, 5.0)
-        npt.assert_array_equal(grads["a"], [0.3, 0.4])
+        npt.assert_array_equal(grads, [0.3, 0.4])
 
     def test_norm_spans_blocks(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
+        grads = np.array([3.0, 4.0])
+        a, b = grads[:1], grads[1:]  # two blocks, as the model's are views of one vector
         norm = clip_by_global_norm(grads, 1.0)
         assert norm == pytest.approx(5.0)
-        npt.assert_allclose(grads["a"], [0.6])
-        npt.assert_allclose(grads["b"], [0.8])
+        npt.assert_allclose(a, [0.6])
+        npt.assert_allclose(b, [0.8])
 
-    def test_norm_and_scaling_match_a_float64_copy_bit_for_bit(self):
-        rng = np.random.default_rng(3)
-        grads = random_grads(rng)
-        total = 0.0
-        for g in grads.values():
-            total += float(np.sum(g.astype(np.float64) ** 2))
-        expected = float(np.sqrt(total))
-        scaled = {name: g * (0.5 / expected) for name, g in grads.items()}
-        assert clip_by_global_norm(grads, 0.5) == expected
-        for name, g in grads.items():
-            assert g.tobytes() == scaled[name].tobytes(), name
+    @pytest.mark.parametrize("values, max_norm", [([3e20, 4e20], 1.0), ([3e-25, 4e-25], 1e-25)],
+                             ids=["squares-overflow-float32", "squares-underflow-float32"])
+    def test_float32_squares_are_summed_in_float64(self, values, max_norm):
+        g = np.array(values, dtype=np.float32)
+        grads = g.copy()
+        norm = clip_by_global_norm(grads, max_norm)
+        assert norm == pytest.approx(reference_norm(g), rel=1e-12)
+        assert grads.tobytes() == (g * (max_norm / norm)).tobytes()
+        assert reference_norm(grads) == pytest.approx(max_norm, rel=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(0, 5000),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           max_norm=st.floats(-4, 5).map(lambda e: 10.0 ** e))
+    def test_norm_and_scaling_match_an_exact_float64_sum(self, seed, size, dtype, max_norm):
+        rng = np.random.default_rng(seed)
+        # magnitudes from 1e-6 to 1e3, either sign
+        g = (rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-6, 3, size)).astype(dtype)
+        grads = g.copy()
+        norm = clip_by_global_norm(grads, max_norm)
+        assert norm == pytest.approx(reference_norm(g), rel=1e-12, abs=0.0)
+        if norm > max_norm:
+            assert grads.tobytes() == (g * (max_norm / norm)).tobytes()
+        else:
+            assert grads.tobytes() == g.tobytes()
+
+    def test_clip_allocates_no_vector_sized_temporary(self):
+        grads = np.full(1_000_000, 0.5, dtype=np.float32)  # norm 500
+        tracemalloc.start()
+        try:
+            norm = clip_by_global_norm(grads, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert norm > 1.0  # it scaled, too
+        assert peak < grads.nbytes / 2
 
     @pytest.mark.parametrize("max_norm", [-1.0, 0.0, float("nan")])
     def test_non_positive_max_norm_rejected(self, max_norm):
         # such a bound used to leave every gradient unscaled
-        grads = {"a": np.array([300.0, 400.0])}
+        grads = np.array([300.0, 400.0])
         with pytest.raises(ValueError, match="max_norm must be positive"):
             clip_by_global_norm(grads, max_norm)
-        npt.assert_array_equal(grads["a"], [300.0, 400.0])
+        npt.assert_array_equal(grads, [300.0, 400.0])
 
 
 class TestReduceLrOnPlateau:

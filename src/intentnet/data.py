@@ -116,6 +116,10 @@ def _parse_line(raw: str, line_no: int, path) -> Utterance:
         raise CorpusError(f"{path}:{line_no}: id must be an integer")
     if not isinstance(obj["text"], str) or not obj["text"]:
         raise CorpusError(f"{path}:{line_no}: text must be a non-empty string")
+    try:
+        obj["text"].encode("utf-8")  # a lone surrogate escape decodes but cannot be saved
+    except UnicodeEncodeError as exc:
+        raise CorpusError(f"{path}:{line_no}: text is not UTF-8 ({exc.reason})") from exc
     label = obj["label"]
     if not isinstance(label, str) or label not in LABEL_SET:
         raise CorpusError(f"{path}:{line_no}: unknown label {label!r}")

@@ -10,8 +10,6 @@ Conventions used everywhere downstream:
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -35,12 +33,14 @@ def _xorshift(x: int) -> int:
 
 
 # The state step is linear over GF(2): a 64x64 bit matrix, stored as its 64
-# columns (the images of the single-bit states). Shift counts are uint64, so
-# numpy 1.x value-based casting and NEP 50 agree on the result type; the
-# operands are arrays, never numpy scalars, which warn where arrays wrap.
+# columns (the images of the single-bit states). _JUMPS[j] is that matrix to
+# the power 2^j, each entry the square of the one before: 2^j state steps in
+# one table read, built once at import and read-only. Shift counts are
+# uint64, so numpy 1.x value-based casting and NEP 50 agree on the result
+# type; the operands are arrays, never numpy scalars, which warn where arrays
+# wrap.
 _SHIFT = np.arange(64, dtype=np.uint64)
 _ARRAY_MULTIPLIER = np.array(_MULTIPLIER, dtype=np.uint64)
-_STEP = np.array([_xorshift(1 << k) for k in range(64)], dtype=np.uint64)
 
 
 def _apply(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -51,28 +51,12 @@ def _apply(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(matrix * bits.reshape(-1, 64), axis=1)
 
 
-def _lane_count(n: int) -> int:
-    """Lanes for ``n`` draws, about 4 sqrt(n): each lane costs a jump, each
-    step a few numpy calls."""
-    return 1 << ((n - 1).bit_length() + 4) // 2
-
-
-@functools.lru_cache(maxsize=32)
-def _lane_jumps(steps: int, levels: int) -> tuple[np.ndarray, ...]:
-    """The step matrix to the powers ``steps``, 2 ``steps``, 4 ``steps``, ...
-    (``levels`` of them): doubling with these places the lane starts."""
-    power, base, e = np.left_shift(np.uint64(1), _SHIFT), _STEP, steps
-    while e:
-        if e & 1:
-            power = _apply(base, power)
-        base = _apply(base, base)
-        e >>= 1
-    jumps = []
-    for _ in range(levels):
-        power.flags.writeable = False
-        jumps.append(power)
-        power = _apply(power, power)
-    return tuple(jumps)
+_JUMPS = [np.array([_xorshift(1 << k) for k in range(64)], dtype=np.uint64)]
+for _ in range(63):
+    _JUMPS.append(_apply(_JUMPS[-1], _JUMPS[-1]))
+for _jump in _JUMPS:
+    _jump.flags.writeable = False
+_JUMPS = tuple(_JUMPS)
 
 
 class Rng:
@@ -101,22 +85,25 @@ class Rng:
         """The next ``n`` ``next_u64`` outputs as a uint64 array, leaving the
         generator where ``n`` calls would.
 
-        The stream is cut into lanes of ``steps`` consecutive states. Lane j
-        starts ``j * steps`` state steps ahead, reached with powers of the
-        step's GF(2) matrix; all lanes then take their ``steps`` steps in
-        numpy, and reading them out lane by lane gives the sequential stream.
+        The stream is cut into lanes of 2^a consecutive states, a from ``n``'s
+        bit length so that a lane is about sqrt(n)/6 long: each lane costs a
+        jump, each step a few numpy calls. Lane j starts ``j * 2^a`` state
+        steps ahead: doubling the lane starts with ``_JUMPS[a]``,
+        ``_JUMPS[a + 1]``, ... places them all. The lanes then take their 2^a
+        steps together in numpy, each step writing one contiguous row (column
+        writes a power-of-two stride apart measured slower), and reading them
+        out lane by lane gives the sequential stream.
         """
         if n == 0:
             return np.empty(0, dtype=np.uint64)
-        steps = -(-n // _lane_count(n))
-        lanes = -(-n // steps)
+        a = max((n - 1).bit_length() - 5, 0) // 2
+        lanes = -(-n >> a)
         starts = np.array([self._state], dtype=np.uint64)
-        for jump in _lane_jumps(steps, (lanes - 1).bit_length()):
-            starts = np.concatenate([starts, _apply(jump, starts)])
-        states = np.empty((lanes, steps), dtype=np.uint64)
-        prev, scratch = starts[:lanes], np.empty(lanes, dtype=np.uint64)
-        for k in range(steps):
-            row = states[:, k]
+        for jump in _JUMPS[a:a + (lanes - 1).bit_length()]:
+            starts = np.concatenate([starts, _apply(jump, starts[:lanes - len(starts)])])
+        states = np.empty((1 << a, lanes), dtype=np.uint64)
+        prev, scratch = starts, np.empty(lanes, dtype=np.uint64)
+        for row in states:
             np.right_shift(prev, _SHIFT[12], out=scratch)
             np.bitwise_xor(prev, scratch, out=row)
             np.left_shift(row, _SHIFT[25], out=scratch)
@@ -124,7 +111,7 @@ class Rng:
             np.right_shift(row, _SHIFT[27], out=scratch)
             row ^= scratch
             prev = row
-        states = states.reshape(-1)[:n]
+        states = states.T.reshape(-1)[:n]
         self._state = int(states[-1])
         states *= _ARRAY_MULTIPLIER
         return states

@@ -225,6 +225,27 @@ class TestTrainCommand:
         assert capsys.readouterr().err == (
             f"data error: {tmp_path / 'train.jsonl'}:1: not UTF-8 (invalid start byte)\n")
 
+    def test_lone_surrogate_text_is_data_error_before_training(self, trained_model_path,
+                                                               tmp_path, capsys):
+        # line 3 is valid JSON in a valid UTF-8 file, but its text decodes to
+        # a lone surrogate, which no model file can hold as a vocabulary token
+        corpus_dir = tmp_path / "c"
+        corpus_dir.mkdir()
+        lines = "".join(json.dumps({"id": k, "text": text, "label": "music"}) + "\n"
+                        for k, text in enumerate(["ab", "ba", "ab\ud800c", "bb"], start=1))
+        for split in data.SPLITS:
+            (corpus_dir / f"{split}.jsonl").write_text(lines, encoding="utf-8")
+        out = tmp_path / "m.bin"
+        for command in (["train", "--out", str(out), *FAST_TRAIN], ["stats"],
+                        ["eval", "--model", str(trained_model_path), "--split", "train"]):
+            rc = main([command[0], "--corpus", str(corpus_dir), *command[1:]])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.err == (f"data error: {corpus_dir / 'train.jsonl'}:3: text is not "
+                                    "UTF-8 (surrogates not allowed)\n")
+            assert captured.out == ""  # train fails before its first epoch line
+        assert list(tmp_path.iterdir()) == [corpus_dir]  # no model, no history
+
     @pytest.mark.parametrize("clip_norm", [0, -1.0])
     def test_non_positive_clip_norm_is_usage_error(self, toy_corpus_dir, tmp_path, capsys,
                                                    clip_norm):

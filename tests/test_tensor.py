@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intentnet.tensor import Rng, sigmoid, softmax, uniform_init
+from intentnet.tensor import _JUMPS, Rng, _apply, _xorshift, sigmoid, softmax, uniform_init
 
 
 class TestElementwise:
@@ -179,10 +179,18 @@ class TestRngStream:
     @example(seed=0, prior=0, n=1)
     @example(seed=1, prior=3, n=16)
     @example(seed=1, prior=3, n=17)
+    @example(seed=4, prior=0, n=64)  # the lane length doubles above 64, 256, 1024, 4096
+    @example(seed=4, prior=1, n=65)
+    @example(seed=5, prior=0, n=256)
+    @example(seed=5, prior=2, n=257)
+    @example(seed=6, prior=0, n=1024)
+    @example(seed=6, prior=1, n=1025)
+    @example(seed=7, prior=0, n=4096)
     @example(seed=2, prior=0, n=450)
     @example(seed=2, prior=1, n=1500)
     @example(seed=3, prior=0, n=4097)
     @example(seed=2 ** 64 - 1, prior=2, n=5000)
+    @example(seed=11, prior=0, n=172_288)  # the paper-size embedding
     def test_vector_draws_equal_sequential_draws(self, seed, prior, n):
         vector, scalar = Rng(seed), Rng(seed)
         for _ in range(prior):
@@ -192,3 +200,23 @@ class TestRngStream:
         assert draws.dtype == np.uint64
         assert draws.tolist() == [scalar.next_u64() for _ in range(n)]
         assert vector.next_u64() == scalar.next_u64()
+
+
+class TestJumpTable:
+    """The power-of-two jumps that place ``next_u64_array``'s lane starts."""
+
+    def test_entries_step_single_bit_states(self):
+        bits = [1 << k for k in range(64)]
+        for j in range(11):
+            expected = []
+            for x in bits:
+                for _ in range(2 ** j):
+                    x = _xorshift(x)
+                expected.append(x)
+            assert _apply(_JUMPS[j], np.array(bits, dtype=np.uint64)).tolist() == expected
+
+    def test_every_entry_is_read_only(self):
+        assert len(_JUMPS) == 64
+        for jump in _JUMPS:
+            assert jump.dtype == np.uint64 and jump.shape == (64,)
+            assert not jump.flags.writeable

@@ -92,10 +92,13 @@ def _xor_with_low_bytes(chunk: np.ndarray, low: int) -> np.ndarray:
         np.bitwise_and(t[1:n], bit, out=t[1:n])
         t[0] = low & bit
         # inclusive prefix XOR over the bytes: within each little-endian word,
-        # then the running XOR of the words before it, spread to all 8 bytes
-        words ^= words << 8
-        words ^= words << 16
-        words ^= words << 32
+        # then the running XOR of the words before it, spread to all 8 bytes.
+        # Every byte is 0 or ``bit``, so times 0x0101...01 each byte holds the
+        # sum of the bytes up to it, and bit k of that sum is their XOR. A
+        # sum passes 255 only for k >= 6, and then carries at most 4 into
+        # bits 0-2 of the next byte, never into its bit k.
+        words *= 0x0101010101010101
+        words &= bit * 0x0101010101010101
         carry = np.bitwise_xor.accumulate(words >> 56)
         words[1:] ^= carry[:-1] * 0x0101010101010101
         x ^= t[:n]  # t is now bit k of l_i

@@ -23,7 +23,13 @@ Each forward returns the values the matching backward needs (a cache);
 each backward accumulates parameter gradients into a parameter object of
 the layer's own class (built zero, so gradients have the parameters'
 shapes) and returns the gradients flowing to its inputs. There is no
-autodiff graph: the chain rule is spelled out per layer.
+autodiff graph: the chain rule is spelled out per layer. A recurrence
+step's cache holds its activated gates and states, each a contiguous array
+of its own. The backward pass packs them once per chain, rows ordered
+(step, sample), and forms there every factor of the cell's gradient that
+the forward pass alone decides; each backward step then reads row slices of
+those packed arrays, and writes its gate gradients into its rows of one
+packed buffer and its state gradients over the running ones, in place.
 
 The LSTM cell lets every gate read the cell state through full square
 matrices (``w_ci``, ``w_cf``, ``w_co``), not the diagonal peephole vectors
@@ -46,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import Rng, sigmoid, uniform_init
+from .tensor import HALF, Rng, uniform_init
 
 CONV_WIDTH = 3
 
@@ -156,10 +162,11 @@ def embedding_backward(indices, d_out: np.ndarray, grad_table: np.ndarray) -> No
 
 class CellCache(NamedTuple):
     params: LSTMParams
-    x: np.ndarray       # the step's input projection; the cell wrote ``gates`` into it
     h_prev: np.ndarray
     c_prev: np.ndarray
-    gates: np.ndarray   # activated i, f, g, o, stacked like ``LSTMParams.b``
+    i_f: np.ndarray     # the activated input and forget gates, (..., B, 2H)
+    g: np.ndarray       # the activated candidate
+    o: np.ndarray       # the activated output gate
     c: np.ndarray
     tanh_c: np.ndarray
 
@@ -168,7 +175,7 @@ def lstm_cell_forward(xw, h_prev, c_prev, p: LSTMParams):
     """One memory-cell step for a batch: ``xw`` (..., B, 4H) is the step's
     input projection ``x @ p.w_x + p.b``, ``h_prev`` and ``c_prev``
     (..., B, H); returns the new (..., B, H) hidden and cell states. The
-    gates are computed in place in ``xw``.
+    recurrent term is added into ``xw`` in place.
 
     Gate order: input and forget gates read (x, h_prev, c_prev); the
     candidate reads (x, h_prev); the output gate reads (x, h_prev, c_new).
@@ -183,52 +190,126 @@ def lstm_cell_forward(xw, h_prev, c_prev, p: LSTMParams):
     # summation orders raise the gradient check's round-off past its bound.
     z = xw
     z += h_prev @ p.w_h
-    gates = z  # overwritten with the activations, gate by gate
-    # The sigmoid gates are activated in the fresh contiguous product their
-    # cell term lands in, not in their column slices of z: elementwise work
-    # on a strided slice costs about twice as much once it has several rows.
+    # Each activation is written to a fresh contiguous array (a sigmoid
+    # gate's is the product its cell term lands in), never into a column
+    # slice of z: elementwise work on a strided slice costs about twice as
+    # much once it has several rows. The sigmoid is ``tensor.sigmoid``'s four
+    # operations, 0.5 * tanh(x / 2) + 0.5, written out.
+    half = HALF.get(z.dtype, 0.5)
     i_f = c_prev @ p.w_c[:, :2 * H]
     i_f += z[..., :2 * H]
-    gates[..., :2 * H] = sigmoid(i_f, out=i_f)
-    np.tanh(z[..., 2 * H:3 * H], out=gates[..., 2 * H:3 * H])
-    i, f, g = gates[..., :H], gates[..., H:2 * H], gates[..., 2 * H:3 * H]
-    c = f * c_prev + i * g
+    i_f *= half
+    np.tanh(i_f, out=i_f)
+    i_f *= half
+    i_f += half
+    g = np.tanh(z[..., 2 * H:3 * H])
+    c = i_f[..., H:] * c_prev + i_f[..., :H] * g
     o = c @ p.w_c[:, 2 * H:]
     o += z[..., 3 * H:]
-    gates[..., 3 * H:] = sigmoid(o, out=o)
+    o *= half
+    np.tanh(o, out=o)
+    o *= half
+    o += half
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    return h, c, CellCache(p, xw, h_prev, c_prev, gates, c, tanh_c)
+    return h, c, CellCache(p, h_prev, c_prev, i_f, g, o, c, tanh_c)
 
 
-def lstm_cell_backward(cache: CellCache, dh, dc_in):
-    """Exact gradients of one batched cell step.
+class CellStep(NamedTuple):
+    """One step of a chain's backward pass: row slices of the chain's packed
+    arrays (``pack_chain``), n rows, the step's live samples."""
+    params: LSTMParams
+    x: np.ndarray         # (n, E) the step's inputs
+    h_prev: np.ndarray    # (n, H)
+    factors: np.ndarray   # (12, n, H) forward-only factors, planes as in ``pack_chain``
+    dz: np.ndarray        # (n, 4H) rows of the chain's gate-gradient buffer
+    dz_gates: np.ndarray  # (4, n, H) the same memory, gate-major
+    dz_if: np.ndarray     # (n, 2H) its i and f columns
+    weights_t: tuple      # transposes of w_c's o columns, w_c's i, f columns and w_h
 
-    Returns (dz, dh_prev, dc_prev), where ``dz`` (B, 4H) is the gradient of
-    the stacked gate pre-activations (gates as in ``LSTMParams.b``); the
-    caller forms the weight and bias gradients and ``dx = dz @ p.w_x.T``
-    from it. ``dc_in`` is the gradient arriving at the new cell state from
-    the following step. The output gate's dependence on the new cell state
-    contributes to dc before the cell update is unwound.
 
-    The elementwise work runs gate-major: ``gates`` is copied once into
-    (4, B, H), so each gate and each gate's gradient is a contiguous (B, H)
-    array rather than a strided column slice, which costs about twice as
-    much per op. ``dz`` is built as (4, B, H) and then laid out (B, 4H).
+def pack_chain(caches, x):
+    """The backward steps of one chain, and the packed arrays its weight
+    gradients read.
+
+    ``caches`` are the chain's ``CellCache``s, step by step, and ``x``
+    (N, E) their inputs, rows ordered (step, sample), N being the chain's
+    live rows. The forward values are packed the same way, and every factor
+    of the cell backward that depends on the forward pass alone is formed
+    here, once per chain, gate-major, (12, N, H). Its planes are tanh c, o,
+    1 - tanh^2 c, 1 - o, g, c_prev, i, f, 1 - g^2, 1 - i, 1 - f and 1, so
+    that each operand pair or triple the cell backward multiplies by is one
+    slice: [tanh c, o], [o, 1 - tanh^2 c], [g, c_prev, i], [i, f, 1 - g^2]
+    and [1 - i, 1 - f, 1]. Each step's ``CellStep`` holds row slices of
+    these and of ``dz`` (N, 4H), the gate-gradient buffer the steps fill.
+
+    Returns the steps, in forward order, and (dz, h_prev, c_prev, c).
     """
-    p, x, h_prev, c_prev, gates, c, tanh_c = cache
+    p = caches[0].params
     H = p.hidden_size
-    i, f, g, o = np.ascontiguousarray(gates.reshape(-1, 4, H).transpose(1, 0, 2))
-    dz = np.empty((4, *dh.shape), dtype=gates.dtype)
-    dz[3] = dh * tanh_c * o * (1.0 - o)
-    dc = dc_in + dh * o * (1.0 - tanh_c * tanh_c) + dz[3] @ p.w_c[:, 2 * H:].T
-    dz[0] = dc * g * i * (1.0 - i)
-    dz[1] = dc * c_prev * f * (1.0 - f)
-    dz[2] = dc * i * (1.0 - g * g)
-    dz = dz.transpose(1, 0, 2).reshape(len(dh), 4 * H)
-    dc_prev = dc * f + dz[:, :2 * H] @ p.w_c[:, :2 * H].T
-    dh_prev = dz @ p.w_h.T
-    return dz, dh_prev, dc_prev
+    i_f = np.concatenate([s.i_f for s in caches])
+    N = len(i_f)
+    factors = np.empty((12, N, H), dtype=i_f.dtype)
+    np.concatenate([s.tanh_c for s in caches], out=factors[0])
+    np.concatenate([s.o for s in caches], out=factors[1])
+    np.multiply(factors[0], factors[0], out=factors[2])
+    np.subtract(1.0, factors[2], out=factors[2])  # 1 - tanh^2 c
+    np.subtract(1.0, factors[1], out=factors[3])  # 1 - o
+    np.concatenate([s.g for s in caches], out=factors[4])
+    np.concatenate([s.c_prev for s in caches], out=factors[5])
+    factors[6:8] = i_f.reshape(N, 2, H).transpose(1, 0, 2)  # i, f
+    np.multiply(factors[4], factors[4], out=factors[8])
+    np.subtract(1.0, factors[8], out=factors[8])  # 1 - g^2
+    np.subtract(1.0, factors[6:8], out=factors[9:11])  # 1 - i, 1 - f
+    factors[11] = 1
+    dz = np.empty((N, 4 * H), dtype=i_f.dtype)
+    dz_gates = dz.reshape(N, 4, H).transpose(1, 0, 2)
+    weights_t = (p.w_c[:, 2 * H:].T, p.w_c[:, :2 * H].T, p.w_h.T)
+    steps, start = [], 0
+    for s in caches:
+        end = start + len(s.h_prev)
+        steps.append(CellStep(p, x[start:end], s.h_prev, factors[:, start:end], dz[start:end],
+                              dz_gates[:, start:end], dz[start:end, :2 * H], weights_t))
+        start = end
+    h_prev, c = (np.concatenate([getattr(s, field) for s in caches])
+                 for field in ("h_prev", "c"))
+    return steps, (dz, h_prev, factors[5], c)
+
+
+def lstm_cell_backward(step: CellStep, dh, dc):
+    """Exact gradients of one batched cell step, in place.
+
+    ``dh`` and ``dc`` (n, H) are the gradients arriving at the step's new
+    hidden and cell states; they are overwritten with those of the previous
+    states. The gradient of the stacked gate pre-activations (gates as in
+    ``LSTMParams.b``) goes into the step's rows ``step.dz``, from which the
+    chain forms the weight and bias gradients and ``dx = dz @ p.w_x.T``.
+    Returns (step.dz, dh, dc). The output gate's dependence on the new cell
+    state contributes to dc before the cell update is unwound.
+
+    The elementwise work runs gate-major on the contiguous (n, H) planes of
+    ``step.factors``, two or three gates per operation, and each result is
+    rounded as the textbook expression's left-to-right products round it:
+    dz_o = dh * tanh c * o * (1 - o), dz_i = dc * g * i * (1 - i), dz_f =
+    dc * c_prev * f * (1 - f) and dz_g = dc * i * (1 - g^2), the last then
+    multiplied by the plane of ones, which is exact.
+    """
+    F = step.factors
+    dz_gates = step.dz_gates
+    w_co_t, w_cif_t, w_h_t = step.weights_t
+    u = dh * F[0:2]
+    u *= F[1:3]
+    np.multiply(u[0], F[3], out=dz_gates[3])
+    dc += u[1]
+    dc += dz_gates[3] @ w_co_t
+    t = dc * F[4:7]
+    t *= F[6:9]
+    np.multiply(t, F[9:12], out=dz_gates[:3])
+    d_if = step.dz_if @ w_cif_t
+    dc *= F[7]
+    dc += d_if
+    np.matmul(step.dz, w_h_t, out=dh)
+    return step.dz, dh, dc
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +382,20 @@ def _chain_backward(caches, d_final, x, grads: LSTMParams):
     the chain's live rows, whose inputs ``x`` are ordered (step, sample),
     adds its weight gradients into ``grads`` and gives d(x).
 
-    Step t updates the gradient rows of its n_t samples only, so a sample's
-    ``d_final`` row is untouched until its last step, where it enters.
+    ``pack_chain`` forms the forward-only factors once; each step then
+    writes its rows of the packed gate gradients, and the gradients of its
+    n_t samples' previous states over their rows of ``d_final`` and of the
+    running cell gradient. So a sample's ``d_final`` row is untouched until
+    its last step, where it enters.
     """
-    p = caches[0].params
+    steps, (dz, h_prev, c_prev, c) = pack_chain(caches, x)
+    p = steps[0].params
     H = p.hidden_size
     dh = d_final
     dc = np.zeros_like(d_final)
-    dz = [None] * len(caches)
-    for step in range(len(caches) - 1, -1, -1):
-        n = len(caches[step].h_prev)
-        dz[step], dh[:n], dc[:n] = lstm_cell_backward(caches[step], dh[:n], dc[:n])
-    dz = np.concatenate(dz)  # rows ordered (step, sample)
-    h_prev, c_prev, c = (np.concatenate([getattr(s, field) for s in caches])
-                         for field in ("h_prev", "c_prev", "c"))
+    for step in reversed(steps):
+        n = len(step.h_prev)
+        lstm_cell_backward(step, dh[:n], dc[:n])
     grads.w_x += x.T @ dz
     grads.w_h += h_prev.T @ dz
     grads.w_c[:, :2 * H] += c_prev.T @ dz[:, :2 * H]

@@ -21,6 +21,11 @@ MIN_DELTA = 1e-4
 # Largest relative gradient error a gradient check accepts.
 GRADCHECK_TOL = 1e-4
 
+# Elements per block of ``adam_step``: the five arrays of a float32 block
+# (parameters, gradient, both moments and scratch) take 1.25 MB, so each of
+# its twelve passes reads them from L2 rather than memory.
+ADAM_BLOCK = 1 << 16
+
 
 @dataclass
 class EpochRecord:
@@ -61,7 +66,9 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     it (arXiv 1412.6980, end of section 2), algebraically the bias-corrected
     ``lr * m_hat / (sqrt(v_hat) + EPS)``: ``theta -= step / (sqrt(v) +
     eps_t) * m``, in ``state.scratch``, rounded as with a fresh temporary
-    per operation. ``lr`` acts as a Python float, whatever its type.
+    per operation. ``lr`` acts as a Python float, whatever its type. The
+    twelve in-place operations run block by block over slices of axis 0 of
+    about ``ADAM_BLOCK`` elements, so a strided view's blocks stay views.
     """
     if set(params) != set(state.m) or any(
             (state.m[name].shape, state.m[name].dtype) != (theta.shape, theta.dtype)
@@ -79,23 +86,24 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     correction = math.sqrt(1.0 - BETA2 ** state.t)
     step = float(lr) * correction / (1.0 - BETA1 ** state.t)
     eps_t = EPS * correction
-    for name, theta in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        a = state.scratch[name]
-        m *= BETA1
-        np.multiply(1.0 - BETA1, g, out=a)
-        m += a
-        v *= BETA2
-        np.multiply(1.0 - BETA2, g, out=a)
-        a *= g
-        v += a
-        np.sqrt(v, out=a)
-        a += eps_t
-        np.divide(step, a, out=a)
-        a *= m
-        theta -= a
+    for name in params:
+        arrays = [np.atleast_1d(arr) for arr in
+                  (params[name], grads[name], state.m[name], state.v[name], state.scratch[name])]
+        rows = max(1, ADAM_BLOCK * len(arrays[0]) // max(1, arrays[0].size))
+        for start in range(0, len(arrays[0]), rows):
+            theta, g, m, v, a = (arr[start:start + rows] for arr in arrays)
+            m *= BETA1
+            np.multiply(1.0 - BETA1, g, out=a)
+            m += a
+            v *= BETA2
+            np.multiply(1.0 - BETA2, g, out=a)
+            a *= g
+            v += a
+            np.sqrt(v, out=a)
+            a += eps_t
+            np.divide(step, a, out=a)
+            a *= m
+            theta -= a
 
 
 def clip_by_global_norm(grads: np.ndarray, max_norm: float) -> float:

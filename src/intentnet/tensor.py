@@ -149,7 +149,7 @@ class Rng:
 
 
 # 0-d halves: numpy converts a Python float operand anew on every ufunc call
-_HALF = {np.dtype(t): np.array(0.5, dtype=t) for t in (np.float32, np.float64)}
+HALF = {np.dtype(t): np.array(0.5, dtype=t) for t in (np.float32, np.float64)}
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -159,7 +159,7 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     x = np.asarray(x)
     if out is None:
         out = np.empty(x.shape, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
-    half = _HALF.get(out.dtype, 0.5)
+    half = HALF.get(out.dtype, 0.5)
     np.multiply(x, half, out=out)
     np.tanh(out, out=out)
     out *= half

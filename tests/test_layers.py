@@ -22,8 +22,9 @@ from intentnet.layers import (
     lstm_cell_forward,
     maxpool_backward,
     maxpool_over_time,
+    pack_chain,
 )
-from intentnet.tensor import Rng
+from intentnet.tensor import Rng, sigmoid
 
 from helpers import max_rel_error, numeric_gradient, scalar_lstm_cell, zero_lstm_params
 
@@ -120,12 +121,13 @@ class TestLSTMCell:
     def test_zero_upstream_gives_zero_param_grads(self):
         rng = Rng(1)
         p = random_lstm_params(rng, 2, 2)
+        x = rng.uniform(-1, 1, (3, 2))
         _, _, cache = lstm_cell_forward(
-            rng.uniform(-1, 1, (3, 2)) @ p.w_x + p.b, rng.uniform(-1, 1, (3, 2)),
-            rng.uniform(-1, 1, (3, 2)), p
+            x @ p.w_x + p.b, rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 2)), p
         )
+        (step,), _ = pack_chain([cache], x)
         # every weight and bias gradient is a product with dz
-        for arr in lstm_cell_backward(cache, np.zeros((3, 2)), np.zeros((3, 2))):
+        for arr in lstm_cell_backward(step, np.zeros((3, 2)), np.zeros((3, 2))):
             npt.assert_array_equal(arr, np.zeros_like(arr))
 
     @pytest.mark.parametrize("seed", range(N_SEEDS))
@@ -146,7 +148,8 @@ class TestLSTMCell:
             return float(np.sum(gh * h + gc * c))
 
         _, _, cache = lstm_cell_forward(x @ p.w_x + p.b, h_prev, c_prev, p)
-        dz, dh_prev, dc_prev = lstm_cell_backward(cache, gh.copy(), gc.copy())
+        (step,), _ = pack_chain([cache], x)
+        dz, dh_prev, dc_prev = lstm_cell_backward(step, gh.copy(), gc.copy())
 
         # the bias enters each row's pre-activations once, so the batch sum of
         # dz is d(loss)/d(b); the per-gate weight blocks are checked through
@@ -162,7 +165,8 @@ class TestLSTMCell:
     def test_backward_matches_the_column_slice_cell_bit_for_bit(self, batch, dtype):
         def column_slice_backward(cache, dh, dc_in):
             # the cell backward written on strided column slices of gates
-            p, x, h_prev, c_prev, gates, c, tanh_c = cache
+            p, c_prev, tanh_c = cache.params, cache.c_prev, cache.tanh_c
+            gates = np.concatenate([cache.i_f, cache.g, cache.o], axis=-1)
             H = p.hidden_size
             i, f, g, o = (gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:3 * H],
                           gates[:, 3 * H:])
@@ -184,7 +188,9 @@ class TestLSTMCell:
         x, h_prev, c_prev, dh, dc = (rng.uniform(-1, 1, (batch, n)).astype(dtype)
                                      for n in (k, hidden, hidden, hidden, hidden))
         _, _, cache = lstm_cell_forward(x @ p.w_x + p.b, h_prev, c_prev, p)
-        for got, expected in zip(lstm_cell_backward(cache, dh, dc),
+        (step,), _ = pack_chain([cache], x)
+        # the step overwrites dh and dc with the previous states' gradients
+        for got, expected in zip(lstm_cell_backward(step, dh.copy(), dc.copy()),
                                  column_slice_backward(cache, dh, dc)):
             assert got.dtype == expected.dtype == dtype
             assert got.shape == expected.shape
@@ -255,14 +261,12 @@ class TestBiLSTM:
                     caches.append(cache)
                 finals.append(np.stack(states, axis=1)[np.arange(B), lengths - 1])
                 ends = lengths == np.arange(1, T + 1)[:, None]
-                dh, dc, dz = np.zeros_like(d_final), np.zeros_like(d_final), [None] * T
+                x = X_dir.transpose(1, 0, 2).reshape(T * B, -1)  # rows ordered (step, sample)
+                steps, (dz, h_prev, c_prev, c) = pack_chain(caches, x)
+                dh, dc = np.zeros_like(d_final), np.zeros_like(d_final)
                 for t in range(T - 1, -1, -1):
                     dh[ends[t]] = d_final[ends[t]]
-                    dz[t], dh, dc = lstm_cell_backward(caches[t], dh, dc)
-                dz = np.concatenate(dz)  # rows ordered (step, sample)
-                x = X_dir.transpose(1, 0, 2).reshape(T * B, -1)
-                h_prev, c_prev, c = (np.concatenate([getattr(s, field) for s in caches])
-                                     for field in ("h_prev", "c_prev", "c"))
+                    lstm_cell_backward(steps[t], dh, dc)  # in place over dh and dc
                 H = p.hidden_size
                 g = zero_lstm_params(p.input_size, H, np.float64)
                 g.w_x += x.T @ dz
@@ -294,6 +298,100 @@ class TestBiLSTM:
             for stack in ("w_x", "w_h", "w_c", "b"):
                 npt.assert_allclose(getattr(got, stack), getattr(ref, stack),
                                     rtol=1e-12, atol=1e-12, err_msg=stack)
+
+    @pytest.mark.parametrize("dtype, E, H", [(np.float32, 64, 50), (np.float64, 3, 4)])
+    @pytest.mark.parametrize("lengths", [[1], [9], [1, 9, 4], [9, 1, 3, 9, 5, 2, 7, 1, 6, 4]])
+    def test_backward_matches_the_per_step_reference_bit_for_bit(self, lengths, dtype, E, H):
+        # The packed recurrence as it was written before its backward formed
+        # the forward-only factors once per chain: a forward that keeps each
+        # step's activated gates in its projection rows, the cell backward on
+        # strided column slices of those gates, and a chain that concatenates
+        # each step's dz. Every operation and operand order is the one
+        # bilstm_backward must keep, so dX and the gradient stacks agree
+        # byte for byte.
+        def chain_forward(Xs, sizes, p):
+            H = p.hidden_size
+            XW = np.moveaxis(Xs, -2, 0) @ p.w_x + p.b
+            h = c = np.zeros((len(Xs), H), dtype=dtype)
+            steps = []
+            for xw, n in zip(XW, sizes):
+                h_prev, c_prev, z = h[:n], c[:n], xw[:n]
+                z += h_prev @ p.w_h
+                i_f = c_prev @ p.w_c[:, :2 * H]
+                i_f += z[:, :2 * H]
+                z[:, :2 * H] = sigmoid(i_f)
+                z[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
+                c = z[:, H:2 * H] * c_prev + z[:, :H] * z[:, 2 * H:3 * H]
+                o = c @ p.w_c[:, 2 * H:]
+                o += z[:, 3 * H:]
+                z[:, 3 * H:] = sigmoid(o)
+                tanh_c = np.tanh(c)
+                h = z[:, 3 * H:] * tanh_c
+                steps.append((h_prev, c_prev, z, c, tanh_c))
+            return steps
+
+        def cell(p, s, dh, dc_in):
+            H = p.hidden_size
+            h_prev, c_prev, gates, c, tanh_c = s
+            i, f, g, o = (gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:3 * H],
+                          gates[:, 3 * H:])
+            dz = np.empty_like(gates)
+            dz[:, 3 * H:] = dh * tanh_c * o * (1.0 - o)
+            dc = dc_in + dh * o * (1.0 - tanh_c * tanh_c) + dz[:, 3 * H:] @ p.w_c[:, 2 * H:].T
+            dz[:, :H] = dc * g * i * (1.0 - i)
+            dz[:, H:2 * H] = dc * c_prev * f * (1.0 - f)
+            dz[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
+            dc_prev = dc * f + dz[:, :2 * H] @ p.w_c[:, :2 * H].T
+            dh_prev = dz @ p.w_h.T
+            return dz, dh_prev, dc_prev
+
+        def chain_backward(p, steps, d_final, x):
+            H = p.hidden_size
+            dh, dc, dz = d_final, np.zeros_like(d_final), [None] * len(steps)
+            for t in range(len(steps) - 1, -1, -1):
+                n = len(steps[t][0])
+                dz[t], dh[:n], dc[:n] = cell(p, steps[t], dh[:n], dc[:n])
+            dz = np.concatenate(dz)
+            h_prev, c_prev, _, c, _ = (np.concatenate(field) for field in zip(*steps))
+            grads = zero_lstm_params(p.input_size, H, dtype)
+            grads.w_x += x.T @ dz
+            grads.w_h += h_prev.T @ dz
+            grads.w_c[:, :2 * H] += c_prev.T @ dz[:, :2 * H]
+            grads.w_c[:, 2 * H:] += c.T @ dz[:, 3 * H:]
+            grads.b += dz.sum(axis=0)
+            return dz @ p.w_x.T, grads
+
+        rng = Rng(len(lengths) * 100 + max(lengths) + E)
+        p_fwd, p_bwd = (zero_lstm_params(E, H, dtype) for _ in range(2))
+        init_weights(rng, p_fwd, p_bwd)
+        for p in (p_fwd, p_bwd):
+            p.b[:] = rng.uniform(-0.5, 0.5, p.b.shape)
+        lengths = np.array(lengths)
+        X = rng.uniform(-1, 1, (len(lengths), lengths.max() + 2, E)).astype(dtype)
+        d_fwd, d_bwd = rng.uniform(-1, 1, (2, len(lengths), H)).astype(dtype)
+        _, _, cache = bilstm_forward(X, lengths, p_fwd, p_bwd)
+        grads = [zero_lstm_params(E, H, dtype) for _ in range(2)]
+        dX = bilstm_backward(cache, d_fwd.copy(), d_bwd.copy(), *grads)
+
+        order = np.argsort(-lengths, kind="stable")
+        ordered = lengths[order]
+        sizes = np.count_nonzero(ordered[:, None] > np.arange(ordered[0]), axis=0)
+        back = np.maximum(ordered[:, None] - 1 - np.arange(ordered[0]), 0)
+        fwd_steps = chain_forward(X[order, :ordered[0]], sizes, p_fwd)
+        bwd_steps = chain_forward(X[order[:, None], back], sizes, p_bwd)
+        step, k = np.nonzero(ordered > np.arange(ordered[0])[:, None])
+        rows = order[k]
+        back = lengths[rows] - 1 - step
+        dX_ref = np.zeros_like(X)
+        dx, grads_fwd = chain_backward(p_fwd, fwd_steps, d_fwd[order], X[rows, step])
+        dX_ref[rows, step] = dx
+        dx, grads_bwd = chain_backward(p_bwd, bwd_steps, d_bwd[order], X[rows, back])
+        dX_ref[rows, back] += dx
+        assert dX.dtype == dtype
+        assert dX.tobytes() == dX_ref.tobytes()
+        for got, ref in zip(grads, (grads_fwd, grads_bwd)):
+            for stack in ("w_x", "w_h", "w_c", "b"):
+                assert getattr(got, stack).tobytes() == getattr(ref, stack).tobytes(), stack
 
     def test_true_len_out_of_range(self):
         p = zero_lstm_params(2, 2, np.float64)

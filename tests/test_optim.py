@@ -146,7 +146,16 @@ class TestAdam:
 
     def test_matches_the_textbook_expression_bit_for_bit(self):
         rng = np.random.default_rng(7)
-        params = mixed_blocks(rng)
+
+        def with_flat(blocks):
+            # flat float32 blocks: one the size of the paper model's parameter
+            # vector, and one an element longer than a block of the update
+            for name, size in (("flat", 247_619), ("edge", optim.ADAM_BLOCK + 1)):
+                scale = 10.0 ** rng.uniform(-6, 1, size)
+                blocks[name] = (rng.standard_normal(size) * scale).astype(np.float32)
+            return blocks
+
+        params = with_flat(mixed_blocks(rng))
         assert not params["fwd.w_xi"].flags.c_contiguous
         assert not random_grads(rng)["fwd.w_xi"].flags.c_contiguous
         ref = {name: theta.copy() for name, theta in params.items()}
@@ -154,7 +163,7 @@ class TestAdam:
         v = {name: np.zeros_like(theta) for name, theta in ref.items()}
         state = AdamState(params)
         for t in range(1, 7):
-            grads = random_grads(rng)
+            grads = with_flat(random_grads(rng))
             lr = 0.001 * t
             adam_step(params, grads, state, lr)
             textbook_adam(ref, grads, m, v, t, lr)

@@ -323,31 +323,38 @@ class BiLSTMCache(NamedTuple):
     bwd_steps: list        # the same, each sample reversed within its length
 
 
-def _lengths(true_len, X: np.ndarray) -> np.ndarray:
-    """The lengths as an int array (B,), one per position of X's batch axis
-    -3, each within [1, T], T being the length of X's axis -2."""
+def _lengths(true_len, X: np.ndarray):
+    """The lengths as an int array (B,) and as a list of ints, one per
+    position of X's batch axis -3, each within [1, T], T being the length of
+    X's axis -2. The bounds are checked on the Python ints."""
     lengths = np.asarray(true_len, dtype=np.intp)
+    ints = lengths.tolist()
     seq_len = X.shape[-2]
-    if (X.ndim < 3 or lengths.shape != X.shape[-3:-2] or not lengths.size
-            or lengths.min() < 1 or lengths.max() > seq_len):
-        raise ValueError(f"lengths {lengths.tolist()} out of range for "
+    if (X.ndim < 3 or lengths.shape != X.shape[-3:-2] or not ints
+            or min(ints) < 1 or max(ints) > seq_len):
+        raise ValueError(f"lengths {ints} out of range for "
                          f"{X.shape[-3:-2]} sequences of {seq_len} rows")
-    return lengths
+    return lengths, ints
 
 
 def _run_chain(Xs, sizes, p: LSTMParams):
     """Runs step t of the cell on the first ``sizes[t]`` rows of Xs (..., B,
     T, E), its samples sorted by descending length; returns each sample's
     final hidden state (..., B, H) and the step caches. Every step's input
-    projection is formed before the first, a B-row product, time-major; the
+    projection is formed before the first, a B-row product, time-major; it and
+    the states are cut to the live rows only where their count drops. The
     states are fresh each step, so rows cached as ``h_prev`` stay as read."""
-    XW = np.moveaxis(Xs, -2, 0) @ p.w_x + p.b  # (T, ..., B, 4H)
-    h = np.zeros((*Xs.shape[:-2], p.hidden_size), dtype=Xs.dtype)
-    c = np.zeros_like(h)
+    nd = Xs.ndim
+    XW = Xs.transpose(nd - 2, *range(nd - 2), nd - 1) @ p.w_x  # (T, ..., B, 4H)
+    XW += p.b
+    h = c = np.zeros((*Xs.shape[:-2], p.hidden_size), dtype=Xs.dtype)
+    live = XW
     finals, caches = [], []
     # ``ended`` is the next step's row count: the rows past it end here
-    for xw, n, ended in zip(XW, sizes, sizes[1:] + [0]):
-        h, c, cache = lstm_cell_forward(xw[..., :n, :], h[..., :n, :], c[..., :n, :], p)
+    for t, (n, ended) in enumerate(zip(sizes, sizes[1:] + [0])):
+        if n < h.shape[-2]:
+            live, h, c = XW[..., :n, :], h[..., :n, :], c[..., :n, :]
+        h, c, cache = lstm_cell_forward(live[t], h, c, p)
         caches.append(cache)
         if ended < n:
             finals.append(h[..., ended:, :])
@@ -357,23 +364,29 @@ def _run_chain(Xs, sizes, p: LSTMParams):
 def bilstm_forward(X: np.ndarray, true_len, p_fwd: LSTMParams, p_bwd: LSTMParams):
     """Final (..., B, H) hidden states of both directions over X (..., B, T, E).
 
-    The batch runs packed: sorted by descending length (a row permutation,
-    undone on the way out), step t computes only the n_t samples longer
-    than t, for max L_b steps, so sample b's final state is the state of its
-    own L_b-th step and no position past L_b is computed. The backward chain
-    reads each sample reversed within its length.
+    The batch runs packed: sorted by descending length, ties in batch order
+    (a row permutation, undone on the way out; a batch already in order, as
+    every batch of one is, is read as a slice). Step t computes only the n_t
+    samples longer than t, for max L_b steps, so sample b's final state is
+    the state of its own L_b-th step and no position past L_b is computed.
+    The backward chain reads each sample reversed within its length.
     """
-    lengths = _lengths(true_len, X)
-    order = np.argsort(-lengths, kind="stable")
-    ordered = lengths[order]
-    t = np.arange(ordered[0])
-    sizes = np.count_nonzero(ordered[:, None] > t, axis=0).tolist()
-    back = np.maximum(ordered[:, None] - 1 - t, 0)  # (B, max L) positions read
-    h_fwd, fwd_steps = _run_chain(X[..., order, :ordered[0], :], sizes, p_fwd)
+    lengths, ints = _lengths(true_len, X)
+    order = sorted(range(len(ints)), key=ints.__getitem__, reverse=True)  # stable
+    ordered = [ints[b] for b in order]
+    sizes = []  # sizes[t] = n_t
+    for k in range(len(ordered), 0, -1):
+        sizes += [k] * (ordered[k - 1] - len(sizes))
+    in_order = ordered == ints
+    order = np.array(order)
+    back = np.maximum(lengths[order, None] - 1 - np.arange(len(sizes)), 0)  # positions read
+    Xs = X[..., :len(sizes), :] if in_order else X[..., order, :len(sizes), :]
+    h_fwd, fwd_steps = _run_chain(Xs, sizes, p_fwd)
     h_bwd, bwd_steps = _run_chain(X[..., order[:, None], back, :], sizes, p_bwd)
-    unsort = np.argsort(order)
-    return (h_fwd[..., unsort, :], h_bwd[..., unsort, :],
-            BiLSTMCache(X, lengths, order, fwd_steps, bwd_steps))
+    if not in_order:
+        unsort = np.argsort(order)
+        h_fwd, h_bwd = h_fwd[..., unsort, :], h_bwd[..., unsort, :]
+    return h_fwd, h_bwd, BiLSTMCache(X, lengths, order, fwd_steps, bwd_steps)
 
 
 def _chain_backward(caches, d_final, x, grads: LSTMParams):
@@ -464,12 +477,15 @@ def maxpool_over_time(fmap: np.ndarray, lengths):
     fmap (..., B, n, F), one (B, n) mask for every leading slice; argmax
     rows (..., B, F) cached for the backward pass.
     Rows past a sample's length are masked out, so its maximum and argmax
-    (the first occurrence wins ties) are those of its own rows alone."""
-    lengths = _lengths(lengths, fmap)
-    own = np.arange(fmap.shape[-2]) < lengths[..., None]
-    argmax = np.where(own[..., None], fmap, -np.inf).argmax(axis=-2)
-    pooled = np.take_along_axis(fmap, argmax[..., None, :], axis=-2)[..., 0, :]
-    return pooled, argmax
+    (the first occurrence wins ties) are those of its own rows alone. The
+    pooled values are the masked map's max: the value at the argmax, bit for
+    bit, in a map without -0.0 or NaN, as a ReLU map is."""
+    lengths, ints = _lengths(lengths, fmap)
+    masked = fmap
+    if min(ints) < fmap.shape[-2]:
+        own = np.arange(fmap.shape[-2]) < lengths[..., None]
+        masked = np.where(own[..., None], fmap, -np.inf)
+    return masked.max(axis=-2), masked.argmax(axis=-2)
 
 
 def maxpool_backward(argmax: np.ndarray, d_pooled: np.ndarray, length: int) -> np.ndarray:

@@ -393,6 +393,65 @@ class TestBiLSTM:
             for stack in ("w_x", "w_h", "w_c", "b"):
                 assert getattr(got, stack).tobytes() == getattr(ref, stack).tobytes(), stack
 
+    @pytest.mark.parametrize("dtype, E, H", [(np.float32, 64, 50), (np.float64, 3, 4)])
+    @pytest.mark.parametrize("pad", [0, 2])
+    @pytest.mark.parametrize("lead, lengths", [
+        ((), [3, 5, 5, 2, 5]),  # ragged, with ties
+        ((), [6, 4, 4, 2]),     # already in order
+        ((), [1, 2, 4, 6]),     # in reverse order
+        ((), [1, 4, 1, 3]),
+        ((), [6]),              # a batch of one
+        ((3,), [6]),            # an (S, 1, L) stack, as inference runs
+    ])
+    def test_forward_matches_the_sorted_and_sliced_reference_bit_for_bit(
+            self, lead, lengths, pad, dtype, E, H):
+        # The forward recurrence as it was written before it cut its rows
+        # only where the live count drops: an argsort schedule, a gathered
+        # forward input, a moveaxis projection and a slice at every step.
+        # Every product and ufunc is the one bilstm_forward must keep, so the
+        # states and every step cache agree byte for byte.
+        def chain(Xs, sizes, p):
+            XW = np.moveaxis(Xs, -2, 0) @ p.w_x + p.b
+            h = np.zeros((*Xs.shape[:-2], p.hidden_size), dtype=Xs.dtype)
+            c = np.zeros_like(h)
+            finals, caches = [], []
+            for xw, n, ended in zip(XW, sizes, sizes[1:] + [0]):
+                h, c, cache = lstm_cell_forward(xw[..., :n, :], h[..., :n, :], c[..., :n, :], p)
+                caches.append(cache)
+                if ended < n:
+                    finals.append(h[..., ended:, :])
+            return np.concatenate(finals[::-1], axis=-2), caches
+
+        rng = Rng(len(lengths) * 100 + sum(lengths) + pad + E)
+        p_fwd, p_bwd = (zero_lstm_params(E, H, dtype) for _ in range(2))
+        init_weights(rng, p_fwd, p_bwd)
+        for p in (p_fwd, p_bwd):
+            p.b[:] = rng.uniform(-0.5, 0.5, p.b.shape)
+        lengths = np.array(lengths)
+        X = rng.uniform(-1, 1, (*lead, len(lengths), lengths.max() + pad, E)).astype(dtype)
+        h_fwd, h_bwd, cache = bilstm_forward(X, lengths, p_fwd, p_bwd)
+
+        order = np.argsort(-lengths, kind="stable")
+        ordered = lengths[order]
+        t = np.arange(ordered[0])
+        sizes = np.count_nonzero(ordered[:, None] > t, axis=0).tolist()
+        back = np.maximum(ordered[:, None] - 1 - t, 0)
+        ref_fwd, fwd_steps = chain(X[..., order, :ordered[0], :], sizes, p_fwd)
+        ref_bwd, bwd_steps = chain(X[..., order[:, None], back, :], sizes, p_bwd)
+        unsort = np.argsort(order)
+        npt.assert_array_equal(cache.order, order)
+        for got, ref in ((h_fwd, ref_fwd[..., unsort, :]), (h_bwd, ref_bwd[..., unsort, :])):
+            assert got.dtype == dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        for got_steps, ref_steps in ((cache.fwd_steps, fwd_steps), (cache.bwd_steps, bwd_steps)):
+            assert len(got_steps) == len(ref_steps)
+            for got, ref in zip(got_steps, ref_steps):
+                assert got.params is ref.params
+                for field in layers.CellCache._fields[1:]:
+                    a, b = getattr(got, field), getattr(ref, field)
+                    assert a.dtype == b.dtype and a.shape == b.shape, field
+                    assert a.tobytes() == b.tobytes(), field
+
     def test_true_len_out_of_range(self):
         p = zero_lstm_params(2, 2, np.float64)
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Property tests: the checksum against its byte-loop oracle, container
-fuzzing, encoding invariants, schedule replays, the batch contract, the
-confusion matrix against its pair-loop count."""
+fuzzing, encoding invariants, schedule replays, the batch contract, max
+pooling against its first-maximum loop, the confusion matrix against its
+pair-loop count."""
 
 import json
 import random
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from intentnet import container
 from intentnet.data import MIN_ENCODED_LEN, PAD_INDEX, Vocab, encode
 from intentnet.errors import ContainerError
+from intentnet.layers import maxpool_over_time
 from intentnet.model import HybridModel, down_scaled_model, report_from_pairs
 from intentnet.optim import EpochRecord, reduce_lr_on_plateau, should_stop
 from intentnet.tensor import Rng
@@ -222,6 +224,38 @@ def test_a_batch_is_the_sum_of_its_batches_of_one(samples):
     for name, grad in batched.parameters().items():
         npt.assert_allclose(grad, sum(grads.parameters()[name] for _, grads in singles),
                             rtol=1e-6, atol=1e-12, err_msg=name)
+
+
+@st.composite
+def _feature_maps(draw):
+    """A ReLU feature map (..., B, n, F) and one length per sample: few
+    distinct values, so that maxima tie, all-zero columns, and rows past a
+    sample's length that hold larger values than any of its own."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2), label="lead"))
+    B, n, F = (draw(st.integers(1, k), label=axis) for k, axis in ((4, "B"), (6, "n"), (4, "F")))
+    dtype = draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    fmap = rng.choice([0.0, 0.0, 0.25, 0.5, 1.5, 3.0], size=(*lead, B, n, F))
+    fmap[..., rng.random(F) < 0.3] = 0.0
+    lengths = rng.integers(1, n + 1, B)
+    for b, length in enumerate(lengths):
+        fmap[..., b, length:, :] += 10.0
+    return fmap.astype(dtype), lengths
+
+
+@PROPERTY
+@given(case=_feature_maps())
+def test_pooled_values_are_the_map_at_its_first_maximum(case):
+    fmap, lengths = case
+    pooled, argmax = maxpool_over_time(fmap, lengths)
+    at_argmax = np.take_along_axis(fmap, argmax[..., None, :], axis=-2)[..., 0, :]
+    assert pooled.dtype == fmap.dtype
+    assert pooled.tobytes() == at_argmax.tobytes()
+    for index in np.ndindex(*fmap.shape[:-3]):
+        for b, length in enumerate(lengths):
+            for f in range(fmap.shape[-1]):
+                own = fmap[(*index, b, slice(None, length), f)].tolist()
+                assert argmax[(*index, b, f)] == own.index(max(own))
 
 
 @st.composite

@@ -87,9 +87,6 @@ class Vocab:
     def lookup(self, token: str) -> int:
         return self.index.get(token, UNK_INDEX)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocab) and self.tokens == other.tokens
-
 
 def label_list(labels: Sequence[str]) -> list[str]:
     """``labels`` as a list, checked to be a list or tuple of one or more

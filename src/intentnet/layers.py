@@ -193,8 +193,8 @@ def lstm_cell_forward(xw, h_prev, c_prev, p: LSTMParams):
     # Each activation is written to a fresh contiguous array (a sigmoid
     # gate's is the product its cell term lands in), never into a column
     # slice of z: elementwise work on a strided slice costs about twice as
-    # much once it has several rows. The sigmoid is ``tensor.sigmoid``'s four
-    # operations, 0.5 * tanh(x / 2) + 0.5, written out.
+    # much once it has several rows. A sigmoid is four in-place operations,
+    # 0.5 * tanh(x / 2) + 0.5, as tanh never overflows where exp(-x) would.
     half = HALF.get(z.dtype, 0.5)
     i_f = c_prev @ p.w_c[:, :2 * H]
     i_f += z[..., :2 * H]
@@ -349,7 +349,7 @@ def _run_chain(Xs, sizes, p: LSTMParams):
     XW += p.b
     h = c = np.zeros((*Xs.shape[:-2], p.hidden_size), dtype=Xs.dtype)
     live = XW
-    finals, caches = [], []
+    final, caches = np.empty_like(h), []
     # ``ended`` is the next step's row count: the rows past it end here
     for t, (n, ended) in enumerate(zip(sizes, sizes[1:] + [0])):
         if n < h.shape[-2]:
@@ -357,8 +357,8 @@ def _run_chain(Xs, sizes, p: LSTMParams):
         h, c, cache = lstm_cell_forward(live[t], h, c, p)
         caches.append(cache)
         if ended < n:
-            finals.append(h[..., ended:, :])
-    return np.concatenate(finals[::-1], axis=-2), caches
+            final[..., ended:n, :] = h[..., ended:, :]
+    return final, caches
 
 
 def bilstm_forward(X: np.ndarray, true_len, p_fwd: LSTMParams, p_bwd: LSTMParams):

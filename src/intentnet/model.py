@@ -115,10 +115,10 @@ class HybridModel:
     """Embedding + bidirectional recurrence + convolution + dense head.
 
     ``flat`` is the one vector, of the model's dtype, that holds every
-    parameter. The embedding, each direction's gate stacks ``w_x``, ``w_h``,
-    ``w_c`` and ``b``, the convolution's filters and bias and the dense
-    weight and bias are reshaped views of consecutive slices of it, in that
-    order; the named blocks of ``parameters()`` are views of those.
+    parameter. The embedding, the gate stacks ``w_x``, ``w_h``, ``w_c`` and
+    ``b`` of both directions (``fwd``, then ``bwd``), the convolution and the
+    dense head are reshaped views of consecutive slices of it, in that order;
+    the named blocks of ``parameters()`` are views of those.
     """
 
     def __init__(self, vocab: Vocab, labels: Sequence[str], embed_dim: int,
@@ -147,24 +147,23 @@ class HybridModel:
         self.flat = np.zeros(ends[-1], dtype=dtype)
         views = [self.flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
         self.embedding = views[0]
-        self.fwd = layers.LSTMParams(*views[1:5])
-        self.bwd = layers.LSTMParams(*views[5:9])
-        self.conv = layers.ConvParams(*views[9:11])
-        self.dense = layers.DenseParams(*views[11:])
+        w_x, w_h, w_c, b = views[1:5]  # each (2, ...): fwd's stack, then bwd's
+        self.fwd, self.bwd = (layers.LSTMParams(w_x[k], w_h[k], w_c[k], b[k]) for k in (0, 1))
+        self.conv = layers.ConvParams(*views[5:7])
+        self.dense = layers.DenseParams(*views[7:])
         if rng is not None:
             limit = layers.glorot_limit(len(vocab), embed_dim)
             self.embedding[...] = uniform_init(rng, self.embedding.shape, limit, dtype)
             self.embedding[0] = 0  # PAD row stays zero
             layers.init_weights(rng, self.fwd, self.bwd, self.conv, self.dense)
-            for direction in (self.fwd, self.bwd):
-                direction.blocks()["b_f"][...] = 1
+            b[:, hidden:2 * hidden] = 1  # both directions' forget-gate biases
 
     @staticmethod
     def _shapes(vocab_size: int, num_classes: int, embed_dim: int, hidden: int,
                 filters: int) -> list[tuple[int, ...]]:
-        """The shapes of the stacks ``flat`` holds, in order."""
+        """The shapes of ``flat``'s stacks, in order; a gate stack holds both directions."""
         stacks = layers.LSTMParams.stack_shapes(embed_dim, hidden)
-        return [(vocab_size, embed_dim), *stacks, *stacks,
+        return [(vocab_size, embed_dim), *((2, *shape) for shape in stacks),
                 (filters, layers.CONV_WIDTH, embed_dim), (filters,),
                 (2 * hidden + filters, num_classes), (num_classes,)]
 

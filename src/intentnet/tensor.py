@@ -1,4 +1,4 @@
-"""Dense-array numerics: sigmoid, softmax, seeded initialization.
+"""Dense-array numerics: the seeded random stream, softmax, initialization.
 
 Conventions used everywhere downstream:
   - arrays are row-major numpy ndarrays, sequence data ordered
@@ -150,21 +150,6 @@ class Rng:
 
 # 0-d halves: numpy converts a Python float operand anew on every ufunc call
 HALF = {np.dtype(t): np.array(0.5, dtype=t) for t in (np.float32, np.float64)}
-
-
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + e^-x), computed as 0.5 * tanh(x / 2) + 0.5: tanh never
-    overflows, and the steps run in place on one array, ``out`` if given
-    (it may be ``x`` itself), else a new one."""
-    x = np.asarray(x)
-    if out is None:
-        out = np.empty(x.shape, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
-    half = HALF.get(out.dtype, 0.5)
-    np.multiply(x, half, out=out)
-    np.tanh(out, out=out)
-    out *= half
-    out += half
-    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -24,7 +26,7 @@ from intentnet.layers import (
     maxpool_over_time,
     pack_chain,
 )
-from intentnet.tensor import Rng, sigmoid
+from intentnet.tensor import Rng
 
 from helpers import max_rel_error, numeric_gradient, scalar_lstm_cell, zero_lstm_params
 
@@ -107,6 +109,26 @@ class TestLSTMCell:
                 h_ref, c_ref = scalar_lstm_cell(x[b], h_prev[b], c_prev[b], p)
                 npt.assert_allclose(h[b], h_ref, atol=1e-6)
                 npt.assert_allclose(c[b], c_ref, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gates_at_extreme_pre_activations(self, dtype):
+        # zero weights and states: each gate's pre-activation is its own
+        # columns of xw, v (a -0 gains +0 from the zero products, so the
+        # candidate, which keeps a zero's sign, is compared by value)
+        tiny = np.finfo(dtype).smallest_subnormal
+        v = np.array([0.0, -0.0, tiny, -tiny, 1e4, -1e4, np.inf, -np.inf], dtype=dtype)
+        H = len(v)
+        zeros = np.zeros((1, H), dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, cache = lstm_cell_forward(np.tile(v, (1, 4)), zeros, zeros,
+                                            zero_lstm_params(2, H, dtype))
+        sigmoid = 0.5 * np.tanh(0.5 * v) + 0.5
+        assert cache.i_f.tobytes() == np.tile(sigmoid, 2).tobytes()
+        assert cache.o.tobytes() == sigmoid.tobytes()
+        npt.assert_array_equal(cache.g, np.tanh(v)[None])
+        for gate in (cache.i_f, cache.o):
+            assert np.all((gate >= 0) & (gate <= 1))
 
     def test_shape_mismatch_rejected(self):
         p = zero_lstm_params(2, 3, np.float64)
@@ -319,12 +341,12 @@ class TestBiLSTM:
                 z += h_prev @ p.w_h
                 i_f = c_prev @ p.w_c[:, :2 * H]
                 i_f += z[:, :2 * H]
-                z[:, :2 * H] = sigmoid(i_f)
+                z[:, :2 * H] = 0.5 * np.tanh(0.5 * i_f) + 0.5
                 z[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
                 c = z[:, H:2 * H] * c_prev + z[:, :H] * z[:, 2 * H:3 * H]
                 o = c @ p.w_c[:, 2 * H:]
                 o += z[:, 3 * H:]
-                z[:, 3 * H:] = sigmoid(o)
+                z[:, 3 * H:] = 0.5 * np.tanh(0.5 * o) + 0.5
                 tanh_c = np.tanh(c)
                 h = z[:, 3 * H:] * tanh_c
                 steps.append((h_prev, c_prev, z, c, tanh_c))

@@ -7,56 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intentnet.tensor import _JUMPS, Rng, _apply, _xorshift, sigmoid, softmax, uniform_init
-
-
-class TestElementwise:
-    def test_sigmoid_zero(self):
-        assert sigmoid(0.0) == 0.5
-
-    def test_sigmoid_two(self):
-        # 1/(1+e^-2) evaluated at float64 precision
-        npt.assert_allclose(sigmoid(2.0), 0.8807970779778823, rtol=1e-12)
-
-    def test_sigmoid_extremes_finite(self):
-        out = sigmoid(np.array([-1000.0, 1000.0]))
-        assert np.all(np.isfinite(out))
-        npt.assert_allclose(out, [0.0, 1.0], atol=1e-12)
-
-    def test_sigmoid_symmetry(self):
-        rng = Rng(3)
-        x = rng.uniform(-8, 8, (100,))
-        npt.assert_allclose(sigmoid(x) + sigmoid(-x), np.ones(100), atol=1e-6)
-
-    def test_sigmoid_into_a_given_array_has_the_same_bits(self):
-        x = Rng(4).uniform(-8, 8, (3, 10), np.float32)
-        expected = sigmoid(x)
-        out = np.empty_like(x)
-        assert sigmoid(x, out=out) is out
-        npt.assert_array_equal(out, expected)
-        view = x[:, 2:7]  # in place, on a strided view
-        assert sigmoid(view, out=view) is view
-        npt.assert_array_equal(x[:, 2:7], expected[:, 2:7])
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_sigmoid_has_the_bits_of_the_python_scalar_form(self, dtype):
-        def scalar_form(x):
-            out = np.multiply(x, 0.5)
-            np.tanh(out, out=out)
-            out *= 0.5
-            out += 0.5
-            return out
-
-        info = np.finfo(dtype)
-        special = np.array([0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
-                            info.smallest_normal / 3, 1e4, -1e4, np.inf, -np.inf, np.nan],
-                           dtype=dtype)
-        x = np.concatenate([special, (8 * np.random.default_rng(0).standard_normal(10_000))
-                            .astype(dtype)])
-        expected = scalar_form(x).tobytes()
-        assert sigmoid(x).tobytes() == expected
-        out = np.empty_like(x)
-        assert sigmoid(x, out=out).tobytes() == expected
+from intentnet.tensor import _JUMPS, Rng, _apply, _xorshift, softmax, uniform_init
 
 
 class TestSoftmax:

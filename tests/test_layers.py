@@ -130,6 +130,60 @@ class TestLSTMCell:
         for gate in (cache.i_f, cache.o):
             assert np.all((gate >= 0) & (gate <= 1))
 
+    @staticmethod
+    def gates_of(v):
+        """The cell's cache for one row per value of ``v``, with zero params
+        and states and one hidden unit: every gate's pre-activation is v."""
+        zeros = np.zeros((len(v), 1), dtype=v.dtype)
+        _, _, cache = lstm_cell_forward(np.repeat(v[:, None], 4, axis=1), zeros, zeros,
+                                        zero_lstm_params(2, 1, v.dtype))
+        return cache
+
+    def test_gates_at_zero_are_one_half(self):
+        cache = self.gates_of(np.zeros(1))
+        npt.assert_array_equal(cache.i_f, [[0.5, 0.5]])
+        npt.assert_array_equal(cache.o, [[0.5]])
+        npt.assert_array_equal(cache.g, [[0.0]])
+
+    def test_gates_at_two_have_the_logistic_value(self):
+        # 1/(1+e^-2) evaluated at float64 precision
+        cache = self.gates_of(np.array([2.0]))
+        npt.assert_allclose(cache.i_f, [[0.8807970779778823] * 2], rtol=1e-12)
+        npt.assert_allclose(cache.o, [[0.8807970779778823]], rtol=1e-12)
+
+    def test_gates_saturate_at_large_magnitudes(self):
+        cache = self.gates_of(np.array([-1000.0, 1000.0]))
+        for gate in (cache.i_f, cache.o):
+            assert np.all(np.isfinite(gate))
+            npt.assert_allclose(gate, [[0.0] * gate.shape[1], [1.0] * gate.shape[1]],
+                                atol=1e-12)
+
+    def test_gates_are_symmetric_about_zero(self):
+        v = Rng(3).uniform(-8, 8, (100,))
+        up, down = self.gates_of(v), self.gates_of(-v)
+        npt.assert_allclose(up.i_f + down.i_f, np.ones((100, 2)), atol=1e-6)
+        npt.assert_allclose(up.o + down.o, np.ones((100, 1)), atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gates_have_the_bits_of_the_scalar_form(self, dtype):
+        def scalar_form(x):
+            out = np.multiply(x, 0.5)
+            np.tanh(out, out=out)
+            out *= 0.5
+            out += 0.5
+            return out
+
+        info = np.finfo(dtype)
+        special = np.array([0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                            info.smallest_normal / 3, 1e4, -1e4, np.inf, -np.inf, np.nan],
+                           dtype=dtype)
+        v = np.concatenate([special, (8 * np.random.default_rng(0).standard_normal(10_000))
+                            .astype(dtype)])
+        cache = self.gates_of(v)
+        expected = scalar_form(v)[:, None]
+        assert cache.i_f.tobytes() == np.repeat(expected, 2, axis=1).tobytes()
+        assert cache.o.tobytes() == expected.tobytes()
+
     def test_shape_mismatch_rejected(self):
         p = zero_lstm_params(2, 3, np.float64)
         with pytest.raises(ValueError):  # not the 4H gate columns

@@ -2,7 +2,7 @@
 
 The model hands the layers a batch of B utterances padded to its longest
 length T: indices (B, T), embeddings (B, T, E); sample b's own
-positions are 0 .. L_b - 1, ``true_len[b]``, and a batch of one is the same
+positions are 0 .. L_b - 1, ``lengths[b]``, and a batch of one is the same
 code. Only two layers read lengths: the recurrence runs packed, its step t
 computing only the samples longer than t (its backward direction runs over
 each sample reversed within its length), and max pooling counts only the
@@ -215,35 +215,32 @@ def lstm_cell_forward(xw, h_prev, c_prev, p: LSTMParams):
     return h, c, CellCache(p, h_prev, c_prev, i_f, g, o, c, tanh_c)
 
 
-class CellStep(NamedTuple):
-    """One step of a chain's backward pass: row slices of the chain's packed
-    arrays (``pack_chain``), n rows, the step's live samples."""
+class PackedChain(NamedTuple):
+    """One chain's forward values for its backward pass, packed by
+    ``pack_chain``: N rows, ordered (step, sample), N being the chain's live
+    rows, so that step t's n_t samples are one row range of every array."""
     params: LSTMParams
-    x: np.ndarray         # (n, E) the step's inputs
-    h_prev: np.ndarray    # (n, H)
-    factors: np.ndarray   # (12, n, H) forward-only factors, planes as in ``pack_chain``
-    dz: np.ndarray        # (n, 4H) rows of the chain's gate-gradient buffer
-    dz_gates: np.ndarray  # (4, n, H) the same memory, gate-major
-    dz_if: np.ndarray     # (n, 2H) its i and f columns
+    x: np.ndarray         # (N, E) the inputs
+    h_prev: np.ndarray    # (N, H)
+    c: np.ndarray         # (N, H)
+    factors: np.ndarray   # (12, N, H) forward-only factors, planes as in ``pack_chain``
+    dz: np.ndarray        # (N, 4H) the gate gradients the steps fill
+    dz_gates: np.ndarray  # (4, N, H) the same memory, gate-major
     weights_t: tuple      # transposes of w_c's o columns, w_c's i, f columns and w_h
 
 
-def pack_chain(caches, x):
-    """The backward steps of one chain, and the packed arrays its weight
-    gradients read.
+def pack_chain(caches, x) -> PackedChain:
+    """Packs one chain for its backward pass.
 
     ``caches`` are the chain's ``CellCache``s, step by step, and ``x``
-    (N, E) their inputs, rows ordered (step, sample), N being the chain's
-    live rows. The forward values are packed the same way, and every factor
-    of the cell backward that depends on the forward pass alone is formed
-    here, once per chain, gate-major, (12, N, H). Its planes are tanh c, o,
-    1 - tanh^2 c, 1 - o, g, c_prev, i, f, 1 - g^2, 1 - i, 1 - f and 1, so
-    that each operand pair or triple the cell backward multiplies by is one
-    slice: [tanh c, o], [o, 1 - tanh^2 c], [g, c_prev, i], [i, f, 1 - g^2]
-    and [1 - i, 1 - f, 1]. Each step's ``CellStep`` holds row slices of
-    these and of ``dz`` (N, 4H), the gate-gradient buffer the steps fill.
-
-    Returns the steps, in forward order, and (dz, h_prev, c_prev, c).
+    (N, E) their inputs, rows ordered (step, sample). The forward values are
+    packed the same way, and every factor of the cell backward that depends
+    on the forward pass alone is formed here, once per chain, gate-major,
+    (12, N, H). Its planes are tanh c, o, 1 - tanh^2 c, 1 - o, g, c_prev, i,
+    f, 1 - g^2, 1 - i, 1 - f and 1, so that each operand pair or triple the
+    cell backward multiplies by is one slice: [tanh c, o], [o, 1 - tanh^2 c],
+    [g, c_prev, i], [i, f, 1 - g^2] and [1 - i, 1 - f, 1]. ``dz`` is left
+    for the steps to fill.
     """
     p = caches[0].params
     H = p.hidden_size
@@ -263,40 +260,37 @@ def pack_chain(caches, x):
     np.subtract(1.0, factors[6:8], out=factors[9:11])  # 1 - i, 1 - f
     factors[11] = 1
     dz = np.empty((N, 4 * H), dtype=i_f.dtype)
-    dz_gates = dz.reshape(N, 4, H).transpose(1, 0, 2)
-    weights_t = (p.w_c[:, 2 * H:].T, p.w_c[:, :2 * H].T, p.w_h.T)
-    steps, start = [], 0
-    for s in caches:
-        end = start + len(s.h_prev)
-        steps.append(CellStep(p, x[start:end], s.h_prev, factors[:, start:end], dz[start:end],
-                              dz_gates[:, start:end], dz[start:end, :2 * H], weights_t))
-        start = end
     h_prev, c = (np.concatenate([getattr(s, field) for s in caches])
                  for field in ("h_prev", "c"))
-    return steps, (dz, h_prev, factors[5], c)
+    return PackedChain(p, x, h_prev, c, factors, dz, dz.reshape(N, 4, H).transpose(1, 0, 2),
+                       (p.w_c[:, 2 * H:].T, p.w_c[:, :2 * H].T, p.w_h.T))
 
 
-def lstm_cell_backward(step: CellStep, dh, dc):
+def lstm_cell_backward(chain: PackedChain, rows: slice, dh, dc):
     """Exact gradients of one batched cell step, in place.
 
-    ``dh`` and ``dc`` (n, H) are the gradients arriving at the step's new
-    hidden and cell states; they are overwritten with those of the previous
-    states. The gradient of the stacked gate pre-activations (gates as in
-    ``LSTMParams.b``) goes into the step's rows ``step.dz``, from which the
-    chain forms the weight and bias gradients and ``dx = dz @ p.w_x.T``.
-    Returns (step.dz, dh, dc). The output gate's dependence on the new cell
-    state contributes to dc before the cell update is unwound.
+    ``rows`` is the step's row range of the packed ``chain``, its n live
+    samples. ``dh`` and ``dc`` (n, H) are the gradients arriving at the
+    step's new hidden and cell states; they are overwritten with those of
+    the previous states. The gradient of the stacked gate pre-activations
+    (gates as in ``LSTMParams.b``) goes into the step's rows of
+    ``chain.dz``, from which the chain forms the weight and bias gradients
+    and ``dx = dz @ p.w_x.T``. Returns (those n rows of chain.dz, dh, dc).
+    The output gate's dependence on the new cell state contributes to dc
+    before the cell update is unwound.
 
     The elementwise work runs gate-major on the contiguous (n, H) planes of
-    ``step.factors``, two or three gates per operation, and each result is
-    rounded as the textbook expression's left-to-right products round it:
-    dz_o = dh * tanh c * o * (1 - o), dz_i = dc * g * i * (1 - i), dz_f =
-    dc * c_prev * f * (1 - f) and dz_g = dc * i * (1 - g^2), the last then
-    multiplied by the plane of ones, which is exact.
+    the step's rows of ``chain.factors``, two or three gates per operation,
+    and each result is rounded as the textbook expression's left-to-right
+    products round it: dz_o = dh * tanh c * o * (1 - o), dz_i = dc * g * i *
+    (1 - i), dz_f = dc * c_prev * f * (1 - f) and dz_g = dc * i * (1 - g^2),
+    the last then multiplied by the plane of ones, which is exact.
     """
-    F = step.factors
-    dz_gates = step.dz_gates
-    w_co_t, w_cif_t, w_h_t = step.weights_t
+    H = chain.params.hidden_size
+    F = chain.factors[:, rows]
+    dz = chain.dz[rows]
+    dz_gates = chain.dz_gates[:, rows]
+    w_co_t, w_cif_t, w_h_t = chain.weights_t
     u = dh * F[0:2]
     u *= F[1:3]
     np.multiply(u[0], F[3], out=dz_gates[3])
@@ -305,11 +299,11 @@ def lstm_cell_backward(step: CellStep, dh, dc):
     t = dc * F[4:7]
     t *= F[6:9]
     np.multiply(t, F[9:12], out=dz_gates[:3])
-    d_if = step.dz_if @ w_cif_t
+    d_if = dz[:, :2 * H] @ w_cif_t
     dc *= F[7]
     dc += d_if
-    np.matmul(step.dz, w_h_t, out=dh)
-    return step.dz, dh, dc
+    np.matmul(dz, w_h_t, out=dh)
+    return dz, dh, dc
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +317,11 @@ class BiLSTMCache(NamedTuple):
     bwd_steps: list        # the same, each sample reversed within its length
 
 
-def _lengths(true_len, X: np.ndarray):
+def _lengths(lengths, X: np.ndarray):
     """The lengths as an int array (B,) and as a list of ints, one per
     position of X's batch axis -3, each within [1, T], T being the length of
     X's axis -2. The bounds are checked on the Python ints."""
-    lengths = np.asarray(true_len, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
     ints = lengths.tolist()
     seq_len = X.shape[-2]
     if (X.ndim < 3 or lengths.shape != X.shape[-3:-2] or not ints
@@ -361,7 +355,7 @@ def _run_chain(Xs, sizes, p: LSTMParams):
     return final, caches
 
 
-def bilstm_forward(X: np.ndarray, true_len, p_fwd: LSTMParams, p_bwd: LSTMParams):
+def bilstm_forward(X: np.ndarray, lengths, p_fwd: LSTMParams, p_bwd: LSTMParams):
     """Final (..., B, H) hidden states of both directions over X (..., B, T, E).
 
     The batch runs packed: sorted by descending length, ties in batch order
@@ -371,7 +365,7 @@ def bilstm_forward(X: np.ndarray, true_len, p_fwd: LSTMParams, p_bwd: LSTMParams
     the state of its own L_b-th step and no position past L_b is computed.
     The backward chain reads each sample reversed within its length.
     """
-    lengths, ints = _lengths(true_len, X)
+    lengths, ints = _lengths(lengths, X)
     order = sorted(range(len(ints)), key=ints.__getitem__, reverse=True)  # stable
     ordered = [ints[b] for b in order]
     sizes = []  # sizes[t] = n_t
@@ -395,24 +389,29 @@ def _chain_backward(caches, d_final, x, grads: LSTMParams):
     the chain's live rows, whose inputs ``x`` are ordered (step, sample),
     adds its weight gradients into ``grads`` and gives d(x).
 
-    ``pack_chain`` forms the forward-only factors once; each step then
-    writes its rows of the packed gate gradients, and the gradients of its
-    n_t samples' previous states over their rows of ``d_final`` and of the
-    running cell gradient. So a sample's ``d_final`` row is untouched until
-    its last step, where it enters.
+    ``pack_chain`` forms the forward-only factors once; the steps then run
+    over their row ranges of it in reverse, each writing its rows of the
+    packed gate gradients, and the gradients of its n_t samples' previous
+    states over their rows of ``d_final`` and of the running cell gradient.
+    So a sample's ``d_final`` row is untouched until its last step, where it
+    enters. The weight gradients read x, h_prev, c_prev, c and dz from the
+    packed chain.
     """
-    steps, (dz, h_prev, c_prev, c) = pack_chain(caches, x)
-    p = steps[0].params
+    chain = pack_chain(caches, x)
+    p = chain.params
     H = p.hidden_size
     dh = d_final
     dc = np.zeros_like(d_final)
-    for step in reversed(steps):
-        n = len(step.h_prev)
-        lstm_cell_backward(step, dh[:n], dc[:n])
-    grads.w_x += x.T @ dz
-    grads.w_h += h_prev.T @ dz
-    grads.w_c[:, :2 * H] += c_prev.T @ dz[:, :2 * H]
-    grads.w_c[:, 2 * H:] += c.T @ dz[:, 3 * H:]
+    end = len(x)
+    for s in reversed(caches):
+        n = len(s.h_prev)
+        lstm_cell_backward(chain, slice(end - n, end), dh[:n], dc[:n])
+        end -= n
+    dz = chain.dz
+    grads.w_x += chain.x.T @ dz
+    grads.w_h += chain.h_prev.T @ dz
+    grads.w_c[:, :2 * H] += chain.factors[5].T @ dz[:, :2 * H]  # c_prev
+    grads.w_c[:, 2 * H:] += chain.c.T @ dz[:, 3 * H:]
     grads.b += dz.sum(axis=0)
     return dz @ p.w_x.T
 

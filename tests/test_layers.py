@@ -201,9 +201,9 @@ class TestLSTMCell:
         _, _, cache = lstm_cell_forward(
             x @ p.w_x + p.b, rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 2)), p
         )
-        (step,), _ = pack_chain([cache], x)
         # every weight and bias gradient is a product with dz
-        for arr in lstm_cell_backward(step, np.zeros((3, 2)), np.zeros((3, 2))):
+        for arr in lstm_cell_backward(pack_chain([cache], x), slice(0, 3), np.zeros((3, 2)),
+                                      np.zeros((3, 2))):
             npt.assert_array_equal(arr, np.zeros_like(arr))
 
     @pytest.mark.parametrize("seed", range(N_SEEDS))
@@ -224,8 +224,8 @@ class TestLSTMCell:
             return float(np.sum(gh * h + gc * c))
 
         _, _, cache = lstm_cell_forward(x @ p.w_x + p.b, h_prev, c_prev, p)
-        (step,), _ = pack_chain([cache], x)
-        dz, dh_prev, dc_prev = lstm_cell_backward(step, gh.copy(), gc.copy())
+        dz, dh_prev, dc_prev = lstm_cell_backward(pack_chain([cache], x), slice(0, batch),
+                                                  gh.copy(), gc.copy())
 
         # the bias enters each row's pre-activations once, so the batch sum of
         # dz is d(loss)/d(b); the per-gate weight blocks are checked through
@@ -264,9 +264,9 @@ class TestLSTMCell:
         x, h_prev, c_prev, dh, dc = (rng.uniform(-1, 1, (batch, n)).astype(dtype)
                                      for n in (k, hidden, hidden, hidden, hidden))
         _, _, cache = lstm_cell_forward(x @ p.w_x + p.b, h_prev, c_prev, p)
-        (step,), _ = pack_chain([cache], x)
         # the step overwrites dh and dc with the previous states' gradients
-        for got, expected in zip(lstm_cell_backward(step, dh.copy(), dc.copy()),
+        for got, expected in zip(lstm_cell_backward(pack_chain([cache], x), slice(0, batch),
+                                                    dh.copy(), dc.copy()),
                                  column_slice_backward(cache, dh, dc)):
             assert got.dtype == expected.dtype == dtype
             assert got.shape == expected.shape
@@ -338,11 +338,13 @@ class TestBiLSTM:
                 finals.append(np.stack(states, axis=1)[np.arange(B), lengths - 1])
                 ends = lengths == np.arange(1, T + 1)[:, None]
                 x = X_dir.transpose(1, 0, 2).reshape(T * B, -1)  # rows ordered (step, sample)
-                steps, (dz, h_prev, c_prev, c) = pack_chain(caches, x)
+                chain = pack_chain(caches, x)
+                dz, h_prev, c_prev, c = chain.dz, chain.h_prev, chain.factors[5], chain.c
                 dh, dc = np.zeros_like(d_final), np.zeros_like(d_final)
                 for t in range(T - 1, -1, -1):
                     dh[ends[t]] = d_final[ends[t]]
-                    lstm_cell_backward(steps[t], dh, dc)  # in place over dh and dc
+                    # step t's rows; in place over dh and dc
+                    lstm_cell_backward(chain, slice(t * B, (t + 1) * B), dh, dc)
                 H = p.hidden_size
                 g = zero_lstm_params(p.input_size, H, np.float64)
                 g.w_x += x.T @ dz

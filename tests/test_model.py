@@ -358,9 +358,9 @@ class TestBatch:
             rows["forward", id(p)] += len(h_prev)
             return cell_forward(xw, h_prev, c_prev, p)
 
-        def counted_backward(cache, dh, dc):
-            rows["backward", id(cache.params)] += len(cache.h_prev)
-            return cell_backward(cache, dh, dc)
+        def counted_backward(chain, step_rows, dh, dc):
+            rows["backward", id(chain.params)] += step_rows.stop - step_rows.start
+            return cell_backward(chain, step_rows, dh, dc)
 
         monkeypatch.setattr(layers, "lstm_cell_forward", counted_forward)
         monkeypatch.setattr(layers, "lstm_cell_backward", counted_backward)

@@ -63,12 +63,18 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def validate(self) -> None:
+        """Check every field. A numpy scalar is replaced, in place, by the
+        Python number it holds, so the seed stream, the model header and the
+        history only ever see ints and floats."""
         for field in fields(self):
             value = getattr(self, field.name)
+            if isinstance(value, np.generic):
+                value = value.item()
+                setattr(self, field.name, value)
             if field.type == "int":
-                if isinstance(value, bool) or not _is_integer(value):
+                if isinstance(value, bool) or not isinstance(value, int):
                     raise ValueError(f"{field.name} must be an integer, got {value!r}")
-            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{field.name} must be a number, got {value!r}")
         positive = ("batch_size", "hidden", "filters", "embed_dim", "max_len",
                     "lr", "max_epochs", "plateau_patience", "stop_patience",
@@ -89,14 +95,6 @@ class TrainConfig:
             raise ValueError("lr must not be below min_lr")
         if not math.isfinite(self.lr):
             raise ValueError("lr must be finite")
-
-
-def _is_integer(value) -> bool:
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
 
 
 def cross_entropy(logits: np.ndarray, gold):

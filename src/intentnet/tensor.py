@@ -116,10 +116,6 @@ class Rng:
         states *= _ARRAY_MULTIPLIER
         return states
 
-    def random(self) -> float:
-        """Uniform float64 in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
     def integer(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         if n <= 0:
@@ -127,8 +123,9 @@ class Rng:
         return self.next_u64() % n
 
     def uniform(self, low: float, high: float, shape, dtype=np.float64):
-        """Uniform samples in [low, high) of the given shape: the floats of
-        ``random()`` drawn once per element, in row-major order."""
+        """Uniform samples in [low, high) of the given shape: one ``next_u64``
+        draw per element, in row-major order, its top 53 bits scaled into
+        [0, 1)."""
         # in place where the dtype allows: for the embedding these are the
         # largest arrays a model's initialisation makes
         draws = self.next_u64_array(int(np.prod(shape)))

@@ -209,7 +209,7 @@ def _make_utterance(rng, class_idx, uid, min_len, max_len, noise_frac):
     length = min_len + rng.integer(max_len - min_len + 1)
     text = "".join(
         NOISE_CHARS[rng.integer(len(NOISE_CHARS))]
-        if rng.random() < noise_frac else chars[rng.integer(len(chars))]
+        if (rng.next_u64() >> 11) * 2.0 ** -53 < noise_frac else chars[rng.integer(len(chars))]
         for _ in range(length)
     )
     return Utterance(id=uid, text=text, label=LABELS[class_idx])

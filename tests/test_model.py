@@ -1,10 +1,12 @@
 import collections
 import dataclasses
 import hashlib
+import json
 import math
 import re
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -635,6 +637,36 @@ class TestTrainConfig:
 
     def test_numpy_scalars_accepted(self):
         TrainConfig(hidden=np.int64(4), lr=np.float32(0.01)).validate()
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.uint64])
+    def test_numpy_scalar_config_trains_like_its_python_twin(self, int_type, tmp_path):
+        # every int field (the seed and the sizes among them) as int_type and
+        # every float field (dropout and lr among them) as np.float32; the
+        # twin holds the Python numbers those scalars hold
+        base = dataclasses.asdict(fast_config(max_epochs=2, dropout=0.5, lr=0.01))
+        kinds = {field.name: field.type for field in dataclasses.fields(TrainConfig)}
+        scalars = {name: (int_type if kinds[name] == "int" else np.float32)(value)
+                   for name, value in base.items()}
+        twin = TrainConfig(**{name: (int if kinds[name] == "int" else float)(value)
+                              for name, value in scalars.items()})
+        config = TrainConfig(**scalars)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, history = train(config, tiny_corpus())
+        # train validates the config, which converts it in place
+        for name, kind in kinds.items():
+            assert type(getattr(config, name)) is (int if kind == "int" else float), name
+        assert config == twin
+        twin_model, twin_history = train(twin, tiny_corpus())
+        assert model.flat.tobytes() == twin_model.flat.tobytes()
+        assert history == twin_history
+        for record in history:
+            json.dumps(dataclasses.asdict(record))
+        model.save(tmp_path / "model.bin")
+        loaded = HybridModel.load(tmp_path / "model.bin")
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+        assert (loaded.hidden, loaded.max_len, loaded.dropout_rate) == (
+            twin.hidden, twin.max_len, twin.dropout)
 
 
 class TestEvalReport:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intentnet.tensor import _JUMPS, Rng, _apply, _xorshift, softmax, uniform_init
+from intentnet.tensor import (_GOLDEN, _JUMPS, _MASK64, Rng, _apply, _splitmix64, _xorshift,
+                              softmax, uniform_init)
 
 
 class TestSoftmax:
@@ -85,9 +86,11 @@ class TestRng:
         assert sorted(perm.tolist()) == list(range(50))
 
     def test_random_in_unit_interval(self):
+        # the float ``uniform`` makes of a draw, its top 53 bits scaled by
+        # 2**-53, for 1000 draws and for the largest draw there is
         r = Rng(8)
-        xs = [r.random() for _ in range(1000)]
-        assert all(0.0 <= x < 1.0 for x in xs)
+        draws = [r.next_u64() for _ in range(1000)] + [_MASK64]
+        assert all(0.0 <= (d >> 11) * 2.0 ** -53 < 1.0 for d in draws)
 
     def test_integer_of_zero_rejected(self):
         with pytest.raises(ValueError, match="n must be positive"):
@@ -113,9 +116,23 @@ class TestRngStream:
     def test_uniform_equals_scalar_random(self):
         a, b = Rng(4), Rng(4)
         draws = a.uniform(-0.25, 0.75, (7, 11))
-        expected = [-0.25 + 1.0 * b.random() for _ in range(77)]
+        expected = [-0.25 + 1.0 * ((b.next_u64() >> 11) * 2.0 ** -53) for _ in range(77)]
         assert draws.ravel().tolist() == expected
         assert a.next_u64() == b.next_u64()
+
+    def test_seed_that_scrambles_to_zero_starts_at_the_fallback_state(self):
+        # splitmix64 adds _GOLDEN, then takes steps that each map 0, and only
+        # 0, to 0 (an xorshift, a product with an odd constant), so the one
+        # seed it scrambles to 0 is -_GOLDEN mod 2**64; an xorshift state of
+        # 0 would stay 0 forever
+        seed = -_GOLDEN & _MASK64
+        assert seed == 7046029254386353131
+        assert _splitmix64(seed) == 0 and _xorshift(0) == 0
+        r = Rng(seed)
+        assert r._state == _GOLDEN
+        draws = [r.next_u64() for _ in range(100)]
+        assert any(draws)
+        assert Rng(seed).next_u64_array(100).tolist() == draws
 
     def test_zero_sized_shape_draws_nothing(self):
         a, b = Rng(9), Rng(9)

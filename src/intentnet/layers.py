@@ -17,7 +17,8 @@ is computed as a call on that slice alone would compute it, with one numpy
 call per layer (per step, in the recurrence) for the whole stack. A matrix
 product over a stack makes one product per slice: a stack of S batches of
 one, (S, 1, T, E), gives each sample the very bits its own batch of one
-gives. The backward passes take the (B, T, E) layout only.
+gives. The LSTM cell's weights may be stacked too, one direction per slice.
+The backward passes (``pack_chain`` too) take (B, T, E) and 2-D weights only.
 
 Each forward returns the values the matching backward needs (a cache);
 each backward accumulates parameter gradients into a parameter object of
@@ -90,11 +91,11 @@ class LSTMParams:
 
     @property
     def hidden_size(self) -> int:
-        return self.w_h.shape[0]
+        return self.w_h.shape[-2]
 
     @property
     def input_size(self) -> int:
-        return self.w_x.shape[0]
+        return self.w_x.shape[-2]
 
     def blocks(self) -> dict[str, np.ndarray]:
         H = self.hidden_size
@@ -196,7 +197,7 @@ def lstm_cell_forward(xw, h_prev, c_prev, p: LSTMParams):
     # much once it has several rows. A sigmoid is four in-place operations,
     # 0.5 * tanh(x / 2) + 0.5, as tanh never overflows where exp(-x) would.
     half = HALF.get(z.dtype, 0.5)
-    i_f = c_prev @ p.w_c[:, :2 * H]
+    i_f = c_prev @ p.w_c[..., :2 * H]
     i_f += z[..., :2 * H]
     i_f *= half
     np.tanh(i_f, out=i_f)
@@ -204,7 +205,7 @@ def lstm_cell_forward(xw, h_prev, c_prev, p: LSTMParams):
     i_f += half
     g = np.tanh(z[..., 2 * H:3 * H])
     c = i_f[..., H:] * c_prev + i_f[..., :H] * g
-    o = c @ p.w_c[:, 2 * H:]
+    o = c @ p.w_c[..., 2 * H:]
     o += z[..., 3 * H:]
     o *= half
     np.tanh(o, out=o)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import operator
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
@@ -76,13 +75,14 @@ class TrainConfig:
                     raise ValueError(f"{field.name} must be an integer, got {value!r}")
             elif isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{field.name} must be a number, got {value!r}")
-        positive = ("batch_size", "hidden", "filters", "embed_dim", "max_len",
-                    "lr", "max_epochs", "plateau_patience", "stop_patience",
-                    "min_count", "clip_norm")
+        positive = ("batch_size", "hidden", "filters", "embed_dim", "lr", "max_epochs",
+                    "plateau_patience", "stop_patience", "min_count", "clip_norm")
         # each test is written so that a NaN (JSON allows it) fails it
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not self.max_len >= MIN_ENCODED_LEN:
+            raise ValueError(f"max_len must be at least {MIN_ENCODED_LEN}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be in [0, 2**64)")
         if not 0.0 <= self.dropout < 1.0:
@@ -125,22 +125,21 @@ class HybridModel:
         """``rng`` draws the initial weights: Glorot-uniform weights and
         embedding (its PAD row zero), zero biases but the forget gates' at 1.
         With ``None`` every block is zero and nothing is drawn."""
-        if min(embed_dim, hidden, filters) < 1 or max_len < MIN_ENCODED_LEN:
-            raise ValueError(f"sizes must be positive and max_len at least {MIN_ENCODED_LEN}")
-        if (isinstance(dropout_rate, bool) or not isinstance(dropout_rate, numbers.Real)
-                or not 0.0 <= dropout_rate < 1.0):
-            raise ValueError(f"dropout rate must be a number in [0, 1), got {dropout_rate!r}")
+        config = TrainConfig(embed_dim=embed_dim, hidden=hidden, filters=filters,
+                             max_len=max_len, dropout=dropout_rate)
+        config.validate()  # the one rule for a model's numbers, as for a config's
         self.vocab = vocab
         self.labels = label_list(labels)
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
-        self.embed_dim = embed_dim
-        self.hidden = hidden
-        self.filters = filters
-        self.max_len = max_len
-        self.dropout_rate = dropout_rate
+        self.embed_dim = config.embed_dim
+        self.hidden = config.hidden
+        self.filters = config.filters
+        self.max_len = config.max_len
+        self.dropout_rate = config.dropout
         self.dtype = dtype
 
-        shapes = self._shapes(len(vocab), self.num_classes, embed_dim, hidden, filters)
+        shapes = self._shapes(len(vocab), self.num_classes, self.embed_dim, self.hidden,
+                              self.filters)
         ends = [0, *itertools.accumulate(map(math.prod, shapes))]
         self.flat = np.zeros(ends[-1], dtype=dtype)
         views = [self.flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
@@ -150,11 +149,11 @@ class HybridModel:
         self.conv = layers.ConvParams(*views[5:7])
         self.dense = layers.DenseParams(*views[7:])
         if rng is not None:
-            limit = layers.glorot_limit(len(vocab), embed_dim)
+            limit = layers.glorot_limit(len(vocab), self.embed_dim)
             self.embedding[...] = uniform_init(rng, self.embedding.shape, limit, dtype)
             self.embedding[0] = 0  # PAD row stays zero
             layers.init_weights(rng, self.fwd, self.bwd, self.conv, self.dense)
-            b[:, hidden:2 * hidden] = 1  # both directions' forget-gate biases
+            b[:, self.hidden:2 * self.hidden] = 1  # both directions' forget-gate biases
 
     @staticmethod
     def _shapes(vocab_size: int, num_classes: int, embed_dim: int, hidden: int,
@@ -326,7 +325,7 @@ class HybridModel:
                 embed_dim=embed_dim,
                 hidden=hidden,
                 filters=filters,
-                max_len=operator.index(header["max_len"]),
+                max_len=header["max_len"],
                 rng=None,
                 dropout_rate=header["dropout"],
                 dtype=np.float32,

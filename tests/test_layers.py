@@ -273,6 +273,34 @@ class TestLSTMCell:
             assert got.tobytes() == expected.tobytes()
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 3, 10])
+    def test_stacked_directions_equal_their_own_calls_bit_for_bit(self, batch, dtype):
+        # one call over (2, B, .) operands with (2, ., .) weight stacks, as
+        # the model's arena holds them, against each direction's own call
+        rng = Rng(100 + batch)
+        k, hidden = 64, 50  # the paper's sizes
+        stacks = [np.zeros((2, *shape), dtype)
+                  for shape in layers.LSTMParams.stack_shapes(k, hidden)]
+        directions = [layers.LSTMParams(*(stack[d] for stack in stacks)) for d in (0, 1)]
+        for p in directions:
+            init_weights(rng, p)
+            p.b[:] = rng.uniform(-0.5, 0.5, p.b.shape)
+        x, h_prev, c_prev = (rng.uniform(-1, 1, (2, batch, n)).astype(dtype)
+                             for n in (k, hidden, hidden))
+        xw = np.stack([x[d] @ p.w_x + p.b for d, p in enumerate(directions)])
+        h, c, cache = lstm_cell_forward(xw.copy(), h_prev, c_prev, layers.LSTMParams(*stacks))
+        for d, p in enumerate(directions):
+            own_h, own_c, own = lstm_cell_forward(xw[d].copy(), h_prev[d], c_prev[d], p)
+            pairs = [(h[d], own_h), (c[d], own_c),
+                     *((getattr(cache, f)[d], getattr(own, f))
+                       for f in layers.CellCache._fields if f != "params")]
+            for got, expected in pairs:
+                assert got.dtype == expected.dtype == dtype
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+
 class TestBiLSTM:
     def test_single_position_equals_one_cell_step(self):
         rng = Rng(3)

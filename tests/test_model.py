@@ -7,6 +7,7 @@ import re
 import struct
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -627,13 +628,38 @@ class TestTrainConfig:
         ({"seed": 2 ** 64}, r"seed must be in \[0, 2\*\*64\)"),
         ({"seed": -1}, r"seed must be in \[0, 2\*\*64\)"),
         ({"lr": float("inf")}, "lr must be finite"),
+        ({"max_len": 2}, "max_len must be at least 3"),
     ], ids=["lr-below-min-lr", "negative-min-lr", "zero-lr-factor", "lr-factor-above-one",
             "str-int", "float-int", "bool-int", "str-float", "bool-float", "nan-lr",
             "nan-min-lr", "zero-clip-norm", "negative-clip-norm", "nan-clip-norm",
-            "seed-2**64", "negative-seed", "inf-lr"])
+            "seed-2**64", "negative-seed", "inf-lr", "max-len-below-floor"])
     def test_rejected(self, override, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**override).validate()
+
+    @pytest.mark.parametrize("override, message", [
+        ({"embed_dim": np.int64(4), "hidden": np.int64(3), "filters": np.int64(2)}, None),
+        ({"max_len": np.int64(6)}, None),
+        ({"dropout_rate": np.float32(0.5)}, None),
+        ({"hidden": 3.0}, "hidden must be an integer"),
+        ({"embed_dim": True}, "embed_dim must be an integer"),
+        ({"dropout_rate": Fraction(1, 2)}, "dropout must be a number"),
+    ], ids=["numpy-sizes", "numpy-max-len", "numpy-rate", "float-size", "bool-size",
+            "fraction-rate"])
+    def test_model_numbers_follow_the_config_rule(self, override, message, tmp_path):
+        # a model's sizes and rate go through TrainConfig.validate: a numpy
+        # scalar builds the model its Python twin builds, byte for byte, and
+        # any other type than an int (a float for the rate) names the field
+        if message is not None:
+            with pytest.raises(ValueError, match=message):
+                tiny_model(**override)
+            return
+        model = tiny_model(**override)
+        model.save(tmp_path / "model.bin")
+        tiny_model(**{name: value.item() for name, value in override.items()}).save(
+            tmp_path / "twin.bin")
+        assert (tmp_path / "model.bin").read_bytes() == (tmp_path / "twin.bin").read_bytes()
+        assert HybridModel.load(tmp_path / "model.bin").flat.tobytes() == model.flat.tobytes()
 
     def test_numpy_scalars_accepted(self):
         TrainConfig(hidden=np.int64(4), lr=np.float32(0.01)).validate()

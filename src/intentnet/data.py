@@ -63,16 +63,30 @@ REFERENCE_TOTALS: dict[str, int] = {"train": 2583, "dev": 729, "test": 688}
 
 @dataclass(frozen=True)
 class Utterance:
+    """One corpus record, checked when it is built."""
+
     id: int
     text: str
     label: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.id, int) or isinstance(self.id, bool):
+            raise ValueError("id must be an integer")
+        if not isinstance(self.text, str) or not self.text:
+            raise ValueError("text must be a non-empty string")
+        try:
+            self.text.encode("utf-8")  # a lone surrogate escape decodes but cannot be saved
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"text is not UTF-8 ({exc.reason})") from exc
+        if not isinstance(self.label, str) or self.label not in LABEL_SET:
+            raise ValueError(f"unknown label {self.label!r}")
 
 
 class Vocab:
     """token -> index map with PAD=0 and UNK=1 reserved."""
 
     def __init__(self, tokens: Sequence[str]):
-        if tokens[PAD_INDEX] != PAD_TOKEN or tokens[UNK_INDEX] != UNK_TOKEN:
+        if list(tokens[:2]) != [PAD_TOKEN, UNK_TOKEN]:
             raise ValueError("vocab must start with the PAD and UNK tokens")
         if not all(isinstance(tok, str) for tok in tokens):
             raise ValueError("vocab tokens must be strings")
@@ -109,18 +123,10 @@ def _parse_line(raw: str, line_no: int, path) -> Utterance:
         raise CorpusError(f"{path}:{line_no}: malformed JSON ({exc.msg})") from exc
     if not isinstance(obj, dict) or set(obj) != {"id", "text", "label"}:
         raise CorpusError(f"{path}:{line_no}: expected exactly the keys id, text, label")
-    if not isinstance(obj["id"], int) or isinstance(obj["id"], bool):
-        raise CorpusError(f"{path}:{line_no}: id must be an integer")
-    if not isinstance(obj["text"], str) or not obj["text"]:
-        raise CorpusError(f"{path}:{line_no}: text must be a non-empty string")
     try:
-        obj["text"].encode("utf-8")  # a lone surrogate escape decodes but cannot be saved
-    except UnicodeEncodeError as exc:
-        raise CorpusError(f"{path}:{line_no}: text is not UTF-8 ({exc.reason})") from exc
-    label = obj["label"]
-    if not isinstance(label, str) or label not in LABEL_SET:
-        raise CorpusError(f"{path}:{line_no}: unknown label {label!r}")
-    return Utterance(id=obj["id"], text=obj["text"], label=label)
+        return Utterance(**obj)
+    except ValueError as exc:
+        raise CorpusError(f"{path}:{line_no}: {exc}") from exc
 
 
 def load_corpus(corpus_dir, split: str) -> list[Utterance]:

@@ -41,9 +41,10 @@ _STREAM_DROPOUT = 2
 _STREAM_SHUFFLE_BASE = 1000
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters. The convolution width is fixed at 3."""
+    """Training hyperparameters, checked when built and frozen (for a variant,
+    use ``dataclasses.replace``). The convolution width is fixed at 3."""
 
     batch_size: int = 10
     hidden: int = 50           # recurrent units per direction
@@ -61,15 +62,15 @@ class TrainConfig:
     min_count: int = 1
     clip_norm: float = 5.0
 
-    def validate(self) -> None:
-        """Check every field. A numpy scalar is replaced, in place, by the
-        Python number it holds, so the seed stream, the model header and the
-        history only ever see ints and floats."""
+    def __post_init__(self) -> None:
+        """Check every field. A numpy scalar is replaced by the Python number
+        it holds, so the seed stream, the model header and the history only
+        ever see ints and floats."""
         for field in fields(self):
             value = getattr(self, field.name)
             if isinstance(value, np.generic):
                 value = value.item()
-                setattr(self, field.name, value)
+                object.__setattr__(self, field.name, value)
             if field.type == "int":
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise ValueError(f"{field.name} must be an integer, got {value!r}")
@@ -125,9 +126,9 @@ class HybridModel:
         """``rng`` draws the initial weights: Glorot-uniform weights and
         embedding (its PAD row zero), zero biases but the forget gates' at 1.
         With ``None`` every block is zero and nothing is drawn."""
+        # building a config checks the numbers: one rule for a model's and a config's
         config = TrainConfig(embed_dim=embed_dim, hidden=hidden, filters=filters,
                              max_len=max_len, dropout=dropout_rate)
-        config.validate()  # the one rule for a model's numbers, as for a config's
         self.vocab = vocab
         self.labels = label_list(labels)
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
@@ -369,7 +370,6 @@ def train(config: TrainConfig, corpus: Mapping[str, Sequence[Utterance]],
     gradient and parameter vectors (see ``_step``), and the best epoch is
     kept as one copy of the parameter vector.
     """
-    config.validate()
     train_records = _canonical(corpus.get("train", []))
     dev_records = _canonical(corpus.get("dev", []))
     if not train_records:

@@ -94,6 +94,7 @@ def test_criterion_2_closed_form_layers(capsys):
                f"uniform softmax, ce {loss:.4f} vs {math.log(31):.4f}")
 
 
+@pytest.mark.blas_threads
 def test_criterion_3_padding_invariance(capsys):
     # beside a longer batchmate an utterance's row is computed over the PAD
     # the batch adds past its end; alone it is computed over none. A 1-row

@@ -184,6 +184,15 @@ class TestTrainCommand:
         assert capsys.readouterr().err == "usage error: lr must be finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["m.bin", "no_dir/m.bin"])
+    def test_bad_config_is_usage_error_before_the_corpus_is_read(self, tmp_path, capsys, out):
+        # neither the corpus nor the output directory exists; the config is
+        # checked first
+        rc = main(["train", "--corpus", str(tmp_path / "absent"), "--out", str(tmp_path / out),
+                   "--max-len", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == "usage error: max_len must be at least 3\n"
+
     def test_largest_seed_trains(self, toy_corpus_dir, tmp_path):
         out = tmp_path / "m.bin"
         rc = main(["train", "--corpus", str(toy_corpus_dir), "--out", str(out),

@@ -95,6 +95,33 @@ class TestLoadCorpus:
         assert load_corpus(tmp_path, "train") == records
 
 
+class TestUtterance:
+    @pytest.mark.parametrize("override, message", [
+        ({"text": "ab\ud800"}, r"text is not UTF-8 \(surrogates not allowed\)"),
+        ({"text": 123}, "text must be a non-empty string"),
+        ({"text": ""}, "text must be a non-empty string"),
+        ({"id": "x"}, "id must be an integer"),
+        ({"id": True}, "id must be an integer"),
+        ({"label": "bogus"}, "unknown label 'bogus'"),
+    ], ids=["surrogate-text", "int-text", "empty-text", "str-id", "bool-id", "unknown-label"])
+    def test_bad_field_rejected_when_built(self, override, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Utterance(**{"id": 1, "text": "ab", "label": "chat", **override})
+
+
+class TestVocab:
+    @pytest.mark.parametrize("tokens, message", [
+        ([], "vocab must start with the PAD and UNK tokens"),
+        (["<pad>"], "vocab must start with the PAD and UNK tokens"),
+        (["<unk>", "<pad>", "a"], "vocab must start with the PAD and UNK tokens"),
+        (["<pad>", "<unk>", 7], "vocab tokens must be strings"),
+        (["<pad>", "<unk>", "a", "a"], "duplicate tokens in vocab"),
+    ], ids=["empty", "pad-only", "swapped-reserved", "non-str-token", "duplicate"])
+    def test_bad_tokens_rejected(self, tokens, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Vocab(tokens)
+
+
 class TestBuildVocab:
     def test_two_char_corpus(self):
         vocab = build_vocab([utt("ab"), utt("ab")], min_count=1)

@@ -238,6 +238,7 @@ class TestLSTMCell:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [1, 3, 10])
+    @pytest.mark.blas_threads
     def test_backward_matches_the_column_slice_cell_bit_for_bit(self, batch, dtype):
         def column_slice_backward(cache, dh, dc_in):
             # the cell backward written on strided column slices of gates
@@ -275,6 +276,7 @@ class TestLSTMCell:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [1, 3, 10])
+    @pytest.mark.blas_threads
     def test_stacked_directions_equal_their_own_calls_bit_for_bit(self, batch, dtype):
         # one call over (2, B, .) operands with (2, ., .) weight stacks, as
         # the model's arena holds them, against each direction's own call
@@ -324,6 +326,7 @@ class TestBiLSTM:
         h_fwd, h_bwd, _ = bilstm_forward(X, [3], p, p)
         npt.assert_array_equal(h_fwd, h_bwd)
 
+    @pytest.mark.blas_threads
     def test_padding_never_enters(self):
         rng = Rng(5)
         p_fwd = random_lstm_params(rng, 3, 2)
@@ -407,6 +410,7 @@ class TestBiLSTM:
 
     @pytest.mark.parametrize("dtype, E, H", [(np.float32, 64, 50), (np.float64, 3, 4)])
     @pytest.mark.parametrize("lengths", [[1], [9], [1, 9, 4], [9, 1, 3, 9, 5, 2, 7, 1, 6, 4]])
+    @pytest.mark.blas_threads
     def test_backward_matches_the_per_step_reference_bit_for_bit(self, lengths, dtype, E, H):
         # The packed recurrence as it was written before its backward formed
         # the forward-only factors once per chain: a forward that keeps each
@@ -509,6 +513,7 @@ class TestBiLSTM:
         ((), [6]),              # a batch of one
         ((3,), [6]),            # an (S, 1, L) stack, as inference runs
     ])
+    @pytest.mark.blas_threads
     def test_forward_matches_the_sorted_and_sliced_reference_bit_for_bit(
             self, lead, lengths, pad, dtype, E, H):
         # The forward recurrence as it was written before it cut its rows
@@ -753,6 +758,7 @@ class TestLeadingStackAxes:
     """Operands with axes in front of (B, T, E) give, slice by slice, the
     very bits of the same call on each (B, T, E) slice."""
 
+    @pytest.mark.blas_threads
     def test_each_slice_equals_its_own_call(self):
         rng = Rng(9)
         E, H, F, C, T = 5, 4, 3, 2, 6

@@ -419,6 +419,7 @@ class TestInferenceAgreement:
         expected = report_from_pairs(gold, predicted, model.labels).confusion
         npt.assert_array_equal(evaluate(model, records).confusion, expected)
 
+    @pytest.mark.blas_threads
     def test_batched_inference_is_batch_invariant_on_the_paper_size_model(self):
         # the paper's sizes in float32: a BLAS whose products change with the
         # stack or batch they are issued in fails here
@@ -445,6 +446,7 @@ class TestTraining:
         for name, arr in model_a.parameters().items():
             npt.assert_array_equal(arr, model_b.parameters()[name])
 
+    @pytest.mark.blas_threads
     def test_trained_bytes_are_pinned(self, monkeypatch):
         # the paper's layer sizes, so that at two BLAS threads the weight-
         # gradient products are large enough to be split between threads
@@ -608,7 +610,13 @@ class TestTraining:
 
 class TestTrainConfig:
     def test_defaults_are_valid(self):
-        TrainConfig().validate()
+        TrainConfig()
+
+    def test_fields_cannot_be_reassigned(self):
+        config = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.lr = float("inf")
+        assert config == TrainConfig()
 
     @pytest.mark.parametrize("override, message", [
         ({"lr": 1e-7, "min_lr": 1e-6}, "below min_lr"),
@@ -635,7 +643,7 @@ class TestTrainConfig:
             "seed-2**64", "negative-seed", "inf-lr", "max-len-below-floor"])
     def test_rejected(self, override, message):
         with pytest.raises(ValueError, match=message):
-            TrainConfig(**override).validate()
+            TrainConfig(**override)
 
     @pytest.mark.parametrize("override, message", [
         ({"embed_dim": np.int64(4), "hidden": np.int64(3), "filters": np.int64(2)}, None),
@@ -647,7 +655,7 @@ class TestTrainConfig:
     ], ids=["numpy-sizes", "numpy-max-len", "numpy-rate", "float-size", "bool-size",
             "fraction-rate"])
     def test_model_numbers_follow_the_config_rule(self, override, message, tmp_path):
-        # a model's sizes and rate go through TrainConfig.validate: a numpy
+        # a model's sizes and rate go through TrainConfig's checks: a numpy
         # scalar builds the model its Python twin builds, byte for byte, and
         # any other type than an int (a float for the rate) names the field
         if message is not None:
@@ -662,7 +670,7 @@ class TestTrainConfig:
         assert HybridModel.load(tmp_path / "model.bin").flat.tobytes() == model.flat.tobytes()
 
     def test_numpy_scalars_accepted(self):
-        TrainConfig(hidden=np.int64(4), lr=np.float32(0.01)).validate()
+        TrainConfig(hidden=np.int64(4), lr=np.float32(0.01))
 
     @pytest.mark.parametrize("int_type", [np.int64, np.uint64])
     def test_numpy_scalar_config_trains_like_its_python_twin(self, int_type, tmp_path):
@@ -679,7 +687,7 @@ class TestTrainConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             model, history = train(config, tiny_corpus())
-        # train validates the config, which converts it in place
+        # building the config converted its numpy scalars to Python numbers
         for name, kind in kinds.items():
             assert type(getattr(config, name)) is (int if kind == "int" else float), name
         assert config == twin
@@ -780,6 +788,7 @@ class TestModelFileContract:
                     "xyz": "chat", "订票": "chat"}
         assert {text: model.predict(text)[0] for text in expected} == expected
 
+    @pytest.mark.blas_threads
     def test_v1_file_logits_are_pinned(self):
         # the digest the one-utterance-at-a-time inference gave; it holds for
         # the BLAS kernels that rounded it (OpenBLAS 0.3.31 on an AVX-512

@@ -366,9 +366,9 @@ class TestGradientCheck:
     def test_full_model_passes(self):
         model = down_scaled_model(seed=0)
         sample = random_check_sample(0, model)
-        result = gradient_check(model, sample)
-        assert result.passed, result.per_block
-        assert set(result.per_block) == set(model.parameters())
+        per_block = gradient_check(model, sample)
+        assert max(per_block.values()) <= optim.GRADCHECK_TOL, per_block
+        assert set(per_block) == set(model.parameters())
 
     def test_detects_corrupted_backward(self):
         class SignFlipped:
@@ -388,9 +388,9 @@ class TestGradientCheck:
 
         model = down_scaled_model(seed=1)
         sample = random_check_sample(1, model)
-        result = gradient_check(SignFlipped(model), sample)
-        assert result.per_block["out.weight"] > 1e-2
-        assert not result.passed
+        per_block = gradient_check(SignFlipped(model), sample)
+        assert per_block["out.weight"] > 1e-2
+        assert max(per_block.values()) > optim.GRADCHECK_TOL
 
     def test_nan_gradient_counts_as_infinite_error(self):
         class NaNWeight:
@@ -410,10 +410,10 @@ class TestGradientCheck:
 
         model = down_scaled_model(seed=1)
         sample = random_check_sample(1, model)
-        result = gradient_check(NaNWeight(model), sample)
-        assert result.per_block["out.weight"] == np.inf
-        assert result.max_error == np.inf
-        assert not result.passed
+        per_block = gradient_check(NaNWeight(model), sample)
+        assert per_block["out.weight"] == np.inf
+        assert max(per_block.values()) == np.inf
+        assert max(per_block.values()) > optim.GRADCHECK_TOL
 
     def test_non_finite_loss_is_numeric_error(self):
         class NaNLoss:
@@ -441,7 +441,7 @@ class TestGradientCheck:
     def test_larger_eps_degrades_gracefully(self):
         model = down_scaled_model(seed=3)
         sample = random_check_sample(3, model)
-        tight = gradient_check(model, sample, eps=1e-5)
-        loose = gradient_check(model, sample, eps=1e-3)
-        assert np.isfinite(loose.max_error)
-        assert loose.max_error >= tight.max_error
+        tight = max(gradient_check(model, sample, eps=1e-5).values())
+        loose = max(gradient_check(model, sample, eps=1e-3).values())
+        assert np.isfinite(loose)
+        assert loose >= tight

@@ -21,11 +21,17 @@ for the low byte of the state before byte b_i:
   2. Each bit of the low byte is a prefix XOR. P is odd, so bit k of l_{i+1}
      is bit k of l_i, XOR bit k of b_i, XOR bit k of
      (((l_i ^ b_i) mod 2**k) * P). Once bits 0..k-1 are known at every
-     position, bit k is a prefix XOR: eight passes per chunk.
+     position, bit k is a prefix XOR: eight passes per chunk. Each pass
+     takes its prefix in two levels. Times 0x0101...01, a little-endian
+     8-byte word of 0-or-bit-k bytes holds its own prefix, and its top byte
+     the word's total. The words' top bytes, gathered into words of their
+     own, take the same product, so a running XOR is left only over those
+     second-level words, one per 64 bytes; each word then gets the XOR of
+     every word before it.
   3. The full 64-bit state is then linear. With d_i = (l_i ^ b_i) - l_i,
      each step is h_{i+1} = (h_i + d_i) * P mod 2**64, so after n bytes
      h_n = h_0 * P**n + sum(d_i * P**(n - i)) mod 2**64: one uint64 dot
-     product per chunk against a table of powers of P.
+     product per sub-block against one fixed table of powers of P.
 """
 
 from __future__ import annotations
@@ -44,9 +50,18 @@ FORMAT_VERSION = 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_ONES = 0x0101010101010101  # a 1 in each byte of a word
 # bytes per vectorised step: larger chunks run fewer numpy calls per byte,
-# smaller ones hold less scratch (about 25 bytes per chunk byte)
-_CHUNK = 1 << 15
+# smaller ones hold less scratch (about 6 bytes per chunk byte: 379 KB for a
+# 1 MiB input, beside the fixed table of powers)
+_CHUNK = 1 << 16
+# bytes under one second-level word of a bit pass: 8 words of 8 bytes
+_GROUP = 64
+# bytes per dot product of the linear part, and the length of its table
+_SUB_BLOCK = 1 << 14
+_POWERS = np.full(_SUB_BLOCK, _FNV_PRIME, dtype=np.uint64)
+np.multiply.accumulate(_POWERS[::-1], out=_POWERS[::-1])  # P**_SUB_BLOCK, ..., P**1 mod 2**64
+_POWERS.flags.writeable = False
 
 
 def fnv1a64(data) -> int:
@@ -55,26 +70,23 @@ def fnv1a64(data) -> int:
     The value is the byte loop's, ``h = ((h ^ b) * P) mod 2**64`` per byte,
     computed chunk by chunk from the three facts in the module docstring:
     the state's low byte follows its own recurrence, its bits come out of
-    eight prefix-XOR passes, and the 64-bit state is then one dot product
-    against powers of P per chunk. Scratch is about 25 bytes per chunk byte,
-    whatever the input's length; numpy's uint64 arrays wrap mod 2**64, and
-    every 64-bit scalar stays a Python int.
+    eight two-level prefix-XOR passes, and the 64-bit state is then one dot
+    product against powers of P per sub-block. Scratch is about 6 bytes per
+    chunk byte, whatever the input's length; numpy's uint64 arrays wrap mod
+    2**64, and every 64-bit scalar stays a Python int.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     h = _FNV_OFFSET
-    if buf.size == 0:
-        return h
-    m = min(buf.size, _CHUNK)
-    powers = np.full(m, _FNV_PRIME, dtype=np.uint64)
-    np.multiply.accumulate(powers, out=powers)
-    powers = powers[::-1]  # P**m, ..., P**1, each mod 2**64
-    for start in range(0, buf.size, m):
-        chunk = buf[start:start + m]
-        n = chunk.size
+    for start in range(0, buf.size, _CHUNK):
+        chunk = buf[start:start + _CHUNK]
         x = _xor_with_low_bytes(chunk, h & 0xFF)
-        d = x.astype(np.uint64)
-        d -= x ^ chunk  # (l_i ^ b_i) - l_i, mod 2**64
-        h = (h * pow(_FNV_PRIME, n, 1 << 64) + int(np.dot(d, powers[m - n:]))) & _MASK64
+        for sub in range(0, chunk.size, _SUB_BLOCK):
+            xs = x[sub:sub + _SUB_BLOCK]
+            d = xs.astype(np.int16)
+            d -= xs ^ chunk[sub:sub + _SUB_BLOCK]  # (l_i ^ b_i) - l_i
+            powers = _POWERS[_SUB_BLOCK - d.size:]  # P**m, ..., P**1
+            # the cast to uint64 wraps a negative d_i mod 2**64
+            h = (h * int(powers[0]) + int(np.dot(d.astype(np.uint64), powers))) & _MASK64
     return h
 
 
@@ -83,24 +95,35 @@ def _xor_with_low_bytes(chunk: np.ndarray, low: int) -> np.ndarray:
     the state before b_i and ``low`` is l_0."""
     n = chunk.size
     x = chunk.copy()  # bits below k hold l ^ b, bits from k up still b
-    t = np.zeros(-(-n // 8) * 8, dtype=np.uint8)  # whole words for the prefix XOR
+    t = np.zeros(-(-n // _GROUP) * _GROUP, dtype=np.uint8)  # whole second-level words
     words = t.view("<u8")
+    tops = np.empty(words.size, dtype=np.uint8)  # each word's top byte
+    groups = tops.view("<u8")
     for k in range(8):
         bit = 1 << k
-        # bit k of x_i * P is bit k of l_{i+1} ^ l_i; P mod 256 is 0xB3
-        np.multiply(x[:-1], 0xB3, out=t[1:n])
-        np.bitwise_and(t[1:n], bit, out=t[1:n])
+        # bit k of x_i * P is bit k of l_{i+1} ^ l_i; P mod 256 is 0xB3, and
+        # bit 0 of x_i * 0xB3 is bit 0 of x_i
+        if k:
+            np.multiply(x[:-1], 0xB3, out=t[1:n])
+        else:
+            t[1:n] = x[:-1]
+        words &= bit * _ONES  # bits below k would carry into bit k
         t[0] = low & bit
-        # inclusive prefix XOR over the bytes: within each little-endian word,
-        # then the running XOR of the words before it, spread to all 8 bytes.
-        # Every byte is 0 or ``bit``, so times 0x0101...01 each byte holds the
-        # sum of the bytes up to it, and bit k of that sum is their XOR. A
-        # sum passes 255 only for k >= 6, and then carries at most 4 into
-        # bits 0-2 of the next byte, never into its bit k.
-        words *= 0x0101010101010101
-        words &= bit * 0x0101010101010101
-        carry = np.bitwise_xor.accumulate(words >> 56)
-        words[1:] ^= carry[:-1] * 0x0101010101010101
+        # inclusive prefix XOR over the bytes. Every byte is 0 or ``bit``, so
+        # times 0x0101...01 each byte of a little-endian word holds the sum of
+        # the bytes up to it, bit k of that sum is their XOR, and the top byte
+        # holds the word's total. A sum passes 255 only for k >= 6, and then
+        # carries at most 4 into bits 0-2 of the next byte, never into its bit k.
+        words *= _ONES
+        words &= bit * _ONES
+        tops[:] = t[7::8]  # the same over the words' totals, 8 to a group
+        groups *= _ONES
+        groups &= bit * _ONES
+        carry = np.bitwise_xor.accumulate(groups >> 56)  # then over the groups
+        groups[1:] ^= carry[:-1] * _ONES  # tops[j] is now the XOR of words 0..j
+        spread = tops[:-1].astype(np.uint64)
+        spread *= _ONES
+        words[1:] ^= spread  # each word takes the XOR of the words before it
         x ^= t[:n]  # t is now bit k of l_i
     return x
 

@@ -160,7 +160,7 @@ def build_vocab(train: Sequence[Utterance], min_count: int = 1) -> Vocab:
     if not train:
         raise CorpusError("cannot build a vocabulary from an empty training split")
     if min_count < 1:
-        raise ValueError("min_count must be >= 1")
+        raise ValueError("min_count must be positive")
     counts = Counter()
     for utt in train:
         counts.update(tokenize(utt.text))
@@ -180,7 +180,7 @@ def encode(text: str, vocab: Vocab, max_len: int) -> list[int]:
     PAD and part of the sequence on purpose.
     """
     if max_len < MIN_ENCODED_LEN:
-        raise ValueError(f"max_len must be >= {MIN_ENCODED_LEN}")
+        raise ValueError(f"max_len must be at least {MIN_ENCODED_LEN}")
     if not text:
         raise ValueError("cannot encode empty text")
     indices = [vocab.lookup(tok) for tok in tokenize(text)[:max_len]]

@@ -136,7 +136,7 @@ class TestBuildVocab:
         assert vocab.lookup("a") == UNK_INDEX
 
     def test_min_count_below_one_rejected(self):
-        with pytest.raises(ValueError, match="min_count must be >= 1"):
+        with pytest.raises(ValueError, match="min_count must be positive"):
             build_vocab([utt("ab")], min_count=0)
 
     def test_frequency_then_codepoint_order(self):
@@ -178,7 +178,7 @@ class TestEncode:
             encode("", vocab, max_len=5)
 
     def test_max_len_floor(self, vocab):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_len must be at least 3"):
             encode("abc", vocab, max_len=2)
 
     def test_roundtrip_for_in_vocab_text(self, vocab):

@@ -26,14 +26,17 @@ from helpers import fnv1a64_bytewise, write_raw_header
 PROPERTY = settings(max_examples=200, deadline=None)
 
 _CHUNK = container._CHUNK
+# a word is 8 bytes; a second-level word covers a group of 8 words; the
+# linear part takes sub-blocks of a chunk
 _EDGE_LENGTHS = [0, 1, 7, 8, 9,
-                 *(k * _CHUNK + e for k in (1, 2, 3) for e in (-1, 0, 1))]
+                 *(k * size + e for size in (container._GROUP, container._SUB_BLOCK, _CHUNK)
+                   for k in (1, 2, 3) for e in (-1, 0, 1))]
 
 
 @st.composite
 def _payloads(draw):
     """Random or periodic bytes of any length up to three chunks and a byte,
-    drawn often at the word and chunk edges."""
+    drawn often at the word, group, sub-block and chunk edges."""
     n = draw(st.one_of(st.sampled_from(_EDGE_LENGTHS), st.integers(0, 3 * _CHUNK + 1)),
              label="length")
     if draw(st.booleans(), label="periodic"):
@@ -54,8 +57,10 @@ def test_checksum_takes_any_bytes_like_input(as_buffer):
     assert container.fnv1a64(as_buffer(data)) == fnv1a64_bytewise(data)
 
 
-@pytest.mark.parametrize("fill", [0x00, 0xFF])
+# 0x80 holds only bit 7, whose pass has byte sums that can pass 255
+@pytest.mark.parametrize("fill", [0x00, 0x80, 0xFF])
 def test_checksum_of_constant_runs_across_chunk_boundaries(fill):
+    # each run crosses group, sub-block and chunk edges
     run = bytes([fill]) * (2 * _CHUNK + 11)
     noise = random.Random(fill).randbytes(_CHUNK)
     for data in (run, noise[:_CHUNK - 5] + run + noise[:13]):

@@ -113,16 +113,21 @@ def _merged_config(args) -> TrainConfig:
     return TrainConfig(**values)
 
 
+def _check_output_path(path: Path) -> None:
+    """Fail before the work whose result goes to ``path``, not after it."""
+    if not path.parent.is_dir():
+        raise CorpusError(f"output directory does not exist: {path.parent}")
+    if path.is_dir():
+        raise CorpusError(f"output path is a directory: {path}")
+
+
 def cmd_train(args) -> int:
     config = _merged_config(args)
     out_path = Path(args.out)
     history_path = Path(args.history) if args.history else out_path.with_suffix(
         out_path.suffix + ".history.jsonl")
-    for path in (out_path, history_path):  # fail before training, not after
-        if not path.parent.is_dir():
-            raise CorpusError(f"output directory does not exist: {path.parent}")
-        if path.is_dir():
-            raise CorpusError(f"output path is a directory: {path}")
+    for path in (out_path, history_path):
+        _check_output_path(path)
     if out_path.resolve() == history_path.resolve():
         raise UsageError(f"--history and --out name the same file: {out_path}")
     corpus = {split: data.load_corpus(args.corpus, split) for split in ("train", "dev")}
@@ -142,6 +147,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.json_out and args.json_out != "-":
+        _check_output_path(Path(args.json_out))
     model = HybridModel.load(args.model)
     records = data.load_corpus(args.corpus, args.split)
     report = evaluate(model, records)

@@ -12,6 +12,7 @@ short, noisy, typo-ridden utterances the taxonomy targets.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -91,7 +92,7 @@ class Vocab:
         if not all(isinstance(tok, str) for tok in tokens):
             raise ValueError("vocab tokens must be strings")
         self.tokens = list(tokens)
-        self.index = {tok: i for i, tok in enumerate(self.tokens)}
+        self.index = dict(zip(self.tokens, range(len(self.tokens))))
         if len(self.index) != len(self.tokens):
             raise ValueError("duplicate tokens in vocab")
 
@@ -161,13 +162,9 @@ def build_vocab(train: Sequence[Utterance], min_count: int = 1) -> Vocab:
         raise CorpusError("cannot build a vocabulary from an empty training split")
     if min_count < 1:
         raise ValueError("min_count must be positive")
-    counts = Counter()
-    for utt in train:
-        counts.update(tokenize(utt.text))
-    kept = sorted(
-        (tok for tok, n in counts.items() if n >= min_count),
-        key=lambda tok: (-counts[tok], tok),
-    )
+    counts = Counter(itertools.chain.from_iterable(tokenize(utt.text) for utt in train))
+    kept = sorted(tok for tok, n in counts.items() if n >= min_count)
+    kept.sort(key=counts.__getitem__, reverse=True)  # stable: codepoint order within a count
     return Vocab([PAD_TOKEN, UNK_TOKEN, *kept])
 
 
@@ -183,7 +180,7 @@ def encode(text: str, vocab: Vocab, max_len: int) -> list[int]:
         raise ValueError(f"max_len must be at least {MIN_ENCODED_LEN}")
     if not text:
         raise ValueError("cannot encode empty text")
-    indices = [vocab.lookup(tok) for tok in tokenize(text)[:max_len]]
+    indices = list(map(vocab.index.get, tokenize(text)[:max_len], itertools.repeat(UNK_INDEX)))
     indices.extend([PAD_INDEX] * (MIN_ENCODED_LEN - len(indices)))
     return indices
 

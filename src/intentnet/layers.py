@@ -47,6 +47,7 @@ those stacks.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -129,12 +130,17 @@ class DenseParams:
 def init_weights(rng: Rng, *params) -> None:
     """Draw Glorot-uniform values, in place, into every block of two or more
     axes, object by object in ``blocks()`` order; biases are left as they
-    are. A block's fans are its first axis and the product of the others."""
-    for p in params:
-        for view in p.blocks().values():
-            if view.ndim >= 2:
-                limit = glorot_limit(view.shape[0], math.prod(view.shape[1:]))
-                view[...] = uniform_init(rng, view.shape, limit, view.dtype)
+    are. A block's fans are its first axis and the product of the others.
+    Each run of consecutive such blocks that share shape and dtype (so share
+    the limit) takes one ``uniform_init`` draw of shape (k, *shape), slice j
+    going to its block j: the stream order, and so every value, is that of
+    one draw per block."""
+    views = [view for p in params for view in p.blocks().values() if view.ndim >= 2]
+    for (shape, dtype), run in itertools.groupby(views, key=lambda v: (v.shape, v.dtype)):
+        run = list(run)
+        limit = glorot_limit(shape[0], math.prod(shape[1:]))
+        for view, values in zip(run, uniform_init(rng, (len(run), *shape), limit, dtype)):
+            view[...] = values
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +380,14 @@ def bilstm_forward(X: np.ndarray, lengths, p_fwd: LSTMParams, p_bwd: LSTMParams)
         sizes += [k] * (ordered[k - 1] - len(sizes))
     in_order = ordered == ints
     order = np.array(order)
-    back = np.maximum(lengths[order, None] - 1 - np.arange(len(sizes)), 0)  # positions read
     Xs = X[..., :len(sizes), :] if in_order else X[..., order, :len(sizes), :]
+    if ordered[-1] == X.shape[-2]:  # every sample spans all T rows
+        X_back = np.ascontiguousarray(Xs[..., ::-1, :])
+    else:
+        back = np.maximum(lengths[order, None] - 1 - np.arange(len(sizes)), 0)  # positions read
+        X_back = X[..., order[:, None], back, :]
     h_fwd, fwd_steps = _run_chain(Xs, sizes, p_fwd)
-    h_bwd, bwd_steps = _run_chain(X[..., order[:, None], back, :], sizes, p_bwd)
+    h_bwd, bwd_steps = _run_chain(X_back, sizes, p_bwd)
     if not in_order:
         unsort = np.argsort(order)
         h_fwd, h_bwd = h_fwd[..., unsort, :], h_bwd[..., unsort, :]

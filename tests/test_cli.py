@@ -312,6 +312,25 @@ class TestEvalCommand:
                           data.load_corpus(toy_corpus_dir, "test"))
         assert printed == report.to_dict()
 
+    def test_json_in_a_missing_directory_is_data_error_before_any_output(
+            self, toy_corpus_dir, trained_model_path, tmp_path, capsys):
+        json_path = tmp_path / "no_dir" / "report.json"
+        rc = main(["eval", "--corpus", str(toy_corpus_dir), "--model",
+                   str(trained_model_path), "--json", str(json_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""  # no report line
+        assert captured.err == f"data error: output directory does not exist: {json_path.parent}\n"
+
+    def test_json_that_is_a_directory_is_data_error_before_any_output(
+            self, toy_corpus_dir, trained_model_path, tmp_path, capsys):
+        rc = main(["eval", "--corpus", str(toy_corpus_dir), "--model",
+                   str(trained_model_path), "--json", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"data error: output path is a directory: {tmp_path}\n"
+
     def test_label_mismatch_is_data_error(self, trained_model_path, tmp_path, capsys):
         corpus_dir = tmp_path / "other"
         stray = [data.Utterance(id=1, text="zzz", label="weather")]

@@ -347,6 +347,26 @@ class TestBiLSTM:
             npt.assert_array_equal(out_clean[0], out_padded[0])
             npt.assert_array_equal(out_clean[1], out_padded[1])
 
+    @pytest.mark.parametrize("lead", [(1,), (3,), (4, 1)], ids=["B1", "B3", "stack"])
+    @pytest.mark.blas_threads
+    def test_full_length_batches_read_reversed_as_the_gather_reads(self, lead):
+        # Every sample spans all T rows, so the backward chain reads X
+        # reversed as one copy of its view; rows of garbage after them send
+        # the same samples down the per-sample gather. Paper sizes, float32.
+        rng = Rng(11)
+        p_fwd, p_bwd = zero_lstm_params(64, 50), zero_lstm_params(64, 50)
+        init_weights(rng, p_fwd, p_bwd)
+        for T in (1, 3, 10, 31):
+            X = rng.uniform(-1, 1, (*lead, T, 64), np.float32)
+            padded = np.concatenate([X, rng.uniform(-9, 9, (*lead, 2, 64), np.float32)],
+                                    axis=-2)
+            lengths = [T] * lead[-1]
+            got = bilstm_forward(X, lengths, p_fwd, p_bwd)[:2]
+            expected = bilstm_forward(padded, lengths, p_fwd, p_bwd)[:2]
+            for h, h_ref in zip(got, expected):
+                assert h.dtype == np.float32
+                assert h.tobytes() == h_ref.tobytes()
+
     @pytest.mark.parametrize("lengths", [[3, 9, 5, 9, 4], [4, 2, 6], [5], [4, 4, 4],
                                          [1, 3, 2, 1]])
     def test_packed_equals_the_padded_recurrence(self, lengths):

@@ -29,7 +29,7 @@ from intentnet.model import (
     report_from_pairs,
     train,
 )
-from intentnet.tensor import Rng, softmax
+from intentnet.tensor import Rng, softmax, uniform_init
 
 from helpers import (max_rel_error, numeric_gradient, rewrite_container, separable_corpus,
                      write_raw_header)
@@ -818,6 +818,22 @@ class TestModelFileContract:
         # the digest the per-gate storage gave for the same seed and sizes
         assert digest.hexdigest() == (
             "08632ebce277931177bd5702f4fc5b5df5c9b0ce33f3d9902b2f8befe3677375")
+
+    def test_a_seeded_paper_size_model_draws_once_per_run_of_blocks(self, monkeypatch):
+        shapes = []
+
+        def counting(rng, shape, limit, dtype=np.float32):
+            shapes.append(shape)
+            return uniform_init(rng, shape, limit, dtype)
+
+        monkeypatch.setattr(model_module, "uniform_init", counting)
+        monkeypatch.setattr(layers, "uniform_init", counting)
+        HybridModel(Vocab(["<pad>", "<unk>", "a"]), list(LABELS), embed_dim=64, hidden=50,
+                    filters=50, max_len=30, rng=Rng(1))
+        # the embedding; per direction its four w_x blocks, then its w_h and
+        # w_c blocks, all (H, H); the filters; the dense weight
+        assert shapes == [(3, 64), (4, 64, 50), (7, 50, 50), (4, 64, 50), (7, 50, 50),
+                          (1, 50, 3, 64), (1, 150, 31)]
 
 
 class TestSerialization:

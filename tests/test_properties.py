@@ -1,11 +1,14 @@
 """Property tests: the checksum against its byte-loop oracle, container
-fuzzing, encoding invariants, schedule replays, the batch contract, max
-pooling against its first-maximum loop, the confusion matrix against its
+fuzzing, the vocabulary, encoding and weight initialisation against their
+per-item loops, encoding invariants, schedule replays, the batch contract,
+max pooling against its first-maximum loop, the confusion matrix against its
 pair-loop count."""
 
 import json
+import math
 import random
 import struct
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -14,14 +17,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intentnet import container
-from intentnet.data import MIN_ENCODED_LEN, PAD_INDEX, Vocab, encode
+from intentnet.data import (
+    MIN_ENCODED_LEN,
+    PAD_INDEX,
+    PAD_TOKEN,
+    UNK_TOKEN,
+    Utterance,
+    Vocab,
+    build_vocab,
+    encode,
+    tokenize,
+)
 from intentnet.errors import ContainerError
-from intentnet.layers import maxpool_over_time
+from intentnet.layers import (
+    CONV_WIDTH,
+    ConvParams,
+    DenseParams,
+    glorot_limit,
+    init_weights,
+    maxpool_over_time,
+)
 from intentnet.model import HybridModel, down_scaled_model, report_from_pairs
 from intentnet.optim import EpochRecord, reduce_lr_on_plateau, should_stop
-from intentnet.tensor import Rng
+from intentnet.tensor import Rng, uniform_init
 
-from helpers import fnv1a64_bytewise, write_raw_header
+from helpers import fnv1a64_bytewise, write_raw_header, zero_lstm_params
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -172,6 +192,66 @@ def test_encode_pads_after_the_text_to_the_floor(text, max_len):
     assert len(indices) == min(max(len(text), MIN_ENCODED_LEN), max_len)
     assert PAD_INDEX not in indices[:kept]
     assert indices[kept:] == [PAD_INDEX] * (len(indices) - kept)
+
+
+# few distinct characters, so that counts tie: whitespace, CJK and two
+# astral-plane characters, or any character a corpus text may hold
+_CHARS = st.one_of(st.sampled_from("ab \t\u3000中文字\U0001F600\U0001D11E"),
+                   st.characters(exclude_categories=["Cs"]))
+_TEXTS = st.text(_CHARS, min_size=1, max_size=12)
+
+
+@PROPERTY
+@given(texts=st.lists(_TEXTS, min_size=1, max_size=8), min_count=st.integers(1, 3))
+def test_vocab_equals_the_per_utterance_count(texts, min_count):
+    counts = Counter()
+    for text in texts:
+        counts.update(tokenize(text))
+    kept = sorted((tok for tok, n in counts.items() if n >= min_count),
+                  key=lambda tok: (-counts[tok], tok))
+    train = [Utterance(id=k, text=text, label="chat") for k, text in enumerate(texts)]
+    assert build_vocab(train, min_count).tokens == [PAD_TOKEN, UNK_TOKEN, *kept]
+
+
+@PROPERTY
+@given(texts=st.lists(_TEXTS, min_size=1, max_size=4), text=_TEXTS,
+       max_len=st.integers(MIN_ENCODED_LEN, 12))
+def test_encode_equals_the_per_token_lookup(texts, text, max_len):
+    vocab = build_vocab([Utterance(id=k, text=t, label="chat") for k, t in enumerate(texts)])
+    expected = [vocab.lookup(tok) for tok in tokenize(text)[:max_len]]
+    expected += [PAD_INDEX] * (MIN_ENCODED_LEN - len(expected))
+    assert encode(text, vocab, max_len) == expected
+
+
+def _zero_params(E, H, F, C, dtype):
+    """The model's layer parameters, zero: both directions, conv, dense."""
+    return (zero_lstm_params(E, H, dtype), zero_lstm_params(E, H, dtype),
+            ConvParams(np.zeros((F, CONV_WIDTH, E), dtype), np.zeros(F, dtype)),
+            DenseParams(np.zeros((2 * H + F, C), dtype), np.zeros(C, dtype)))
+
+
+# (E, H, F, C, dtype): the paper-size model, the down-scaled gradient-check
+# model, and E == H, where one run of same-shape blocks spans both directions
+_INIT_SIZES = [(64, 50, 50, 31, np.float32), (4, 3, 2, 4, np.float64),
+               (5, 5, 2, 3, np.float32)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=st.sampled_from(_INIT_SIZES), seed=st.integers(0, 2**64 - 1))
+def test_init_weights_equals_one_draw_per_block(sizes, seed):
+    rng, ref_rng = Rng(seed), Rng(seed)
+    params, expected = _zero_params(*sizes), _zero_params(*sizes)
+    init_weights(rng, *params)
+    for p in expected:
+        for view in p.blocks().values():
+            if view.ndim >= 2:
+                limit = glorot_limit(view.shape[0], math.prod(view.shape[1:]))
+                view[...] = uniform_init(ref_rng, view.shape, limit, view.dtype)
+    for p, p_ref in zip(params, expected):
+        for (name, got), ref in zip(p.blocks().items(), p_ref.blocks().values()):
+            assert got.dtype == ref.dtype == sizes[-1]
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes(), name
+    assert rng.next_u64() == ref_rng.next_u64()
 
 
 _metric = st.floats(0.0, 1.0, allow_nan=False)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, optim
-from .errors import ContainerError, CorpusError, NumericError
+from .errors import ContainerError, CorpusError, NumericError, parse_json
 from .model import HybridModel, TrainConfig, down_scaled_model, evaluate, random_check_sample, train
 
 
@@ -95,11 +95,10 @@ def _merged_config(args) -> TrainConfig:
         if not path.is_file():
             raise CorpusError(f"missing config file: {path}")
         try:
-            overrides = json.loads(path.read_text(encoding="utf-8"))
+            text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise UsageError(f"{path}: not UTF-8 ({exc.reason})") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: malformed JSON ({exc})") from exc
+        overrides = parse_json(text, UsageError, path)
         if not isinstance(overrides, dict):
             raise UsageError(f"{path}: config must be a JSON object")
         unknown = set(overrides) - set(values)

@@ -42,7 +42,7 @@ import struct
 
 import numpy as np
 
-from .errors import ContainerError
+from .errors import ContainerError, parse_json
 
 MAGIC = b"INTC"
 FORMAT_VERSION = 1
@@ -180,10 +180,7 @@ def read_container(path) -> tuple[bytes, dict, dict[str, np.ndarray]]:
 
     header_len = struct.unpack("<I", take(4))[0]
     raw_header = bytes(payload[offset:offset + header_len])  # ``text`` checks the length
-    try:
-        header = json.loads(text(header_len, "header"))
-    except json.JSONDecodeError as exc:
-        raise ContainerError(f"{path}: header is not valid JSON ({exc})") from exc
+    header = parse_json(text(header_len, "header"), ContainerError, f"{path}: header")
     if not isinstance(header, dict):
         raise ContainerError(f"{path}: header is not a JSON object")
     n_blocks = struct.unpack("<I", take(4))[0]

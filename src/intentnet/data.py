@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import io
 import itertools
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import CorpusError
+from .errors import CorpusError, parse_json
 
 SPLITS = ("train", "dev", "test")
 
@@ -118,10 +117,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def _parse_line(raw: str, line_no: int, path) -> Utterance:
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}:{line_no}: malformed JSON ({exc.msg})") from exc
+    obj = parse_json(raw, CorpusError, f"{path}:{line_no}")
     if not isinstance(obj, dict) or set(obj) != {"id", "text", "label"}:
         raise CorpusError(f"{path}:{line_no}: expected exactly the keys id, text, label")
     try:

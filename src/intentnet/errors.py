@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one parse of JSON read from a file."""
+
+import json
 
 
 class CorpusError(ValueError):
@@ -11,3 +13,14 @@ class NumericError(RuntimeError):
 
 class ContainerError(ValueError):
     """Raised for corrupt or incompatible model files."""
+
+
+def parse_json(text: str, error: type[Exception], where) -> object:
+    """``text`` parsed as JSON. Every way the parse can fail raises ``error``
+    with the one-line message ``<where>: malformed JSON (<reason>)``."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # bad syntax, or an integer past sys.get_int_max_str_digits()
+        raise error(f"{where}: malformed JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise error(f"{where}: malformed JSON (nesting too deep)") from exc

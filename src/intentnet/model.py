@@ -25,6 +25,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
@@ -94,7 +95,7 @@ class TrainConfig:
             raise ValueError("min_lr must not be negative")
         if not self.lr >= self.min_lr:
             raise ValueError("lr must not be below min_lr")
-        if not math.isfinite(self.lr):
+        if not self.lr <= sys.float_info.max:  # inf, NaN, or an int no float can hold
             raise ValueError("lr must be finite")
 
 
@@ -332,11 +333,12 @@ class HybridModel:
                 dtype=np.float32,
             )
             model.set_parameters(blocks)
+            expected = model._header()
+            saved = container.header_bytes(expected)  # a lone surrogate escape cannot be saved
         except (LookupError, TypeError, ValueError) as exc:
             raise ContainerError(
                 f"{path}: cannot build a model: {type(exc).__name__}: {exc}") from exc
-        expected = model._header()
-        if raw_header != container.header_bytes(expected):
+        if raw_header != saved:
             # ``...`` stands for a missing key; repr tells 4 from 4.0 and from True
             keys = [key for key in sorted(header.keys() | expected.keys())
                     if repr(header.get(key, ...)) != repr(expected.get(key, ...))]

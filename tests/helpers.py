@@ -11,11 +11,13 @@ the synthetic corpora come last.
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import pytest
 
 from intentnet import container
 from intentnet.data import LABELS, PAD_INDEX, Utterance, Vocab, tokenize
@@ -118,6 +120,25 @@ def write_raw_header(path, header_bytes):
     payload = b"".join([container.MAGIC, struct.pack("<I", len(header_bytes)),
                         header_bytes, blocks])
     path.write_bytes(payload + struct.pack("<Q", container.fnv1a64(payload)))
+
+
+# One digit past CPython's integer digit limit (CVE-2020-10735), and the reason
+# ``int`` gives for refusing it; PYTHONINTMAXSTRDIGITS=0 turns the limit off
+INT_DIGIT_LIMIT = sys.get_int_max_str_digits()
+HUGE_INTEGER = "9" * (INT_DIGIT_LIMIT + 1)
+needs_int_digit_limit = pytest.mark.skipif(not INT_DIGIT_LIMIT,
+                                           reason="the integer digit limit is off")
+
+
+def _int_refusal():
+    try:
+        int(HUGE_INTEGER)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+HUGE_INTEGER_REASON = _int_refusal()
 
 
 def write_corpus(corpus_dir, split, records):

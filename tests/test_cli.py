@@ -10,7 +10,8 @@ from intentnet.cli import main
 from intentnet.model import HybridModel, evaluate
 from intentnet.tensor import Rng
 
-from helpers import (noisy_splits, rewrite_container, separable_corpus, write_corpus,
+from helpers import (HUGE_INTEGER, HUGE_INTEGER_REASON, needs_int_digit_limit,
+                     noisy_splits, rewrite_container, separable_corpus, write_corpus,
                      write_raw_header)
 
 FAST_TRAIN = ["--epochs", "3", "--hidden", "6", "--filters", "4",
@@ -142,10 +143,14 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"usage error: {config}: config must be a JSON object\n"
 
     @pytest.mark.parametrize("body, reason", [
-        (b"{lr: 1}", "malformed JSON (Expecting property name enclosed in double quotes: "
-                     "line 1 column 2 (char 1))"),
-        (b'{"lr": 0.1\xff}', "not UTF-8 (invalid start byte)"),
-    ], ids=["invalid-json", "not-utf8"])
+        pytest.param(b"{lr: 1}", "malformed JSON (Expecting property name enclosed in double "
+                                 "quotes: line 1 column 2 (char 1))", id="invalid-json"),
+        pytest.param(b'{"lr": 0.1\xff}', "not UTF-8 (invalid start byte)", id="not-utf8"),
+        pytest.param(b"[" * 100_000, "malformed JSON (nesting too deep)", id="deep-nesting"),
+        pytest.param(b'{"seed": %s}' % HUGE_INTEGER.encode(),
+                     f"malformed JSON ({HUGE_INTEGER_REASON})", id="huge-integer",
+                     marks=needs_int_digit_limit),
+    ])
     def test_unreadable_config_names_its_file(self, toy_corpus_dir, tmp_path, capsys,
                                               body, reason):
         config = tmp_path / "config.json"
@@ -484,6 +489,19 @@ class TestStatsCommand:
         assert "total/test" in captured.err
 
 
+# header bytes no edit of the parsed header can give, made from the saved header
+RAW_HEADERS = {
+    "header-respelled": lambda h: container.header_bytes(h).replace(b": ", b":  ", 1),
+    "deep-nesting": lambda h: b"[" * 100_000,
+    "huge-integer": lambda h: b'{"max_len": %s}' % HUGE_INTEGER.encode(),
+    # ``json.dumps`` escapes a lone surrogate, which ``save`` cannot encode
+    "lone-surrogate-token": lambda h: json.dumps(
+        {**h, "vocab": [*h["vocab"][:-1], "\ud800"]}, sort_keys=True).encode(),
+    "lone-surrogate-label": lambda h: json.dumps(
+        {**h, "labels": [*h["labels"][:-1], "\udfff"]}, sort_keys=True).encode(),
+}
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -530,20 +548,19 @@ class TestUsageErrors:
         pytest.param(lambda h, b: h.update(note="edited"), id="extra-header-key"),
         pytest.param(lambda h, b: [b.__setitem__(k, b.pop(k)) for k in reversed(list(b))],
                      id="blocks-reordered"),
-        pytest.param(None, id="header-respelled"),
+        *(pytest.param(name, id=name) for name in RAW_HEADERS),
     ])
     def test_hand_edited_model_is_data_error(self, trained_model_path, tmp_path, capsys,
                                              edit):
         path = tmp_path / "edited.bin"
         path.write_bytes(trained_model_path.read_bytes())
-        if edit is None:  # bytes no edit of the parsed header can give
-            raw_header, _, _ = container.read_container(path)
-            write_raw_header(path, raw_header.replace(b": ", b":  ", 1))
+        if edit in RAW_HEADERS:
+            write_raw_header(path, RAW_HEADERS[edit](container.read_container(path)[1]))
         else:
             rewrite_container(path, edit)
         assert main(["predict", "--model", str(path), "--text", "abc"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and "edited.bin" in err
+        assert err.startswith("data error:") and "edited.bin" in err and err.count("\n") == 1
 
     def test_repeated_vocab_token_is_data_error(self, trained_model_path, tmp_path, capsys):
         path = tmp_path / "edited.bin"

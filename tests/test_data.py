@@ -18,7 +18,8 @@ from intentnet.data import (
 )
 from intentnet.errors import CorpusError
 
-from helpers import decode, write_corpus
+from helpers import (HUGE_INTEGER, HUGE_INTEGER_REASON, decode, needs_int_digit_limit,
+                     write_corpus)
 
 
 def utt(text, label="chat", id=0):
@@ -49,12 +50,19 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="foo"):
             load_corpus(tmp_path, "test")
 
-    def test_malformed_line_names_line_number(self, tmp_path):
-        (tmp_path / "train.jsonl").write_text(
-            '{"id": 1, "text": "ok", "label": "chat"}\nnot json\n', encoding="utf-8"
-        )
-        with pytest.raises(CorpusError, match=":2:"):
+    @pytest.mark.parametrize("line, reason", [
+        pytest.param("not json", "Expecting value: line 1 column 1 (char 0)", id="not-json"),
+        pytest.param("[" * 100_000, "nesting too deep", id="deep-nesting"),
+        pytest.param(f'{{"id": {HUGE_INTEGER}, "text": "ok", "label": "chat"}}',
+                     HUGE_INTEGER_REASON, id="huge-integer", marks=needs_int_digit_limit),
+    ])
+    def test_malformed_line_names_line_number(self, tmp_path, line, reason):
+        path = tmp_path / "train.jsonl"
+        path.write_text('{"id": 1, "text": "ok", "label": "chat"}\n' + line + "\n",
+                        encoding="utf-8")
+        with pytest.raises(CorpusError) as exc:
             load_corpus(tmp_path, "train")
+        assert str(exc.value) == f"{path}:2: malformed JSON ({reason})"
 
     def test_extra_key_rejected(self, tmp_path):
         (tmp_path / "train.jsonl").write_text(

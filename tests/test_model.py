@@ -636,11 +636,12 @@ class TestTrainConfig:
         ({"seed": 2 ** 64}, r"seed must be in \[0, 2\*\*64\)"),
         ({"seed": -1}, r"seed must be in \[0, 2\*\*64\)"),
         ({"lr": float("inf")}, "lr must be finite"),
+        ({"lr": 10 ** 400}, "lr must be finite"),  # an int no float can hold
         ({"max_len": 2}, "max_len must be at least 3"),
     ], ids=["lr-below-min-lr", "negative-min-lr", "zero-lr-factor", "lr-factor-above-one",
             "str-int", "float-int", "bool-int", "str-float", "bool-float", "nan-lr",
             "nan-min-lr", "zero-clip-norm", "negative-clip-norm", "nan-clip-norm",
-            "seed-2**64", "negative-seed", "inf-lr", "max-len-below-floor"])
+            "seed-2**64", "negative-seed", "inf-lr", "int-lr-past-float", "max-len-below-floor"])
     def test_rejected(self, override, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**override)

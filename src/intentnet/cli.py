@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, optim
-from .errors import ContainerError, CorpusError, NumericError, parse_json
+from .errors import ContainerError, CorpusError, NumericError, parse_json, quoted
 from .model import HybridModel, TrainConfig, down_scaled_model, evaluate, random_check_sample, train
 
 
@@ -83,7 +83,7 @@ def _positive(kind):
             value = math.nan
         if not 0 < value < math.inf:
             raise argparse.ArgumentTypeError(f"expected a finite {kind.__name__} > 0, "
-                                             f"got {text!r}")
+                                             f"got {quoted(text)}")
         return value
     return parse
 
@@ -103,7 +103,7 @@ def _merged_config(args) -> TrainConfig:
             raise UsageError(f"{path}: config must be a JSON object")
         unknown = set(overrides) - set(values)
         if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+            raise UsageError(f"unknown config keys: {quoted(sorted(unknown))}")
         values.update(overrides)
     for name in values:
         flag = getattr(args, name, None)

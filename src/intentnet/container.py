@@ -42,7 +42,7 @@ import struct
 
 import numpy as np
 
-from .errors import ContainerError, parse_json
+from .errors import ContainerError, parse_json, quoted
 
 MAGIC = b"INTC"
 FORMAT_VERSION = 1
@@ -189,10 +189,10 @@ def read_container(path) -> tuple[bytes, dict, dict[str, np.ndarray]]:
         name_len = struct.unpack("<H", take(2))[0]
         name = text(name_len, "a block name")
         if name in blocks:
-            raise ContainerError(f"{path}: block {name!r} appears twice")
+            raise ContainerError(f"{path}: block {quoted(name)} appears twice")
         ndim = struct.unpack("<B", take(1))[0]
         if ndim > 3:  # the most any block has (the convolution filters)
-            raise ContainerError(f"{path}: block {name!r} has {ndim} axes")
+            raise ContainerError(f"{path}: block {quoted(name)} has {ndim} axes")
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         blocks[name] = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
     if offset != len(payload):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import CorpusError, parse_json
+from .errors import CorpusError, parse_json, quoted
 
 SPLITS = ("train", "dev", "test")
 
@@ -79,7 +79,7 @@ class Utterance:
         except UnicodeEncodeError as exc:
             raise ValueError(f"text is not UTF-8 ({exc.reason})") from exc
         if not isinstance(self.label, str) or self.label not in LABEL_SET:
-            raise ValueError(f"unknown label {self.label!r}")
+            raise ValueError(f"unknown label {quoted(self.label)}")
 
 
 class Vocab:

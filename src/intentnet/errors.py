@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the one parse of JSON read from a file."""
+"""Exception types shared across the package, the one parse of JSON read
+from a file, and how a message quotes a value read from outside."""
 
 import json
+
+QUOTE_CHARS = 60  # the longest quote of an outside value in a message
 
 
 class CorpusError(ValueError):
@@ -24,3 +27,9 @@ def parse_json(text: str, error: type[Exception], where) -> object:
         raise error(f"{where}: malformed JSON ({exc})") from exc
     except RecursionError as exc:
         raise error(f"{where}: malformed JSON (nesting too deep)") from exc
+
+
+def quoted(value) -> str:
+    """``repr(value)``, cut to ``QUOTE_CHARS`` characters."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS - 3] + "..."

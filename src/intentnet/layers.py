@@ -17,8 +17,11 @@ is computed as a call on that slice alone would compute it, with one numpy
 call per layer (per step, in the recurrence) for the whole stack. A matrix
 product over a stack makes one product per slice: a stack of S batches of
 one, (S, 1, T, E), gives each sample the very bits its own batch of one
-gives. The LSTM cell's weights may be stacked too, one direction per slice.
-The backward passes (``pack_chain`` too) take (B, T, E) and 2-D weights only.
+gives. The recurrence also runs S sequences of any lengths as such a stack,
+the embedding rows given as a ``Lookup``: step t computes the (n_t, 1, ·)
+slices still live. The LSTM cell's weights may be stacked too, one
+direction per slice. The backward passes (``pack_chain`` too) take
+(B, T, E) and 2-D weights only.
 
 Each forward returns the values the matching backward needs (a cache);
 each backward accumulates parameter gradients into a parameter object of
@@ -38,15 +41,16 @@ of common variants, and the output gate reads the freshly updated cell
 state. Both choices are deliberate and the backward pass differentiates
 them exactly. Each direction stores its weights gate-stacked, one matrix per
 operand (the fused-gate layout of Appleyard et al., arXiv 1604.01946), so a
-chain forms its input projection for every step before its first, a cell
-step makes one product per remaining operand for its live rows, and a
-chain's weight gradients come from one product per stack over the batch's
-sum of L_b live rows.
+chain forms its input projection for every step before its first (a stack,
+for each run of steps), a cell step makes one product per remaining operand
+for its live rows, and a chain's weight gradients come from one product per
+stack over the batch's sum of L_b live rows.
 The 15 per-gate blocks that the model file names are column views of
 those stacks.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -57,6 +61,10 @@ import numpy as np
 from .tensor import HALF, Rng, uniform_init
 
 CONV_WIDTH = 3
+
+# Live rows per input projection of a stacked recurrence (``_run_stack``):
+# 0.4 MB in float32 at the paper's H = 50.
+PROJECTION_ROWS = 512
 
 
 def glorot_limit(fan_in: int, fan_out: int) -> float:
@@ -324,17 +332,19 @@ class BiLSTMCache(NamedTuple):
     bwd_steps: list        # the same, each sample reversed within its length
 
 
-def _lengths(lengths, X: np.ndarray):
+def _lengths(lengths, X):
     """The lengths as an int array (B,) and as a list of ints, one per
     position of X's batch axis -3, each within [1, T], T being the length of
-    X's axis -2. The bounds are checked on the Python ints."""
+    X's axis -2; for a ``Lookup``, one per sequence, summing to its rows.
+    The bounds are checked on the Python ints."""
     lengths = np.asarray(lengths, dtype=np.intp)
     ints = lengths.tolist()
-    seq_len = X.shape[-2]
-    if (X.ndim < 3 or lengths.shape != X.shape[-3:-2] or not ints
-            or min(ints) < 1 or max(ints) > seq_len):
-        raise ValueError(f"lengths {ints} out of range for "
-                         f"{X.shape[-3:-2]} sequences of {seq_len} rows")
+    if isinstance(X, Lookup):
+        shape, fits = X.ids.shape, lengths.ndim == 1 and sum(ints) == len(X.ids)
+    else:
+        shape, fits = X.shape[-3:-1], X.ndim >= 3 and lengths.shape == X.shape[-3:-2]
+    if not (fits and ints and 1 <= min(ints) and max(ints) <= shape[-1]):
+        raise ValueError(f"lengths {ints} out of range for shape {shape}")
     return lengths, ints
 
 
@@ -362,7 +372,40 @@ def _run_chain(Xs, sizes, p: LSTMParams):
     return final, caches
 
 
-def bilstm_forward(X: np.ndarray, lengths, p_fwd: LSTMParams, p_bwd: LSTMParams):
+class Lookup(NamedTuple):
+    """The embedding rows ``table[ids]``, PAD rows zero, of S sequences laid
+    end to end: ids (N,), in range (``embedding_forward`` checks them), are
+    looked up only as a stacked recurrence reads them."""
+    table: np.ndarray
+    ids: np.ndarray
+
+
+def _run_stack(X: Lookup, rows, sizes, p: LSTMParams):
+    """Final hidden states (S, 1, H) of a stack of batches of one sorted by
+    descending length: step t runs the cell on its first ``sizes[t]``
+    slices, (n, 1, ·), reading the rows ``rows`` of X, step-major. Inputs
+    and projection are formed per run of steps of at most
+    ``PROJECTION_ROWS`` rows (or one step), and no step cache is kept: an
+    ended slice's row keeps its final state in place."""
+    h = c = np.zeros((sizes[0], 1, p.hidden_size), dtype=X.table.dtype)
+    ends, stop = list(itertools.accumulate(sizes)), 0
+    for t, (n, end) in enumerate(zip(sizes, ends)):
+        if end > stop:  # a run starts here and ends after the last step that fits
+            first, stop = end - n, ends[max(t, bisect.bisect(ends, end - n + PROJECTION_ROWS) - 1)]
+            ids = X.ids[rows[first:stop]]
+            x = X.table[ids]
+            x[ids == 0] = 0
+            XW = x[:, None] @ p.w_x
+            XW += p.b
+        xw = XW[end - n - first:end - first]
+        if n < len(h):
+            h[:n], c[:n] = lstm_cell_forward(xw, h[:n], c[:n], p)[:2]
+        else:
+            h, c = lstm_cell_forward(xw, h, c, p)[:2]
+    return h
+
+
+def bilstm_forward(X, lengths, p_fwd: LSTMParams, p_bwd: LSTMParams):
     """Final (..., B, H) hidden states of both directions over X (..., B, T, E).
 
     The batch runs packed: sorted by descending length, ties in batch order
@@ -371,6 +414,11 @@ def bilstm_forward(X: np.ndarray, lengths, p_fwd: LSTMParams, p_bwd: LSTMParams)
     samples longer than t, for max L_b steps, so sample b's final state is
     the state of its own L_b-th step and no position past L_b is computed.
     The backward chain reads each sample reversed within its length.
+
+    X may also be a ``Lookup`` of S sequences, lengths (S,): they run sorted
+    the same way as one stack of S batches of one (see ``_run_stack``), so
+    each gets the bits of its own batch of one. The states are then (S, H),
+    and the cache None: the backward pass takes (B, T, E) only.
     """
     lengths, ints = _lengths(lengths, X)
     order = sorted(range(len(ints)), key=ints.__getitem__, reverse=True)  # stable
@@ -380,18 +428,22 @@ def bilstm_forward(X: np.ndarray, lengths, p_fwd: LSTMParams, p_bwd: LSTMParams)
         sizes += [k] * (ordered[k - 1] - len(sizes))
     in_order = ordered == ints
     order = np.array(order)
-    Xs = X[..., :len(sizes), :] if in_order else X[..., order, :len(sizes), :]
-    if ordered[-1] == X.shape[-2]:  # every sample spans all T rows
-        X_back = np.ascontiguousarray(Xs[..., ::-1, :])
+    if isinstance(X, Lookup):  # the row each live (step, sorted slice) reads, on a (T, S) grid
+        t, L = np.arange(len(sizes))[:, None], lengths[order]
+        end, live = np.cumsum(lengths)[order], L > t
+        h_fwd = _run_stack(X, (end - L + t)[live], sizes, p_fwd)[:, 0]
+        h_bwd = _run_stack(X, (end - 1 - t)[live], sizes, p_bwd)[:, 0]
+        cache = None
     else:
+        Xs = X[..., :len(sizes), :] if in_order else X[..., order, :len(sizes), :]
         back = np.maximum(lengths[order, None] - 1 - np.arange(len(sizes)), 0)  # positions read
-        X_back = X[..., order[:, None], back, :]
-    h_fwd, fwd_steps = _run_chain(Xs, sizes, p_fwd)
-    h_bwd, bwd_steps = _run_chain(X_back, sizes, p_bwd)
+        h_fwd, fwd_steps = _run_chain(Xs, sizes, p_fwd)
+        h_bwd, bwd_steps = _run_chain(X[..., order[:, None], back, :], sizes, p_bwd)
+        cache = BiLSTMCache(X, lengths, order, fwd_steps, bwd_steps)
     if not in_order:
         unsort = np.argsort(order)
         h_fwd, h_bwd = h_fwd[..., unsort, :], h_bwd[..., unsort, :]
-    return h_fwd, h_bwd, BiLSTMCache(X, lengths, order, fwd_steps, bwd_steps)
+    return h_fwd, h_bwd, cache
 
 
 def _chain_backward(caches, d_final, x, grads: LSTMParams):

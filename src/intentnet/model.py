@@ -9,8 +9,9 @@ an index sequence, and pads the batch to the longest one, T, so the layers
 see (B, T) indices and (B, T, E) embeddings (see ``layers``).
 A training step is one batched forward and one batched backward over the
 minibatch. Inference (``predict``, ``loss``, ``evaluate`` and the dev pass
-of ``train``) goes through ``HybridModel._infer``, which runs the utterances
-of each length together as a stack of batches of one (see
+of ``train``) goes through ``HybridModel._infer``, which runs all its
+utterances, sorted by length, as one stack of batches of one in the
+recurrence, and those of each length as one in the convolution (see
 ``layers``): each gets the products, and so the bits, of its own batch of
 one, and all four give bit-identical logits for the same utterance.
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import container, layers, optim
 from .data import LABELS, MIN_ENCODED_LEN, Utterance, Vocab, build_vocab, encode, label_list
-from .errors import ContainerError, CorpusError, NumericError
+from .errors import ContainerError, CorpusError, NumericError, quoted
 from .tensor import Rng, softmax, uniform_init
 
 # Named sub-streams of the training seed.
@@ -74,9 +75,9 @@ class TrainConfig:
                 object.__setattr__(self, field.name, value)
             if field.type == "int":
                 if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValueError(f"{field.name} must be an integer, got {value!r}")
+                    raise ValueError(f"{field.name} must be an integer, got {quoted(value)}")
             elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{field.name} must be a number, got {value!r}")
+                raise ValueError(f"{field.name} must be a number, got {quoted(value)}")
         positive = ("batch_size", "hidden", "filters", "embed_dim", "lr", "max_epochs",
                     "plateau_patience", "stop_patience", "min_count", "clip_norm")
         # each test is written so that a NaN (JSON allows it) fails it
@@ -109,6 +110,13 @@ def cross_entropy(logits: np.ndarray, gold):
     onehot = np.arange(logits.shape[-1]) == gold[..., None]
     loss = np.logaddexp.reduce(logits, axis=-1) - np.sum(logits, axis=-1, where=onehot)
     return loss, softmax(logits) - onehot
+
+
+def _concatenated(sequences) -> tuple[np.ndarray, np.ndarray]:
+    """B index sequences laid end to end, (N,), and their lengths (B,)."""
+    lengths = list(map(len, sequences))
+    return (np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.intp,
+                        count=sum(lengths)), np.array(lengths, dtype=np.intp))
 
 
 class HybridModel:
@@ -181,7 +189,7 @@ class HybridModel:
     def set_parameters(self, values: Mapping[str, np.ndarray]) -> None:
         own = self.parameters()
         if list(values) != list(own):
-            raise ValueError(f"blocks {list(values)} are not {list(own)}, in that order")
+            raise ValueError(f"blocks {quoted(list(values))} are not {list(own)}, in that order")
         for name, arr in own.items():
             if np.shape(values[name]) != arr.shape:
                 raise ValueError(f"block {name} is {np.shape(values[name])}, not {arr.shape}")
@@ -200,17 +208,9 @@ class HybridModel:
         padding never reaches the logits. Dropout draws its masks from
         ``rng``, and is off without one.
         """
-        lengths = np.array([len(seq) for seq in indices], dtype=np.intp)
+        flat, lengths = _concatenated(indices)
         ids = np.zeros((len(lengths), lengths.max()), dtype=np.intp)
-        for row, seq in zip(ids, indices):
-            row[:len(seq)] = seq
-        return self._run_layers(ids, lengths, rng)
-
-    def _run_layers(self, ids: np.ndarray, lengths: np.ndarray, rng: Rng | None):
-        """Logits (..., B, C) and caches of index sequences ``ids``
-        (..., B, T) with their lengths ``lengths`` (B,), one per batch
-        position, shared by every leading slice: the layer sequence, over
-        whatever leading axes ``ids`` has."""
+        ids[np.arange(ids.shape[1]) < lengths[:, None]] = flat
         X = layers.embedding_forward(ids, self.embedding)
         h_fwd, h_bwd, bi_cache = layers.bilstm_forward(X, lengths, self.fwd, self.bwd)
         fmap, conv_cache = layers.conv_forward(X, self.conv)
@@ -238,22 +238,32 @@ class HybridModel:
         """Inference logits (N, C) of an iterable of encoded utterances, each
         an index sequence, rows in input order.
 
-        The sequences of each length L run together as a stack of S batches
-        of one, ids (S, 1, L) with lengths ``[L]``, shared by the stack:
-        every layer then makes, for each sequence, the very products a batch
-        of one makes (a (1, K) row times a weight matrix, one (L - 2)-row
-        convolution product), so a row's bits never depend on the other
-        sequences or on how many there are. Logits that overflow, as finite
-        weights can make them, are a ``NumericError``.
+        The sequences run sorted by descending length, ties in input order:
+        the recurrence as one stack of S batches of one over all of them
+        (a ``layers.Lookup`` of the rows laid end to end), the convolution
+        and pooling as one stack (S_L, 1, L) per length L, the dense head
+        once, (S, 1, D). Every layer then makes, for each sequence, the very
+        products a batch of one makes (a (1, K) row times a weight matrix,
+        one (L - 2)-row convolution product), so a row's bits never depend
+        on the other sequences or on how many there are. Logits that
+        overflow, as finite weights can make them, are a ``NumericError``.
         """
         seqs = list(sequences)
-        groups: dict[int, list[int]] = {}
-        for k, seq in enumerate(seqs):
-            groups.setdefault(len(seq), []).append(k)
+        order = sorted(range(len(seqs)), key=lambda k: len(seqs[k]), reverse=True)  # stable
+        flat, lengths = _concatenated([seqs[k] for k in order])
+        pooled, row = [], 0
+        for n, run in itertools.groupby(lengths.tolist()):  # one length's sequences at a time
+            count = len(list(run))
+            ids = flat[row:row + count * n].reshape(count, 1, n)
+            fmap, _ = layers.conv_forward(layers.embedding_forward(ids, self.embedding), self.conv)
+            pooled.append(layers.maxpool_over_time(fmap, [n - (layers.CONV_WIDTH - 1)])[0])
+            row += count * n
+        # the lookups above checked every index in ``flat``
+        h_fwd, h_bwd, _ = layers.bilstm_forward(layers.Lookup(self.embedding, flat), lengths,
+                                                self.fwd, self.bwd)
+        fused = np.concatenate([h_fwd[:, None], h_bwd[:, None], np.concatenate(pooled)], axis=-1)
         logits = np.empty((len(seqs), self.num_classes), dtype=self.dtype)
-        for n, rows in groups.items():
-            ids = np.array([seqs[k] for k in rows], dtype=np.intp)[:, None]
-            logits[rows] = self._run_layers(ids, np.array([n]), None)[0][:, 0]
+        logits[order] = layers.dense_forward(fused, self.dense)[:, 0]
         if not np.isfinite(logits).all():
             raise NumericError("non-finite inference logits")
         return logits
@@ -342,7 +352,8 @@ class HybridModel:
             # ``...`` stands for a missing key; repr tells 4 from 4.0 and from True
             keys = [key for key in sorted(header.keys() | expected.keys())
                     if repr(header.get(key, ...)) != repr(expected.get(key, ...))]
-            raise ContainerError(f"{path}: header {keys or 'spacing or key order'} is not as saved")
+            differ = quoted(keys) if keys else "spacing or key order"
+            raise ContainerError(f"{path}: header {differ} is not as saved")
         return model
 
 

@@ -4,7 +4,9 @@ hostile JSON in each document the program reads from outside: a corpus line
 checksum (``predict``).
 
 Whatever the text, the command ends with its input's documented exit code,
-and prints at most one stderr line, with no traceback. A failure names the
+and prints at most one stderr line, with no traceback, and no longer than
+its prefix (the kind of error, and the file it names) by more than
+``MESSAGE_CHARS``: an echoed value is cut to ``errors.QUOTE_CHARS``. A failure names the
 file, with the line for a corpus; a text that ``json.loads`` refuses is
 reported as malformed JSON at that place. A config that parses and passes its
 checks stops at the missing corpus (exit 2) before any training."""
@@ -21,10 +23,15 @@ from hypothesis import strategies as st
 
 from intentnet import container
 from intentnet.cli import main
+from intentnet.errors import QUOTE_CHARS
 
 from helpers import write_raw_header
 
 HARNESS = settings(max_examples=200, deadline=None)
+# The longest reason a failure gives past its prefix: CPython's 141-character
+# integer digit-limit message, or a quoted value of errors.QUOTE_CHARS after
+# the 35 characters of "max_epochs must be an integer, got ".
+MESSAGE_CHARS = max(141, 35 + QUOTE_CHARS)
 
 V1_MODEL = Path(__file__).parent / "data" / "hybrid_v1.bin"
 RECORD = {"id": 2, "text": "帮我订机票", "label": "flight"}
@@ -98,6 +105,7 @@ def _parses(text):
 def _assert_one_line(err, prefix):
     assert "Traceback" not in err
     assert err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1
+    assert len(err) - 1 <= len(prefix) + MESSAGE_CHARS
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ from intentnet.layers import (
     CONV_WIDTH,
     ConvParams,
     DenseParams,
+    Lookup,
     bilstm_backward,
     bilstm_forward,
     conv_backward,
@@ -582,6 +583,39 @@ class TestBiLSTM:
                     a, b = getattr(got, field), getattr(ref, field)
                     assert a.dtype == b.dtype and a.shape == b.shape, field
                     assert a.tobytes() == b.tobytes(), field
+
+    @pytest.mark.parametrize("dtype, E, H", [(np.float32, 64, 50), (np.float64, 3, 4)])
+    @pytest.mark.parametrize("lengths", [
+        [n for n in range(1, 31) for _ in range(3)],  # 1395 rows, so several projection runs
+        [7],                                         # a stack of one
+        [2] * 600,                                   # all equal, a step of more than one run's rows
+    ], ids=["ragged-with-ties", "one", "equal"])
+    @pytest.mark.blas_threads
+    def test_a_lookup_stack_gives_each_sequence_its_batch_of_one_bits(self, lengths, dtype, E, H):
+        rng = Rng(len(lengths) + E)
+        p_fwd, p_bwd = (zero_lstm_params(E, H, dtype) for _ in range(2))
+        init_weights(rng, p_fwd, p_bwd)
+        for p in (p_fwd, p_bwd):
+            p.b[:] = rng.uniform(-0.5, 0.5, p.b.shape)
+        table = rng.uniform(-1, 1, (9, E)).astype(dtype)  # its PAD row is not zero
+        lengths = [lengths[k] for k in rng.permutation(len(lengths))]
+        ids = np.array([rng.integer(len(table)) for _ in range(sum(lengths))])
+        h_fwd, h_bwd, cache = bilstm_forward(Lookup(table, ids), lengths, p_fwd, p_bwd)
+        assert cache is None
+        assert h_fwd.shape == h_bwd.shape == (len(lengths), H)
+        starts = np.cumsum(lengths) - lengths
+        for s, (start, n) in enumerate(zip(starts, lengths)):
+            X = embedding_forward(ids[None, start:start + n], table)
+            for got, ref in zip((h_fwd, h_bwd), bilstm_forward(X, [n], p_fwd, p_bwd)[:2]):
+                assert got.dtype == dtype
+                assert got[s].tobytes() == ref[0].tobytes(), (s, n)
+
+    def test_lookup_lengths_must_split_its_rows(self):
+        p = zero_lstm_params(2, 2, np.float64)
+        X = Lookup(np.zeros((4, 2)), np.array([1, 2, 3]))
+        for lengths in ([2], [2, 2], [3, 0], [[3]], []):
+            with pytest.raises(ValueError):
+                bilstm_forward(X, lengths, p, p)
 
     def test_true_len_out_of_range(self):
         p = zero_lstm_params(2, 2, np.float64)

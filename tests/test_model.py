@@ -437,6 +437,53 @@ class TestInferenceAgreement:
         assert np.array_equal(model._infer(s for s in samples), batched)
 
 
+class TestStackedInference:
+    @pytest.fixture(scope="class")
+    def paper_model_and_sequences(self):
+        vocab = Vocab(["<pad>", "<unk>", *(chr(0x4E00 + k) for k in range(300))])
+        model = HybridModel(vocab, list(LABELS), embed_dim=64, hidden=50, filters=50,
+                            max_len=30, rng=Rng(14))
+        rng = Rng(15)
+        sequences = [[1 + rng.integer(len(vocab) - 1) for _ in range(3 + rng.integer(28))]
+                     for _ in range(700)]
+        return model, sequences
+
+    def test_one_recurrence_of_two_cell_calls_per_step(self, paper_model_and_sequences,
+                                                       monkeypatch):
+        model, sequences = paper_model_and_sequences
+        calls = collections.Counter()
+
+        def counting(name):
+            original = getattr(layers, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return counted
+
+        for name in ("bilstm_forward", "lstm_cell_forward"):
+            monkeypatch.setattr(layers, name, counting(name))
+        model._infer(sequences)
+        steps = max(map(len, sequences))
+        assert calls == {"bilstm_forward": 1, "lstm_cell_forward": 2 * steps}
+
+    def test_no_whole_stack_projection_is_held(self, paper_model_and_sequences):
+        # One direction's input projection for every live (step, sequence)
+        # row of the stack, (N, 1, 4H), would alone take N * 4H values, so a
+        # peak below half of that holds no such projection.
+        model, sequences = paper_model_and_sequences
+        rows = sum(map(len, sequences))
+        projection = rows * 4 * model.hidden * np.dtype(model.dtype).itemsize
+        model._infer(sequences[:3])  # imports and first-call set-up happen outside the trace
+        tracemalloc.start()
+        try:
+            model._infer(sequences)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < projection / 2
+
+
 class TestTraining:
     def test_identical_seeds_identical_history_and_params(self):
         corpus = tiny_corpus()
@@ -1064,6 +1111,14 @@ class TestSerialization:
         rewrite_container(path, lambda h, b: h.update(kind="naive_bayes"))
         with pytest.raises(ContainerError, match=r"model\.bin: header \['kind'\] is not as saved"):
             HybridModel.load(path)
+
+    def test_a_long_unknown_header_key_is_quoted_not_echoed(self, tmp_path):
+        path = tmp_path / "model.bin"
+        tiny_model().save(path)
+        rewrite_container(path, lambda h, b: h.update({"k" * 100_000: 1}))
+        with pytest.raises(ContainerError) as info:
+            HybridModel.load(path)
+        assert str(info.value) == f"{path}: header ['{'k' * 55}... is not as saved"
 
     @pytest.mark.parametrize("header", [b"\xff\xfe", b"{not json", b"[1, 2]"],
                              ids=["not-utf8", "not-json", "not-an-object"])

@@ -20,8 +20,8 @@ one, (S, 1, T, E), gives each sample the very bits its own batch of one
 gives. The recurrence also runs S sequences of any lengths as such a stack,
 the embedding rows given as a ``Lookup``: step t computes the (n_t, 1, ·)
 slices still live. The LSTM cell's weights may be stacked too, one
-direction per slice. The backward passes (``pack_chain`` too) take
-(B, T, E) and 2-D weights only.
+direction per slice: a training batch runs both directions as one chain,
+(2, B, T, E), one cell call per step. The backward passes take (B, T, E).
 
 Each forward returns the values the matching backward needs (a cache);
 each backward accumulates parameter gradients into a parameter object of
@@ -29,11 +29,12 @@ the layer's own class (built zero, so gradients have the parameters'
 shapes) and returns the gradients flowing to its inputs. There is no
 autodiff graph: the chain rule is spelled out per layer. A recurrence
 step's cache holds its activated gates and states, each a contiguous array
-of its own. The backward pass packs them once per chain, rows ordered
-(step, sample), and forms there every factor of the cell's gradient that
-the forward pass alone decides; each backward step then reads row slices of
-those packed arrays, and writes its gate gradients into its rows of one
-packed buffer and its state gradients over the running ones, in place.
+of its own, (2, n_t, ·) for both directions. The backward pass packs them
+in one pass, (2, N, ·), rows ordered (step, sample), and forms there every
+factor of the cell's gradient that the forward pass alone decides; each
+direction's backward steps then read row slices of its half, on its own 2-D
+weights, and write their gate gradients into their rows of one packed
+buffer and their state gradients over the running ones, in place.
 
 The LSTM cell lets every gate read the cell state through full square
 matrices (``w_ci``, ``w_cf``, ``w_co``), not the diagonal peephole vectors
@@ -245,40 +246,43 @@ class PackedChain(NamedTuple):
 
 
 def pack_chain(caches, x) -> PackedChain:
-    """Packs one chain for its backward pass.
+    """Packs a chain, or a stack of chains, for its backward pass.
 
-    ``caches`` are the chain's ``CellCache``s, step by step, and ``x``
-    (N, E) their inputs, rows ordered (step, sample). The forward values are
-    packed the same way, and every factor of the cell backward that depends
-    on the forward pass alone is formed here, once per chain, gate-major,
-    (12, N, H). Its planes are tanh c, o, 1 - tanh^2 c, 1 - o, g, c_prev, i,
-    f, 1 - g^2, 1 - i, 1 - f and 1, so that each operand pair or triple the
-    cell backward multiplies by is one slice: [tanh c, o], [o, 1 - tanh^2 c],
-    [g, c_prev, i], [i, f, 1 - g^2] and [1 - i, 1 - f, 1]. ``dz`` is left
-    for the steps to fill.
+    ``caches`` are the ``CellCache``s, step by step, fields (..., n_t, ·),
+    and ``x`` (..., N, E) their inputs, rows ordered (step, sample); each
+    array of the ``PackedChain`` gets the same leading axes. The values are
+    packed the same way, the whole stack at once, and every factor of the
+    cell backward that only the forward pass decides is formed here, once,
+    gate-major, (..., 12, N, H). Its planes are tanh c, o, 1 - tanh^2 c,
+    1 - o, g, c_prev, i, f, 1 - g^2, 1 - i, 1 - f and 1, so that each
+    operand pair or triple the cell backward multiplies by is one slice:
+    [tanh c, o], [o, 1 - tanh^2 c], [g, c_prev, i], [i, f, 1 - g^2] and
+    [1 - i, 1 - f, 1]. ``dz`` is left for the steps to fill.
     """
     p = caches[0].params
     H = p.hidden_size
-    i_f = np.concatenate([s.i_f for s in caches])
-    N = len(i_f)
-    factors = np.empty((12, N, H), dtype=i_f.dtype)
-    np.concatenate([s.tanh_c for s in caches], out=factors[0])
-    np.concatenate([s.o for s in caches], out=factors[1])
-    np.multiply(factors[0], factors[0], out=factors[2])
-    np.subtract(1.0, factors[2], out=factors[2])  # 1 - tanh^2 c
-    np.subtract(1.0, factors[1], out=factors[3])  # 1 - o
-    np.concatenate([s.g for s in caches], out=factors[4])
-    np.concatenate([s.c_prev for s in caches], out=factors[5])
-    factors[6:8] = i_f.reshape(N, 2, H).transpose(1, 0, 2)  # i, f
-    np.multiply(factors[4], factors[4], out=factors[8])
-    np.subtract(1.0, factors[8], out=factors[8])  # 1 - g^2
-    np.subtract(1.0, factors[6:8], out=factors[9:11])  # 1 - i, 1 - f
-    factors[11] = 1
-    dz = np.empty((N, 4 * H), dtype=i_f.dtype)
-    h_prev, c = (np.concatenate([getattr(s, field) for s in caches])
+    i_f = np.concatenate([s.i_f for s in caches], axis=-2)
+    *lead, N, _ = i_f.shape
+    F = np.empty((12, *lead, N, H), dtype=i_f.dtype)  # plane-major, each plane contiguous
+    np.concatenate([s.tanh_c for s in caches], axis=-2, out=F[0])
+    np.concatenate([s.o for s in caches], axis=-2, out=F[1])
+    np.multiply(F[0], F[0], out=F[2])
+    np.subtract(1.0, F[2], out=F[2])  # 1 - tanh^2 c
+    np.subtract(1.0, F[1], out=F[3])  # 1 - o
+    np.concatenate([s.g for s in caches], axis=-2, out=F[4])
+    np.concatenate([s.c_prev for s in caches], axis=-2, out=F[5])
+    F[6], F[7] = i_f[..., :H], i_f[..., H:]
+    np.multiply(F[4], F[4], out=F[8])
+    np.subtract(1.0, F[8], out=F[8])  # 1 - g^2
+    np.subtract(1.0, F[6:8], out=F[9:11])  # 1 - i, 1 - f
+    F[11] = 1
+    dz = np.empty((*lead, N, 4 * H), dtype=i_f.dtype)
+    h_prev, c = (np.concatenate([getattr(s, field) for s in caches], axis=-2)
                  for field in ("h_prev", "c"))
-    return PackedChain(p, x, h_prev, c, factors, dz, dz.reshape(N, 4, H).transpose(1, 0, 2),
-                       (p.w_c[:, 2 * H:].T, p.w_c[:, :2 * H].T, p.w_h.T))
+    weights = p.w_c[..., 2 * H:], p.w_c[..., :2 * H], p.w_h
+    return PackedChain(p, x, h_prev, c, F.transpose(*range(1, F.ndim - 2), 0, -2, -1), dz,
+                       dz.reshape(*lead, N, 4, H).swapaxes(-2, -3),
+                       tuple(w.swapaxes(-1, -2) for w in weights))
 
 
 def lstm_cell_backward(chain: PackedChain, rows: slice, dh, dc):
@@ -328,8 +332,8 @@ class BiLSTMCache(NamedTuple):
     X: np.ndarray          # (B, T, E)
     lengths: np.ndarray    # (B,)
     order: np.ndarray      # the batch positions by descending length
-    fwd_steps: list        # CellCache per step t over the first n_t sorted samples
-    bwd_steps: list        # the same, each sample reversed within its length
+    params: tuple          # (p_fwd, p_bwd), the very objects bilstm_forward was given
+    steps: list            # CellCache per step t, (2, n_t, ·): both directions, one per slice
 
 
 def _lengths(lengths, X):
@@ -351,10 +355,12 @@ def _lengths(lengths, X):
 def _run_chain(Xs, sizes, p: LSTMParams):
     """Runs step t of the cell on the first ``sizes[t]`` rows of Xs (..., B,
     T, E), its samples sorted by descending length; returns each sample's
-    final hidden state (..., B, H) and the step caches. Every step's input
-    projection is formed before the first, a B-row product, time-major; it and
-    the states are cut to the live rows only where their count drops. The
-    states are fresh each step, so rows cached as ``h_prev`` stay as read."""
+    final hidden state (..., B, H) and the step caches. The weights may be
+    stacked, (2, ·, ·) for Xs (..., 2, B, T, E), as both directions run.
+    Every step's input projection is formed before the first, a B-row
+    product, time-major; it and the states are cut to the live rows only
+    where their count drops. The states are fresh each step, so rows cached
+    as ``h_prev`` stay as read."""
     nd = Xs.ndim
     XW = Xs.transpose(nd - 2, *range(nd - 2), nd - 1) @ p.w_x  # (T, ..., B, 4H)
     XW += p.b
@@ -409,11 +415,13 @@ def bilstm_forward(X, lengths, p_fwd: LSTMParams, p_bwd: LSTMParams):
     """Final (..., B, H) hidden states of both directions over X (..., B, T, E).
 
     The batch runs packed: sorted by descending length, ties in batch order
-    (a row permutation, undone on the way out; a batch already in order, as
-    every batch of one is, is read as a slice). Step t computes only the n_t
+    (a row permutation, undone on the way out). Step t computes only the n_t
     samples longer than t, for max L_b steps, so sample b's final state is
     the state of its own L_b-th step and no position past L_b is computed.
-    The backward chain reads each sample reversed within its length.
+    Both directions run as one chain over one gathered input (..., 2, B,
+    T, E), slice 0 each sample's positions in order, slice 1 the same
+    reversed within its length, and their (2, ·, ·) weight stacks: one cell
+    call per step, each slice with its own direction's products and bits.
 
     X may also be a ``Lookup`` of S sequences, lengths (S,): they run sorted
     the same way as one stack of S batches of one (see ``_run_stack``), so
@@ -435,39 +443,39 @@ def bilstm_forward(X, lengths, p_fwd: LSTMParams, p_bwd: LSTMParams):
         h_bwd = _run_stack(X, (end - 1 - t)[live], sizes, p_bwd)[:, 0]
         cache = None
     else:
-        Xs = X[..., :len(sizes), :] if in_order else X[..., order, :len(sizes), :]
-        back = np.maximum(lengths[order, None] - 1 - np.arange(len(sizes)), 0)  # positions read
-        h_fwd, fwd_steps = _run_chain(Xs, sizes, p_fwd)
-        h_bwd, bwd_steps = _run_chain(X[..., order[:, None], back, :], sizes, p_bwd)
-        cache = BiLSTMCache(X, lengths, order, fwd_steps, bwd_steps)
+        t = np.arange(len(sizes))
+        pos = np.stack(np.broadcast_arrays(t, np.maximum(lengths[order, None] - 1 - t, 0)))
+        pairs = zip(*((q.w_x, q.w_h, q.w_c, q.b) for q in (p_fwd, p_bwd)))
+        p = LSTMParams(*(np.array(w).reshape(2, -1, w[0].shape[-1]) for w in pairs))  # (2, ·, ·)
+        final, steps = _run_chain(X[..., order[:, None], pos, :], sizes, p)  # (..., 2, B, H)
+        h_fwd, h_bwd = final[..., 0, :, :], final[..., 1, :, :]
+        cache = BiLSTMCache(X, lengths, order, (p_fwd, p_bwd), steps)
     if not in_order:
         unsort = np.argsort(order)
         h_fwd, h_bwd = h_fwd[..., unsort, :], h_bwd[..., unsort, :]
     return h_fwd, h_bwd, cache
 
 
-def _chain_backward(caches, d_final, x, grads: LSTMParams):
-    """Backpropagation through time over one packed chain, ``d_final``
-    (B, H) in the chain's sorted order; then one product per gate-stack over
-    the chain's live rows, whose inputs ``x`` are ordered (step, sample),
-    adds its weight gradients into ``grads`` and gives d(x).
+def _chain_backward(chain: PackedChain, sizes, d_final, grads: LSTMParams):
+    """Backpropagation through time over one direction's packed chain, its
+    steps of ``sizes`` rows, ``d_final`` (B, H) in the chain's sorted order;
+    then one product per gate-stack over the chain's live rows, whose inputs
+    ``chain.x`` are ordered (step, sample), adds its weight gradients into
+    ``grads`` and gives d(x).
 
-    ``pack_chain`` forms the forward-only factors once; the steps then run
-    over their row ranges of it in reverse, each writing its rows of the
-    packed gate gradients, and the gradients of its n_t samples' previous
-    states over their rows of ``d_final`` and of the running cell gradient.
-    So a sample's ``d_final`` row is untouched until its last step, where it
-    enters. The weight gradients read x, h_prev, c_prev, c and dz from the
-    packed chain.
+    The steps run over their row ranges of the packed chain in reverse, each
+    writing its rows of the packed gate gradients, and the gradients of its
+    n_t samples' previous states over their rows of ``d_final`` and of the
+    running cell gradient. So a sample's ``d_final`` row is untouched until
+    its last step, where it enters. The weight gradients read x, h_prev,
+    c_prev, c and dz from the packed chain.
     """
-    chain = pack_chain(caches, x)
     p = chain.params
     H = p.hidden_size
     dh = d_final
     dc = np.zeros_like(d_final)
-    end = len(x)
-    for s in reversed(caches):
-        n = len(s.h_prev)
+    end = len(chain.x)
+    for n in reversed(sizes):
         lstm_cell_backward(chain, slice(end - n, end), dh[:n], dc[:n])
         end -= n
     dz = chain.dz
@@ -482,15 +490,21 @@ def _chain_backward(caches, d_final, x, grads: LSTMParams):
 def bilstm_backward(cache: BiLSTMCache, d_fwd, d_bwd, grads_fwd: LSTMParams,
                     grads_bwd: LSTMParams) -> np.ndarray:
     """Backpropagation through time for both chains; returns d(embeddings),
-    (B, T, E), zero past each sample's length."""
-    X, lengths, order, fwd_steps, bwd_steps = cache
+    (B, T, E), zero past each sample's length. Both chains are packed in
+    one pass, (2, N, ·); direction d's chain is slice [d] of the pack, over
+    the very ``LSTMParams`` that ``bilstm_forward`` was given for it."""
+    X, lengths, order, params, steps = cache
     # the live (step, sorted sample) cells, in the order the steps ran them
-    step, k = np.nonzero(lengths[order] > np.arange(len(fwd_steps))[:, None])
+    step, k = np.nonzero(lengths[order] > np.arange(len(steps))[:, None])
     rows = order[k]
-    back = lengths[rows] - 1 - step
+    pos = np.stack([step, lengths[rows] - 1 - step])  # the positions each chain read
+    packed = pack_chain(steps, X[rows, pos])  # both chains, (2, N, ·)
+    fwd, bwd = (PackedChain(p, *(field[d] for field in packed[1:-1]),
+                            tuple(w[d] for w in packed.weights_t)) for d, p in enumerate(params))
+    sizes = [s.h_prev.shape[-2] for s in steps]
     dX = np.zeros_like(X)
-    dX[rows, step] = _chain_backward(fwd_steps, d_fwd[order], X[rows, step], grads_fwd)
-    dX[rows, back] += _chain_backward(bwd_steps, d_bwd[order], X[rows, back], grads_bwd)
+    dX[rows, pos[0]] = _chain_backward(fwd, sizes, d_fwd[order], grads_fwd)
+    dX[rows, pos[1]] += _chain_backward(bwd, sizes, d_bwd[order], grads_bwd)
     return dX
 
 

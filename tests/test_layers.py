@@ -533,15 +533,18 @@ class TestBiLSTM:
         ((), [1, 4, 1, 3]),
         ((), [6]),              # a batch of one
         ((3,), [6]),            # an (S, 1, L) stack, as inference runs
+        ((), [30, 3, 17, 9, 30, 12, 3, 25, 17, 6]),  # a training batch: ties, full length
     ])
     @pytest.mark.blas_threads
     def test_forward_matches_the_sorted_and_sliced_reference_bit_for_bit(
             self, lead, lengths, pad, dtype, E, H):
         # The forward recurrence as it was written before it cut its rows
-        # only where the live count drops: an argsort schedule, a gathered
-        # forward input, a moveaxis projection and a slice at every step.
-        # Every product and ufunc is the one bilstm_forward must keep, so the
-        # states and every step cache agree byte for byte.
+        # only where the live count drops, one chain per direction: an
+        # argsort schedule, a gathered forward input, a moveaxis projection
+        # and a slice at every step. Every product and ufunc is the one
+        # bilstm_forward must keep, so the states agree byte for byte, and
+        # so does slice d of every field of each stacked step cache with
+        # direction d's step cache.
         def chain(Xs, sizes, p):
             XW = np.moveaxis(Xs, -2, 0) @ p.w_x + p.b
             h = np.zeros((*Xs.shape[:-2], p.hidden_size), dtype=Xs.dtype)
@@ -575,12 +578,16 @@ class TestBiLSTM:
         for got, ref in ((h_fwd, ref_fwd[..., unsort, :]), (h_bwd, ref_bwd[..., unsort, :])):
             assert got.dtype == dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
-        for got_steps, ref_steps in ((cache.fwd_steps, fwd_steps), (cache.bwd_steps, bwd_steps)):
-            assert len(got_steps) == len(ref_steps)
-            for got, ref in zip(got_steps, ref_steps):
-                assert got.params is ref.params
+        assert cache.params[0] is p_fwd and cache.params[1] is p_bwd
+        for d, ref_steps in enumerate((fwd_steps, bwd_steps)):
+            assert len(cache.steps) == len(ref_steps)
+            for got, ref in zip(cache.steps, ref_steps):
+                assert ref.params is cache.params[d]
+                for stack in ("w_x", "w_h", "w_c", "b"):  # slice d holds direction d's weights
+                    assert getattr(got.params, stack)[d].tobytes() == \
+                        getattr(ref.params, stack).tobytes(), stack
                 for field in layers.CellCache._fields[1:]:
-                    a, b = getattr(got, field), getattr(ref, field)
+                    a, b = getattr(got, field)[..., d, :, :], getattr(ref, field)
                     assert a.dtype == b.dtype and a.shape == b.shape, field
                     assert a.tobytes() == b.tobytes(), field
 

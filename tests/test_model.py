@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -358,7 +359,13 @@ class TestBatch:
         cell_forward, cell_backward = layers.lstm_cell_forward, layers.lstm_cell_backward
 
         def counted_forward(xw, h_prev, c_prev, p):
-            rows["forward", id(p)] += len(h_prev)
+            # a stacked call runs both directions, one per slice of its
+            # leading axis: each slice counts for the direction whose weights
+            # it holds
+            for w_h, h in zip(p.w_h.reshape(-1, *model.fwd.w_h.shape),
+                              h_prev.reshape(-1, *h_prev.shape[-2:])):
+                own = [q for q in (model.fwd, model.bwd) if np.array_equal(w_h, q.w_h)]
+                rows["forward", id(own[0]) if len(own) == 1 else None] += len(h)
             return cell_forward(xw, h_prev, c_prev, p)
 
         def counted_backward(chain, step_rows, dh, dc):
@@ -372,6 +379,68 @@ class TestBatch:
                                   for k, n in enumerate(lengths)])
         assert rows == {(pass_, id(p)): sum(lengths)
                         for pass_ in ("forward", "backward") for p in (model.fwd, model.bwd)}
+
+
+class TestStackedTraining:
+    """A training step runs both recurrence directions as one stacked chain
+    forward and one chain per direction backward, keeping the calling
+    conventions that outside tracing relies on: ``bilstm_forward(X, lengths,
+    p_fwd, p_bwd)``, ``lstm_cell_forward(xw, h_prev, c_prev, p)``, and a cell
+    backward whose chain is one direction's, 2-D, over the very parameter
+    object that ``bilstm_forward`` was given."""
+
+    def test_signatures_keep_their_positional_parameters(self):
+        for fn, names in ((layers.bilstm_forward, ["X", "lengths", "p_fwd", "p_bwd"]),
+                          (layers.lstm_cell_forward, ["xw", "h_prev", "c_prev", "p"]),
+                          (layers.lstm_cell_backward, ["chain", "rows", "dh", "dc"])):
+            params = inspect.signature(fn).parameters.values()
+            positional = [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+            assert positional == names, fn.__name__
+            assert all(p.kind is p.KEYWORD_ONLY for p in params if p.name not in names)
+
+    def test_cell_calls_of_a_training_step_and_of_predict(self, monkeypatch):
+        vocab = Vocab(["<pad>", "<unk>", *(chr(0x4E00 + k) for k in range(40))])
+        model = HybridModel(vocab, list(LABELS), embed_dim=64, hidden=50, filters=50,
+                            max_len=30, rng=Rng(21))
+        lengths = [30, 3, 17, 9, 30, 12, 3, 25, 17, 6]  # ragged, with ties and full length
+        rng = Rng(22)
+        batch = [([2 + rng.integer(len(vocab) - 2) for _ in range(n)], k % model.num_classes)
+                 for k, n in enumerate(lengths)]
+        bilstm, forward, backward = [], [], collections.Counter()
+        originals = (layers.bilstm_forward, layers.lstm_cell_forward, layers.lstm_cell_backward)
+
+        def counted_bilstm(*args):
+            _, _, p_fwd, p_bwd = args  # exactly four positional arguments
+            bilstm.append((p_fwd, p_bwd))
+            return originals[0](*args)
+
+        def counted_forward(*args):
+            xw, h_prev, _, p = args
+            forward.append(((xw.shape, h_prev.shape), p))
+            return originals[1](*args)
+
+        def counted_backward(*args):
+            chain, rows, _, _ = args
+            assert id(chain.params) in {id(model.fwd), id(model.bwd)}
+            assert chain.x.ndim == chain.h_prev.ndim == 2
+            backward[id(chain.params)] += rows.stop - rows.start
+            return originals[2](*args)
+
+        for name, counted in (("bilstm_forward", counted_bilstm),
+                              ("lstm_cell_forward", counted_forward),
+                              ("lstm_cell_backward", counted_backward)):
+            monkeypatch.setattr(layers, name, counted)
+        model.loss_and_gradients(batch)
+        assert len(bilstm) == 1
+        assert bilstm[0][0] is model.fwd and bilstm[0][1] is model.bwd
+        live = [sum(n > t for n in lengths) for t in range(max(lengths))]
+        assert [shapes for shapes, _ in forward] == [((2, n, 200), (2, n, 50)) for n in live]
+        assert backward == {id(model.fwd): sum(lengths), id(model.bwd): sum(lengths)}
+
+        forward.clear()
+        model.predict("一二三四五六七")
+        assert collections.Counter(id(p) for _, p in forward) == {id(model.fwd): 7,
+                                                                  id(model.bwd): 7}
 
 
 class TestPredict:
